@@ -23,6 +23,7 @@ from .linalg import LatticeBasis, load_basis
 SEED_ENV_VAR = "LATTICE_GIBBS_SEED"
 
 ALGORITHMS = ("klein", "gibbs", "gibbs-klein")
+VECTOR_FLAGS = ("--center", "--x0")
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,7 @@ class RunConfig:
 
     basis: LatticeBasis
     algorithm: str
-    sigma: float
-    center: np.ndarray
+    target: GaussianParams
     x0: np.ndarray
     block_size: "int | None"
     iterations: int
@@ -41,10 +41,6 @@ class RunConfig:
     seed: int
     tail_eps: float
     output: str
-
-    @property
-    def target(self) -> GaussianParams:
-        return GaussianParams(self.sigma, self.center)
 
 
 def _resolve_seed(arg_seed: "int | None") -> int:
@@ -61,6 +57,30 @@ def _parse_vector(text: "str | None", n: int, what: str) -> np.ndarray:
     if len(vals) != n:
         raise ValueError(f"{what} must have {n} comma-separated entries, got {len(vals)}")
     return np.array(vals)
+
+
+def _attach_vector_values(argv: "list[str]") -> "list[str]":
+    """Rewrite `--center -0.5,1` as `--center=-0.5,1`.
+
+    argparse reads a separate token that starts with '-' and is not a plain
+    negative number as a flag, so a vector with a negative first entry would
+    be "expected one argument" in the space-separated form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in VECTOR_FLAGS and _is_number(token.split(",")[0]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _write_output(path: str, content: str) -> None:
@@ -91,13 +111,12 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--tail-eps must lie in (0, 1)")
     if args.burn_in < 0:
         raise ValueError("--burn-in must be >= 0")
-    center = _parse_vector(args.center, n, "--center")
+    target = GaussianParams(args.sigma, _parse_vector(args.center, n, "--center"))
     x0 = _parse_vector(args.x0, n, "--x0").astype(np.int64)
     return RunConfig(
         basis=basis,
         algorithm=args.algo,
-        sigma=args.sigma,
-        center=center,
+        target=target,
         x0=x0,
         block_size=args.block_size,
         iterations=args.iters,
@@ -123,10 +142,9 @@ def cmd_sample(cfg: RunConfig) -> int:
         if cfg.algorithm == "klein":
             sampler = KleinSampler(cfg.basis, cfg.target)
             draws = klein_sample_many(sampler, cfg.iterations, rng, cfg.tail_eps)
-            for t in range(cfg.iterations):
-                if t + 1 >= cfg.burn_in:
-                    coords = ",".join(str(int(v)) for v in draws[t])
-                    lines.append(f"{chain_idx},{t + 1},{coords}")
+            for t, row in enumerate(draws.tolist(), start=1):
+                if t >= cfg.burn_in:
+                    lines.append(f"{chain_idx},{t}," + ",".join(map(str, row)))
         else:
             trace = mcmc.run_chain(
                 cfg.algorithm,
@@ -293,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_vector_values(argv))
     try:
         if args.command == "sample":
             return cmd_sample(_build_run_config(args))

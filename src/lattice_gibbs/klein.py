@@ -34,6 +34,8 @@ class GaussianParams:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         c = np.array(self.center, dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError(f"center must be finite, got {c}")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
 

@@ -14,6 +14,26 @@ Conventions (the textbook ones, fixed here for reproducibility):
 * Sampler decoders run with every 1-D draw restricted to {0..3} and return
   the best (lowest residual) point among all states visited, starting from
   the rounded ZF estimate.
+
+How the decoders are computed:
+
+* ML is an exact meet-in-the-middle search. The antennas split into two
+  halves a and b, ||H_a a + H_b b - y||^2 = ||H_a a - y||^2 + ||H_b b||^2
+  + 2 Re<H_a a - y, H_b b>, so all 16^n_tx costs form one 16^|a| x 16^|b|
+  matrix from a single real GEMM (256 x 256 at n_tx = 4). Its row-major
+  argmin is the first candidate in lexicographic order, as in a brute-force
+  scan.
+* A Gibbs-Klein block step permutes the coordinates, takes the first m as the
+  block S and holds the rest R fixed. It needs only the leading m x m block of
+  the permuted basis's R factor and matching centers. Both come from the Gram
+  matrix G = g^T g and g^T t, formed once per trial: U = chol(G[S,S]) (upper
+  triangular), c = U^-T (g^T t[S] - G[S,R] k[R]), and Klein's backward pass
+  runs on U. This equals the QR of g[:, order] up to rounding, at O(m^3 + nm)
+  scalar work per step.
+* Per trial, the ZF start point, the QR of g for Klein's pass, sigma and the
+  Gram quantities are computed once and shared by every sampler decoder. The
+  inner loops run on Python floats; each decoder's random stream is consumed
+  call for call as by the textbook numpy formulation.
 """
 
 from __future__ import annotations
@@ -23,6 +43,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -31,6 +52,7 @@ BITS_PER_SYMBOL = 4
 AVG_SYMBOL_ENERGY = 10.0  # mean |s|^2 over the 16-QAM set
 # Gray labels per real level, indexed by k = (level + 3) / 2
 GRAY_BITS = ((0, 0), (0, 1), (1, 1), (1, 0))
+_GRAY_TABLE = np.array(GRAY_BITS, dtype=np.int8)
 
 SAMPLER_DECODERS = ("klein", "gibbs", "gibbs-klein")
 
@@ -145,35 +167,50 @@ def zf_decode(h: np.ndarray, y: np.ndarray, constellation=QAM16_LEVELS) -> np.nd
     return nearest_levels(x_ls.real) + 1j * nearest_levels(x_ls.imag)
 
 
+ML_MAX_TX = 5  # the larger half's 16^3 x n_r table and the 256 x 4096 cost matrix
+
+
 @functools.lru_cache(maxsize=4)
-def _all_candidates(n_tx: int) -> np.ndarray:
-    """All 16^n_tx symbol vectors, lexicographic in (re, im) per antenna."""
-    if n_tx > 5:
-        raise ValueError(f"exhaustive ML enumeration limited to n_tx <= 5, got {n_tx}")
+def _symbol_grid(n_ant: int) -> np.ndarray:
+    """All 16^n_ant symbol vectors, lexicographic in (re, im) per antenna."""
     points = [re + 1j * im for re in QAM16_LEVELS for im in QAM16_LEVELS]
-    cands = np.array(list(itertools.product(points, repeat=n_tx)), dtype=complex)
-    cands.setflags(write=False)
-    return cands
+    grid = np.array(list(itertools.product(points, repeat=n_ant)), dtype=complex)
+    grid = grid.reshape(16**n_ant, n_ant)  # one empty row when n_ant = 0
+    grid.setflags(write=False)
+    return grid
 
 
 def ml_decode(h: np.ndarray, y: np.ndarray, constellation=QAM16_LEVELS) -> np.ndarray:
-    """Exhaustive argmin of ||Hx - y||; first (lexicographic) winner on ties."""
+    """Exact argmin of ||Hx - y||; first (lexicographic) winner on ties.
+
+    Meet in the middle: split the antennas into a head and a tail half, so
+    ||H_a a + H_b b - y||^2 = ||H_a a - y||^2 + ||H_b b||^2 + 2 Re<H_a a - y, H_b b>
+    and every 16^n_tx cost is one entry of a head x tail matrix built by a
+    single real GEMM. Its row-major order is the lexicographic order of the
+    full candidate list, so the flat argmin keeps the same tie-breaking.
+    """
     del constellation
-    cands = _all_candidates(h.shape[1])
-    diff = cands @ h.T - y
-    costs = np.einsum("ij,ij->i", diff.real, diff.real) + np.einsum(
-        "ij,ij->i", diff.imag, diff.imag
-    )
-    return cands[int(np.argmin(costs))].copy()
+    n_tx = h.shape[1]
+    if n_tx > ML_MAX_TX:
+        raise ValueError(f"exact ML search limited to n_tx <= {ML_MAX_TX}, got {n_tx}")
+    split = n_tx // 2
+    head, tail = _symbol_grid(split), _symbol_grid(n_tx - split)
+    a = head @ h[:, :split].T - y
+    b = tail @ h[:, split:].T
+    a_re = np.concatenate([a.real, a.imag], axis=1)
+    b_re = np.concatenate([b.real, b.imag], axis=1)
+    cost = a_re @ (2.0 * b_re.T)
+    cost += np.einsum("ij,ij->i", a_re, a_re)[:, np.newaxis]
+    cost += np.einsum("ij,ij->i", b_re, b_re)
+    i_head, i_tail = divmod(int(np.argmin(cost)), cost.shape[1])
+    return np.concatenate([head[i_head], tail[i_tail]])
 
 
 def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     """Gray bit labels, 4 bits per complex symbol (re pair then im pair)."""
-    bits: list[int] = []
-    for s in np.asarray(symbols, dtype=complex):
-        for part in (s.real, s.imag):
-            bits.extend(GRAY_BITS[int(round((part + 3.0) / 2.0))])
-    return np.array(bits, dtype=np.int8)
+    s = np.asarray(symbols, dtype=complex)
+    levels = np.rint((np.stack([s.real, s.imag], axis=-1) + 3.0) / 2.0).astype(np.intp)
+    return _GRAY_TABLE[levels].reshape(-1)
 
 
 def count_bit_errors(decided: np.ndarray, transmitted: np.ndarray) -> int:
@@ -188,17 +225,29 @@ def _integer_lattice_problem(h: np.ndarray, y: np.ndarray):
     return g, t
 
 
-# Lean inner-loop helpers: same math as dgauss1d.sample_restricted and
-# linalg.qr_decompose, stripped of per-call validation for the trial loop.
-
-_ALLOWED_COEFFS = np.arange(4.0)
+# Lean inner-loop helpers: the same math as dgauss1d.sample_restricted and
+# klein.backward_sample_into on plain Python floats, stripped of per-call
+# validation and numpy dispatch for the trial loop.
 
 
 def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> int:
-    logw = -((_ALLOWED_COEFFS - center) ** 2) / (2.0 * alpha * alpha)
-    w = np.exp(logw - logw.max())
-    cum = np.cumsum(w)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="left"))
+    """One draw of D_{Z,alpha,center} restricted to {0, 1, 2, 3}, by inversion.
+
+    Weights are taken relative to the largest one; the single uniform picks
+    the first point whose cumulative weight reaches it.
+    """
+    den = 2.0 * alpha * alpha
+    d1, d2, d3 = 1.0 - center, 2.0 - center, 3.0 - center
+    l0 = -(center * center) / den
+    l1 = -(d1 * d1) / den
+    l2 = -(d2 * d2) / den
+    l3 = -(d3 * d3) / den
+    top = max(l0, l1, l2, l3)
+    c0 = math.exp(l0 - top)
+    c1 = c0 + math.exp(l1 - top)
+    c2 = c1 + math.exp(l2 - top)
+    v = rng.random() * (c2 + math.exp(l3 - top))
+    return 0 if v <= c0 else 1 if v <= c1 else 2 if v <= c2 else 3
 
 
 def _qr_pos(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,17 +258,98 @@ def _qr_pos(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _backward_restricted(
-    r: np.ndarray,
-    c_prime: np.ndarray,
-    sigma: float,
-    z: np.ndarray,
-    m: int,
-    rng: np.random.Generator,
-) -> None:
+    r: "list[list[float]]", c: "list[float]", sigma: float, rng: np.random.Generator
+) -> list[int]:
+    """Backward nearest-plane pass of upper-triangular r (positive diagonal).
+
+    Draws z[m-1], ..., z[0] in {0..3}, each centered on its plane residual
+    (c_i - sum_{j>i} r_ij z_j) / r_ii with step size sigma / r_ii.
+    """
+    m = len(c)
+    z = [0] * m
     for i in range(m - 1, -1, -1):
-        rii = r[i, i]
-        center = (c_prime[i] - r[i, i + 1 :] @ z[i + 1 :]) / rii
-        z[i] = _draw_restricted4(sigma / abs(rii), center, rng)
+        row = r[i]
+        acc = c[i]
+        for j in range(i + 1, m):
+            acc -= row[j] * z[j]
+        rii = row[i]
+        z[i] = _draw_restricted4(sigma / rii, acc / rii, rng)
+    return z
+
+
+def _block_conditional(
+    gram: "list[list[float]]",
+    gt: "list[float]",
+    k: "list[int]",
+    block: "list[int]",
+    rest: "list[int]",
+) -> tuple[list[list[float]], list[float]]:
+    """Triangular factor and centers of Klein's pass over `block`, given k[rest].
+
+    With G = g^T g, U = chol(G[S,S]) upper (U^T U = G[S,S]) is the leading
+    block of the sign-fixed R of g[:, S + R], and
+    c = U^-T (g^T t[S] - G[S,R] k[R]) is the matching block of Q^T t minus
+    the pull of the fixed coordinates. Costs O(m^3 + m (n - m)) scalar work.
+    """
+    m = len(block)
+    u: list[list[float]] = []
+    c: list[float] = []
+    for i, b in enumerate(block):
+        gb = gram[b]
+        acc = gt[b]
+        for j in rest:
+            acc -= gb[j] * k[j]
+        row = [gb[j] for j in block]
+        for p in range(i):
+            up = u[p]
+            f = up[i]
+            for j in range(i, m):
+                row[j] -= f * up[j]
+            acc -= f * c[p]
+        rii = math.sqrt(row[i])
+        u.append([0.0] * i + [rii] + [v / rii for v in row[i + 1 :]])
+        c.append(acc / rii)
+    return u, c
+
+
+@dataclass(frozen=True)
+class _TrialLattice:
+    """One trial's CVP(g, t), in the forms the sampler decoders read.
+
+    Built once per trial and shared by every decoder; all vectors and
+    matrices are plain lists (matrices row by row) for the scalar loops.
+    """
+
+    sigma: float  # min_i r_ii / sqrt(log n)
+    r0: list  # sign-fixed R of g (Klein's pass on the natural order)
+    c0: list  # Q^T t
+    gram: list  # G = g^T g
+    gt: list  # g^T t
+    cols: list  # columns of g
+    k_zf: list  # rounded ZF start point in {0..3}^n
+    resid_zf: list  # g k_zf - t
+    cost_zf: float  # ||g k_zf - t||^2
+
+
+def _trial_lattice(h: np.ndarray, y: np.ndarray, zf: "np.ndarray | None" = None) -> _TrialLattice:
+    """Build the shared per-trial context; pass `zf` when the ZF decision is known."""
+    if zf is None:
+        zf = zf_decode(h, y)
+    g, t = _integer_lattice_problem(h, y)
+    q0, r0 = _qr_pos(g)
+    k_zf = np.clip(np.round((complex_to_real_vector(zf) + 3.0) / 2.0), 0, 3).astype(np.int64)
+    resid = g @ k_zf - t
+    return _TrialLattice(
+        sigma=float(np.abs(np.diag(r0)).min() / math.sqrt(math.log(g.shape[0]))),
+        r0=r0.tolist(),
+        c0=(q0.T @ t).tolist(),
+        gram=(g.T @ g).tolist(),
+        gt=(g.T @ t).tolist(),
+        cols=g.T.tolist(),
+        k_zf=k_zf.tolist(),
+        resid_zf=resid.tolist(),
+        cost_zf=float(resid @ resid),
+    )
 
 
 def _coeffs_to_symbols(k: np.ndarray) -> np.ndarray:
@@ -227,8 +357,7 @@ def _coeffs_to_symbols(k: np.ndarray) -> np.ndarray:
 
 
 def _decode_checkpoints(
-    h: np.ndarray,
-    y: np.ndarray,
+    lat: _TrialLattice,
     strategy: str,
     budgets: tuple[int, ...],
     rng: np.random.Generator,
@@ -237,62 +366,49 @@ def _decode_checkpoints(
     """Run one sampler chain, returning the best-visited point at each budget.
 
     One iteration samples n = 2 n_tx components: n coordinate steps for gibbs,
-    n/m block steps for gibbs-klein, one full backward pass for klein.
+    n/m block steps for gibbs-klein, one full backward pass for klein. The
+    residual g k - t is updated only along the coordinates that move.
     """
-    g, t = _integer_lattice_problem(h, y)
-    n = g.shape[0]
-    q0, r0 = _qr_pos(g)
-    sigma = float(np.abs(np.diag(r0)).min() / math.sqrt(math.log(n)))
-    c_prime0 = q0.T @ t
+    if strategy not in SAMPLER_DECODERS:
+        raise ValueError(f"unknown sampler strategy {strategy!r}")
+    if strategy == "gibbs-klein" and block_size is None:
+        raise ValueError("gibbs-klein decoding requires block_size")
+    n = len(lat.gt)
+    sigma, cols, gram = lat.sigma, lat.cols, lat.gram
+    k, resid = lat.k_zf[:], lat.resid_zf
+    best_k, best_cost = lat.k_zf, lat.cost_zf
 
-    k = np.clip(np.round((complex_to_real_vector(zf_decode(h, y)) + 3.0) / 2.0), 0, 3).astype(
-        np.int64
-    )
-    resid = g @ k - t
-    best_cost = float(resid @ resid)
-    best_k = k.copy()
-
-    col_nrm2 = np.einsum("ij,ij->j", g, g)
-    col_alpha = sigma / np.sqrt(col_nrm2)
-    results: dict[int, np.ndarray] = {}
-    max_budget = max(budgets)
-    for iteration in range(1, max_budget + 1):
-        if strategy == "klein":
-            z = np.zeros(n)
-            _backward_restricted(r0, c_prime0, sigma, z, n, rng)
-            k = z.astype(np.int64)
-            resid = g @ k - t
-            cost = float(resid @ resid)
+    def move(coords, new_vals) -> None:
+        nonlocal resid, best_cost, best_k
+        moved = False
+        for i, new in zip(coords, new_vals):
+            d = new - k[i]
+            if d:
+                resid = [r + d * c for r, c in zip(resid, cols[i])]
+                k[i] = new
+                moved = True
+        if moved:
+            cost = sum(map(mul, resid, resid))
             if cost < best_cost:
-                best_cost, best_k = cost, k.copy()
+                best_cost, best_k = cost, k[:]
+
+    col_alpha = [sigma / math.sqrt(gram[i][i]) for i in range(n)]
+    all_coords = list(range(n))
+    results: dict[int, np.ndarray] = {}
+    for iteration in range(1, max(budgets) + 1):
+        if strategy == "klein":
+            move(all_coords, _backward_restricted(lat.r0, lat.c0, sigma, rng))
         elif strategy == "gibbs":
             for _ in range(n):
                 i = int(rng.integers(n))
-                gi = g[:, i]
-                center = k[i] - float(resid @ gi) / col_nrm2[i]
-                new = _draw_restricted4(col_alpha[i], center, rng)
-                if new != k[i]:
-                    resid = resid + (new - k[i]) * gi
-                    k[i] = new
-                    cost = float(resid @ resid)
-                    if cost < best_cost:
-                        best_cost, best_k = cost, k.copy()
-        elif strategy == "gibbs-klein":
-            if block_size is None:
-                raise ValueError("gibbs-klein decoding requires block_size")
-            for _ in range(-(-n // block_size)):
-                order = rng.permutation(n)
-                q, r = _qr_pos(g[:, order])
-                z = k[order].astype(float)
-                _backward_restricted(r, q.T @ t, sigma, z, block_size, rng)
-                k = np.empty(n, dtype=np.int64)
-                k[order] = z.astype(np.int64)
-                resid = g @ k - t
-                cost = float(resid @ resid)
-                if cost < best_cost:
-                    best_cost, best_k = cost, k.copy()
+                center = k[i] - sum(map(mul, resid, cols[i])) / gram[i][i]
+                move((i,), (_draw_restricted4(col_alpha[i], center, rng),))
         else:
-            raise ValueError(f"unknown sampler strategy {strategy!r}")
+            for _ in range(-(-n // block_size)):
+                order = rng.permutation(n).tolist()
+                block, rest = order[:block_size], order[block_size:]
+                u, c = _block_conditional(gram, lat.gt, k, block, rest)
+                move(block, _backward_restricted(u, c, sigma, rng))
         if iteration in budgets:
             results[iteration] = _coeffs_to_symbols(best_k)
     return results
@@ -309,7 +425,8 @@ def sampler_decode(
     """Best constellation point visited by the chosen sampler within the budget."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    return _decode_checkpoints(h, y, strategy, (iterations,), rng, block_size)[iterations]
+    lat = _trial_lattice(h, y)
+    return _decode_checkpoints(lat, strategy, (iterations,), rng, block_size)[iterations]
 
 
 def ber_experiment_detailed(cfg: MimoConfig) -> tuple[BerTable, dict[tuple, np.ndarray]]:
@@ -341,13 +458,15 @@ def ber_experiment_detailed(cfg: MimoConfig) -> tuple[BerTable, dict[tuple, np.n
     for trial in range(cfg.trials):
         streams = children[trial].spawn(1 + len(jobs))
         h, symbols, y = generate_instance(cfg, np.random.default_rng(streams[0]))
+        zf = zf_decode(h, y)
         if "zf" in cfg.decoders:
-            per_trial[("zf", None, None)][trial] = count_bit_errors(zf_decode(h, y), symbols)
+            per_trial[("zf", None, None)][trial] = count_bit_errors(zf, symbols)
         if "ml" in cfg.decoders:
             per_trial[("ml", None, None)][trial] = count_bit_errors(ml_decode(h, y), symbols)
+        lat = _trial_lattice(h, y, zf) if jobs else None
         for job_idx, (strategy, m) in enumerate(jobs):
             rng = np.random.default_rng(streams[1 + job_idx])
-            decided = _decode_checkpoints(h, y, strategy, budgets, rng, m)
+            decided = _decode_checkpoints(lat, strategy, budgets, rng, m)
             for budget, sym_hat in decided.items():
                 per_trial[(strategy, m, budget)][trial] = count_bit_errors(sym_hat, symbols)
 

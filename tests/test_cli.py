@@ -123,6 +123,35 @@ class TestSampleCommand:
         assert tv <= 0.015
 
 
+class TestVectorFlags:
+    @pytest.mark.parametrize("command, extra", [
+        ("sample", ["--algo", "gibbs", "--iters", "30"]),
+        ("diagnose", ["--algo", "gibbs", "--iters", "8", "--chains", "50"]),
+    ])
+    @pytest.mark.parametrize("flag, value", [("--center", "-0.5,1"), ("--x0", "-3,2")])
+    def test_negative_vector_space_form_equals_equals_form(
+        self, skew2_file, tmp_path, command, extra, flag, value
+    ):
+        base = [command, "--basis", skew2_file, "--sigma", "0.8", "--seed", "5", *extra]
+        spaced, joined = str(tmp_path / "spaced.csv"), str(tmp_path / "joined.csv")
+        assert run_cli(base + [flag, value, "-o", spaced]) == 0
+        assert run_cli(base + [f"{flag}={value}", "-o", joined]) == 0
+        assert open(spaced, "rb").read() == open(joined, "rb").read()
+
+    @pytest.mark.parametrize("center", ["nan,0", "0,inf", "-inf,1"])
+    @pytest.mark.parametrize("command", ["sample", "diagnose"])
+    def test_non_finite_center_rejected_without_output(self, id2_file, tmp_path, capsys,
+                                                        command, center):
+        out = str(tmp_path / "never.csv")
+        code = run_cli(
+            [command, "--basis", id2_file, "--algo", "klein", "--sigma", "1.0",
+             "--iters", "5", "--center", center, "--output", out]
+        )
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "center must be finite" in capsys.readouterr().err
+
+
 class TestDiagnoseCommand:
     def test_klein_large_sigma_converged_at_t1(self, id2_file, tmp_path):
         # sigma well above the smoothing threshold: one Klein pass is already

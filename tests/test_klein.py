@@ -152,3 +152,10 @@ class TestSigmaChoices:
     def test_threshold_needs_n_at_least_2(self):
         with pytest.raises(ValueError):
             smoothing_threshold(LatticeBasis.identity(1))
+
+
+class TestGaussianParams:
+    @pytest.mark.parametrize("center", [[np.nan, 0.0], [0.0, np.inf], [-np.inf]])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            GaussianParams(1.0, np.array(center))

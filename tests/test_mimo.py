@@ -8,6 +8,18 @@ from lattice_gibbs.klein import GaussianParams
 from lattice_gibbs.linalg import LatticeBasis
 
 
+def brute_force_ml(h, y):
+    """Reference ML: argmin of ||Hx - y|| over all 16^n_tx candidates, listed
+    lexicographically in (re, im) per antenna; the first winner on ties."""
+    points = [re + 1j * im for re in mimo.QAM16_LEVELS for im in mimo.QAM16_LEVELS]
+    cands = np.array(list(itertools.product(points, repeat=h.shape[1])), dtype=complex)
+    diff = cands @ h.T - y
+    costs = np.einsum("ij,ij->i", diff.real, diff.real) + np.einsum(
+        "ij,ij->i", diff.imag, diff.imag
+    )
+    return cands[int(np.argmin(costs))]
+
+
 class TestRealEmbedding:
     def test_pure_imaginary_scalar(self):
         got = mimo.complex_to_real_lattice(np.array([[1j]]))
@@ -111,6 +123,31 @@ class TestBaselineDecoders:
             if np.all(mode_k >= 0) & np.all(mode_k <= 3):
                 assert np.allclose(mimo._coeffs_to_symbols(mode_k), ml)
 
+    @pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+    def test_ml_equals_brute_force(self, n_tx):
+        # 80 instances per size (320 in all); n_tx = 1 and 3 split the
+        # antennas unevenly, and 0 dB makes far-from-ZF decisions common
+        rng = np.random.default_rng(100 + n_tx)
+        for ebn0_db in (0.0, 15.0):
+            cfg = mimo.MimoConfig(
+                n_tx=n_tx, n_rx=n_tx, trials=1, ebn0_db=ebn0_db, block_sizes=(1,)
+            )
+            for _ in range(40):
+                h, _, y = mimo.generate_instance(cfg, rng)
+                assert np.array_equal(mimo.ml_decode(h, y), brute_force_ml(h, y))
+
+    def test_ml_ties_go_to_first_candidate(self):
+        # identity channel, y = 0: every dimension ties between -1 and +1
+        for n_tx in (1, 2, 3):
+            h, y = np.eye(n_tx, dtype=complex), np.zeros(n_tx, dtype=complex)
+            got = mimo.ml_decode(h, y)
+            assert np.array_equal(got, brute_force_ml(h, y))
+            assert np.array_equal(got, np.full(n_tx, -1 - 1j))
+
+    def test_ml_rejects_more_than_five_antennas(self):
+        with pytest.raises(ValueError):
+            mimo.ml_decode(np.eye(6, dtype=complex), np.zeros(6, dtype=complex))
+
     def test_zf_never_beats_ml_paired(self):
         table = mimo.ber_experiment(
             mimo.MimoConfig(trials=400, iteration_budgets=(1,), decoders=("zf", "ml"), seed=2)
@@ -140,12 +177,69 @@ class TestBitMapping:
         assert mimo.count_bit_errors(a, b) == 1
 
 
+def numpy_draw_restricted4(alpha, center, u):
+    """Reference inversion over {0..3} with numpy arrays, given the uniform u."""
+    logw = -((np.arange(4.0) - center) ** 2) / (2.0 * alpha * alpha)
+    cum = np.cumsum(np.exp(logw - logw.max()))
+    return int(np.searchsorted(cum, u * cum[-1], side="left"))
+
+
+class FixedUniform:
+    """Stands in for a Generator whose next random() is known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestInnerLoop:
+    def test_scalar_draw_equals_numpy_inversion(self):
+        for alpha in (0.05, 0.3, 0.7, 1.0, 2.5, 40.0):
+            for center in np.linspace(-2.0, 5.0, 57):
+                for u in (0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999999, 1.0 - 2.0**-53):
+                    got = mimo._draw_restricted4(alpha, float(center), FixedUniform(u))
+                    assert got == numpy_draw_restricted4(alpha, center, u)
+
+    def test_scalar_draw_boundary_goes_left(self):
+        # center 1.5: weights of 1 and 2 tie; u = 1/2 lands exactly on the
+        # cumulative weight of {0, 1}, which side="left" assigns to 1
+        assert mimo._draw_restricted4(1.0, 1.5, FixedUniform(0.5)) == 1
+        assert numpy_draw_restricted4(1.0, 1.5, 0.5) == 1
+
+    def test_gram_cholesky_block_matches_permuted_qr(self, rng):
+        worst_r = worst_c = 0.0
+        for n_tx in (1, 2, 3, 4):
+            cfg = mimo.MimoConfig(n_tx=n_tx, n_rx=n_tx, trials=1, block_sizes=(1,))
+            n = 2 * n_tx
+            for _ in range(25):
+                h, _, y = mimo.generate_instance(cfg, rng)
+                g, t = mimo._integer_lattice_problem(h, y)
+                gram, gt = (g.T @ g).tolist(), (g.T @ t).tolist()
+                k = rng.integers(0, 4, n)
+                for m in range(1, n + 1):
+                    order = rng.permutation(n)
+                    u, c = mimo._block_conditional(
+                        gram, gt, k.tolist(), order[:m].tolist(), order[m:].tolist()
+                    )
+                    q, r = mimo._qr_pos(g[:, order])
+                    c_ref = (q.T @ t)[:m] - r[:m, m:] @ k[order[m:]]
+                    err_r = np.abs(np.array(u) - r[:m, :m]).max() / np.abs(r).max()
+                    err_c = np.abs(np.array(c) - c_ref).max() / (1.0 + np.abs(c_ref).max())
+                    worst_r, worst_c = max(worst_r, err_r), max(worst_c, err_c)
+        assert worst_r <= 1e-12
+        assert worst_c <= 1e-12
+
+
 class TestSamplerDecode:
     def test_best_visited_cost_non_increasing(self, rng):
         cfg = mimo.MimoConfig(trials=1)
         h, x, y = mimo.generate_instance(cfg, rng)
         budgets = (1, 2, 4, 8, 16)
-        out = mimo._decode_checkpoints(h, y, "gibbs-klein", budgets, np.random.default_rng(3), 2)
+        out = mimo._decode_checkpoints(
+            mimo._trial_lattice(h, y), "gibbs-klein", budgets, np.random.default_rng(3), 2
+        )
         costs = [np.linalg.norm(h @ out[b] - y) for b in budgets]
         for lo, hi in zip(costs[1:], costs[:-1]):
             assert lo <= hi + 1e-12
@@ -222,7 +316,8 @@ class TestSamplerDecode:
             h, x, y = mimo.generate_instance(cfg, np.random.default_rng(streams[0]))
             ml_errs += mimo.count_bit_errors(mimo.ml_decode(h, y), x)
             out = mimo._decode_checkpoints(
-                h, y, "gibbs-klein", budgets, np.random.default_rng(streams[1]), 4
+                mimo._trial_lattice(h, y), "gibbs-klein", budgets,
+                np.random.default_rng(streams[1]), 4,
             )
             for b in budgets:
                 errs[b] += mimo.count_bit_errors(out[b], x)
@@ -235,6 +330,37 @@ class TestBerExperiment:
         table = mimo.ber_experiment(mimo.MimoConfig(trials=0))
         assert table.rows == ()
         assert table.to_csv() == "decoder,block_size,iterations,trials,bit_errors,bits,ber\n"
+
+    def test_per_trial_bit_errors_pinned(self):
+        # Recorded with the QR-per-step decoders and brute-force ML that the
+        # Gram-Cholesky and meet-in-the-middle code replaced: same random
+        # streams, same decisions. One hex digit per trial.
+        golden = {
+            ("zf", None, None): "4000200100000002000000000200000000000000",
+            ("ml", None, None): "0000000000000000000000000000000000000000",
+            ("klein", None, 1): "6000400100000000000000000000000000000000",
+            ("klein", None, 5): "0000000000000000000000000000000000000000",
+            ("klein", None, 20): "0000000000000000000000000000000000000000",
+            ("gibbs", None, 1): "5000300200000002000000000200000000000000",
+            ("gibbs", None, 5): "5000200200000000000000000200000000000000",
+            ("gibbs", None, 20): "5000200200000000000000000200000000000000",
+            ("gibbs-klein", 1, 1): "5000000000000004000000000200000000000000",
+            ("gibbs-klein", 1, 5): "5000000000000005000000000200000000000000",
+            ("gibbs-klein", 1, 20): "5000000000000005000000000200000000000000",
+            ("gibbs-klein", 2, 1): "5000400200000003000000000200000000000000",
+            ("gibbs-klein", 2, 5): "4000300000000005000000000000000000000000",
+            ("gibbs-klein", 2, 20): "6000300000000005000000000000000000000000",
+            ("gibbs-klein", 4, 1): "2000200200000005000000000200000000000000",
+            ("gibbs-klein", 4, 5): "0000000200000005000000000000000000000000",
+            ("gibbs-klein", 4, 20): "0000000000000006000000000000000000000000",
+            ("gibbs-klein", 8, 1): "4000000800000000000000000000000000000000",
+            ("gibbs-klein", 8, 5): "0000000000000000000000000000000000000000",
+            ("gibbs-klein", 8, 20): "0000000000000000000000000000000000000000",
+        }
+        _, per_trial = mimo.ber_experiment_detailed(mimo.MimoConfig(trials=40, seed=0))
+        assert list(per_trial) == list(golden)
+        for key, digits in golden.items():
+            assert per_trial[key].tolist() == [int(d, 16) for d in digits], key
 
     def test_deterministic(self):
         cfg = mimo.MimoConfig(
