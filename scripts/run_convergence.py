@@ -12,29 +12,9 @@ import argparse
 import numpy as np
 
 from lattice_gibbs import mcmc, oracle
+from lattice_gibbs.cli import default_checkpoints
 from lattice_gibbs.klein import GaussianParams, KleinSampler, klein_sample_many
 from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms
-
-
-def checkpoints(t_max: int) -> list[int]:
-    pts, t = [], 1
-    while t < t_max:
-        pts.append(t)
-        t *= 2
-    return pts + [t_max]
-
-
-def gibbs_klein_curve(basis, target, m, chains, marks, seed):
-    cfg = mcmc.GibbsKleinConfig(basis, target, m)
-    snaps = {t: np.empty((chains, basis.n), dtype=np.int64) for t in marks}
-    for c, ss in enumerate(np.random.SeedSequence(seed).spawn(chains)):
-        rng = np.random.default_rng(ss)
-        state = mcmc.ChainState((0,) * basis.n, 0)
-        for t in range(1, max(marks) + 1):
-            state = mcmc.gibbs_klein_step(cfg, state, rng)
-            if t in snaps:
-                snaps[t][c] = state.x
-    return snaps
 
 
 def main() -> None:
@@ -51,7 +31,7 @@ def main() -> None:
     sigma = args.sigma_factor * gram_schmidt_norms(basis).min()
     target = GaussianParams(sigma, np.array([0.3, -0.2, 0.4]))
     exact = oracle.enumerate_support(basis, target, 1e-9)
-    marks = checkpoints(args.steps)
+    marks = default_checkpoints(args.steps)
 
     lines = ["kernel,block_size,t,tv_distance"]
     draws = klein_sample_many(
@@ -71,9 +51,16 @@ def main() -> None:
     curves = {"gibbs": {t: oracle.tv_distance(oracle.empirical_from_states(s), exact)
                         for t, s in snaps.items()}}
     for m in (2, 3):
-        gk = gibbs_klein_curve(basis, target, m, args.chains, marks, args.seed + 10 + m)
+        traces = [
+            mcmc.run_chain("gibbs-klein", basis, target, (0, 0, 0), args.steps,
+                           np.random.default_rng(ss), block_size=m)
+            for ss in np.random.SeedSequence(args.seed + 10 + m).spawn(args.chains)
+        ]
         curves[f"gibbs-klein(m={m})"] = {
-            t: oracle.tv_distance(oracle.empirical_from_states(s), exact) for t, s in gk.items()
+            t: oracle.tv_distance(
+                oracle.empirical_from_states(np.array([tr.states[t].x for tr in traces])), exact
+            )
+            for t in marks
         }
         print(f" {f'gk m={m}':>10}", end="")
     print()

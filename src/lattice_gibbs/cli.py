@@ -112,12 +112,14 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.burn_in < 0:
         raise ValueError("--burn-in must be >= 0")
     target = GaussianParams(args.sigma, _parse_vector(args.center, n, "--center"))
-    x0 = _parse_vector(args.x0, n, "--x0").astype(np.int64)
+    x0 = _parse_vector(args.x0, n, "--x0")
+    if not (np.isfinite(x0) & (x0 == np.round(x0)) & (np.abs(x0) < 2.0**63)).all():
+        raise ValueError(f"--x0 entries must be integers, got {args.x0}")
     return RunConfig(
         basis=basis,
         algorithm=args.algo,
         target=target,
-        x0=x0,
+        x0=x0.astype(np.int64),
         block_size=args.block_size,
         iterations=args.iters,
         chains=args.chains,
@@ -156,7 +158,6 @@ def cmd_sample(cfg: RunConfig) -> int:
                 block_size=cfg.block_size,
                 burn_in=cfg.burn_in,
                 tail_eps=cfg.tail_eps,
-                rng_seed=cfg.seed,
             )
             for state in trace.states:
                 if state.t >= cfg.burn_in:
@@ -166,7 +167,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     return 0
 
 
-def _default_checkpoints(t_max: int) -> list[int]:
+def default_checkpoints(t_max: int) -> list[int]:
     pts = []
     t = 1
     while t < t_max:
@@ -180,15 +181,14 @@ def _default_checkpoints(t_max: int) -> list[int]:
 def _gibbs_klein_snapshots(
     cfg: RunConfig, checkpoints: list[int]
 ) -> dict[int, np.ndarray]:
-    marks = set(checkpoints)
-    snaps = {t: np.empty((cfg.chains, cfg.basis.n), dtype=np.int64) for t in marks}
-    kcfg = mcmc.GibbsKleinConfig(cfg.basis, cfg.target, cfg.block_size)
+    snaps = {t: np.empty((cfg.chains, cfg.basis.n), dtype=np.int64) for t in checkpoints}
     for chain_idx, rng in enumerate(_chain_streams(cfg.seed, cfg.chains)):
-        state = mcmc.ChainState(tuple(int(v) for v in cfg.x0), 0)
-        for t in range(1, max(checkpoints) + 1):
-            state = mcmc.gibbs_klein_step(kcfg, state, rng, cfg.tail_eps)
-            if t in marks:
-                snaps[t][chain_idx] = state.x
+        trace = mcmc.run_chain(
+            "gibbs-klein", cfg.basis, cfg.target, cfg.x0, max(checkpoints), rng,
+            block_size=cfg.block_size, tail_eps=cfg.tail_eps,
+        )
+        for t in checkpoints:
+            snaps[t][chain_idx] = trace.states[t].x
     return snaps
 
 
@@ -200,7 +200,7 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
     """
     exact = oracle.enumerate_support(cfg.basis, cfg.target, cfg.tail_eps)
     if checkpoints is None:
-        checkpoints = _default_checkpoints(cfg.iterations)
+        checkpoints = default_checkpoints(cfg.iterations)
     checkpoints = sorted(set(checkpoints))
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > cfg.iterations:
         raise ValueError("checkpoints must lie in [1, iters]")

@@ -74,37 +74,13 @@ def pmf(p: Gaussian1DParams, k: int, tail_eps: float = DEFAULT_TAIL_EPS) -> floa
     return float(probs[k - ks[0]])
 
 
-def _inverse_cdf_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the smallest entry whose cumulative probability reaches u."""
-    cum = np.cumsum(probs)
-    u = rng.random()
-    return int(np.searchsorted(cum, u, side="left"))
-
-
 def sample(
     p: Gaussian1DParams, rng: np.random.Generator, tail_eps: float = DEFAULT_TAIL_EPS
 ) -> int:
-    """Exact inversion draw from the truncated pmf table."""
+    """Exact inversion draw from the truncated pmf table: the smallest support
+    point whose cumulative probability reaches a uniform u."""
     ks, probs = pmf_table(p, tail_eps)
-    return int(ks[_inverse_cdf_draw(probs, rng)])
-
-
-def sample_restricted(
-    p: Gaussian1DParams,
-    allowed: "np.ndarray | list[int] | tuple[int, ...]",
-    rng: np.random.Generator,
-) -> int:
-    """Draw from rho_{alpha,c} renormalized over a finite integer set.
-
-    With `allowed` equal to the full truncated support this reproduces
-    `sample` draw-for-draw (same table, same inversion).
-    """
-    ks = np.asarray(sorted(int(k) for k in allowed))
-    if ks.size == 0:
-        raise ValueError("allowed set must be non-empty")
-    logw = -((ks - p.center) ** 2) / (2.0 * p.alpha * p.alpha)
-    w = np.exp(logw - logw.max())
-    return int(ks[_inverse_cdf_draw(w / w.sum(), rng)])
+    return int(ks[np.searchsorted(np.cumsum(probs), rng.random(), side="left")])
 
 
 # Vectorized row-wise helpers: one independent 1-D discrete Gaussian per row,

@@ -1,14 +1,18 @@
-"""Klein's randomized nearest-plane sampler and its exact output pmf.
+"""Klein's randomized nearest-plane sampler, its exact output pmf, and the
+block step every sampler in the package is built from.
 
-One pass works on the QR factors: with B = QR and c' = Q^T c, coordinates are
-drawn backward (i = n..1), each from a 1-D discrete Gaussian with step size
-alpha_i = sigma / r_ii and center equal to the nearest-plane residual
+One pass works on an upper-triangular factor U with positive diagonal and
+centers c (B = QR gives U = R and c = Q^T c). Coordinates are drawn backward
+(i = m..1), each from a 1-D discrete Gaussian with step size
+alpha_i = sigma / u_ii and center equal to the nearest-plane residual
 
-    x~_i = (c'_i - sum_{j>i} r_ij x_j) / r_ii.
+    x~_i = (c_i - sum_{j>i} u_ij x_j) / u_ii.
 
-The same backward recursion evaluated instead of sampled gives the exact
-probability that the pass outputs a given x, which is what the enumeration
-oracle compares against.
+`block_conditional` gives U and c for a block of coordinates given the rest:
+Gibbs is a 1-coordinate block, Gibbs-Klein an m-coordinate one, Klein all n.
+The same recursion evaluated instead of sampled gives the exact probability
+that the pass outputs a given x, which is what the enumeration oracle
+compares against.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import dgauss1d as dg
 from .dgauss1d import DEFAULT_TAIL_EPS, Gaussian1DParams
-from .linalg import LatticeBasis, gram_schmidt_norms
+from .linalg import LatticeBasis, SingularBasisError, gram_schmidt_norms
 
 
 @dataclass(frozen=True)
@@ -52,29 +56,76 @@ class KleinSampler:
             )
 
 
+def block_conditional(
+    gram: "list[list[float]]",
+    bc: "list[float]",
+    x,
+    block: "list[int]",
+    rest: "list[int]",
+) -> tuple[list[list[float]], list[float]]:
+    """Triangular factor and centers of Klein's pass over `block`, given x[rest].
+
+    With G = B^T B, U = chol(G[S,S]) upper (U^T U = G[S,S]) is the leading
+    block of the sign-fixed R of B[:, S + R], and
+    c = U^-T (B^T c[S] - G[S,R] x[R]) is the matching block of Q^T c minus
+    the pull of the fixed coordinates. Costs O(m^3 + m (n - m)) scalar work.
+    Rounding error relative to that QR grows like eps * cond(B_S)^2.
+    """
+    m = len(block)
+    u: list[list[float]] = []
+    c: list[float] = []
+    for i, b in enumerate(block):
+        gb = gram[b]
+        acc = bc[b]
+        for j in rest:
+            acc -= gb[j] * x[j]
+        row = [gb[j] for j in block]
+        for p in range(i):
+            up = u[p]
+            f = up[i]
+            for j in range(i, m):
+                row[j] -= f * up[j]
+            acc -= f * c[p]
+        if not row[i] > 0.0:
+            raise SingularBasisError(
+                f"block {block} is singular in floating point: Cholesky pivot {row[i]:.3e}"
+            )
+        rii = math.sqrt(row[i])
+        u.append([0.0] * i + [rii] + [v / rii for v in row[i + 1 :]])
+        c.append(acc / rii)
+    return u, c
+
+
 def backward_sample_into(
-    r: np.ndarray,
-    c_prime: np.ndarray,
+    u: "list[list[float]]",
+    c: "list[float]",
     sigma: float,
-    z: np.ndarray,
-    m: int,
+    z: list,
     rng: np.random.Generator,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-    allowed: "np.ndarray | None" = None,
+    draw,
 ) -> None:
     """Fill z[m-1], ..., z[0] by backward nearest-plane sampling in place.
 
-    Entries z[m:] are read as fixed conditioning values. `allowed` restricts
-    every draw to a finite integer set (renormalized).
+    `u` is upper triangular with positive diagonal and `c` holds its m
+    centers, both as from `block_conditional`. `draw(alpha, center, rng)`
+    is the 1-D draw: `lattice_draw` over Z, or a restricted alphabet.
     """
-    for i in range(m - 1, -1, -1):
-        rii = r[i, i]
-        center = (c_prime[i] - r[i, i + 1 :] @ z[i + 1 :]) / rii
-        p = Gaussian1DParams(sigma / abs(rii), center)
-        if allowed is None:
-            z[i] = dg.sample(p, rng, tail_eps)
-        else:
-            z[i] = dg.sample_restricted(p, allowed, rng)
+    for i in range(len(c) - 1, -1, -1):
+        row = u[i]
+        acc = c[i]
+        for j in range(i + 1, len(c)):
+            acc -= row[j] * z[j]
+        rii = row[i]
+        z[i] = draw(sigma / rii, acc / rii, rng)
+
+
+def lattice_draw(tail_eps: float = DEFAULT_TAIL_EPS):
+    """The 1-D draw over Z for `backward_sample_into`: `dg.sample` at `tail_eps`."""
+
+    def draw(alpha: float, center: float, rng: np.random.Generator) -> int:
+        return dg.sample(Gaussian1DParams(alpha, center), rng, tail_eps)
+
+    return draw
 
 
 def backward_pmf(
@@ -117,10 +168,11 @@ def klein_sample(
     s: KleinSampler, rng: np.random.Generator, tail_eps: float = DEFAULT_TAIL_EPS
 ) -> np.ndarray:
     """One full pass: integer coefficient vector x (lattice point is B @ x)."""
-    c_prime = s.basis.q_factor.T @ s.params.center
-    z = np.zeros(s.basis.n)
-    backward_sample_into(s.basis.r_factor, c_prime, s.params.sigma, z, s.basis.n, rng, tail_eps)
-    return z.astype(np.int64)
+    c_prime = (s.basis.q_factor.T @ s.params.center).tolist()
+    z = [0] * s.basis.n
+    draw = lattice_draw(tail_eps)
+    backward_sample_into(s.basis.r_factor.tolist(), c_prime, s.params.sigma, z, rng, draw)
+    return np.array(z, dtype=np.int64)
 
 
 def klein_sample_many(

@@ -31,6 +31,8 @@ def qr_decompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"basis matrix must be square, got shape {b.shape}")
     if b.shape[0] < 1:
         raise ValueError("basis must have dimension >= 1")
+    if not np.isfinite(b).all():
+        raise ValueError("basis entries must be finite (found NaN or infinity)")
     q, r = np.linalg.qr(b)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0

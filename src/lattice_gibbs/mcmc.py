@@ -1,33 +1,28 @@
 """Markov-chain kernels targeting a lattice Gaussian: random-scan Gibbs and
 the blocked Gibbs-Klein kernel, plus chain execution helpers.
 
-Gibbs resamples one coordinate from its exact 1-D conditional. Gibbs-Klein
-resamples an m-coordinate block of a freshly permuted basis with one backward
-Klein pass; each step re-factorizes the permuted basis, faithfully following
-the unoptimized formulation.
+Both kernels are one block step: resample a block S of coordinates, given the
+rest, by one backward Klein pass on the block's Gram-Cholesky conditional
+(`klein.block_conditional`). Gibbs takes S = {i} for a uniform i, the exact
+1-D conditional; Gibbs-Klein takes the first m entries of a uniform
+permutation, i.e. Klein's pass on the permuted basis's leading block.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dgauss1d as dg
 from .dgauss1d import DEFAULT_TAIL_EPS, Gaussian1DParams
-from .klein import GaussianParams, backward_pmf, backward_sample_into
-from .linalg import LatticeBasis, Permutation, permute_basis, random_permutation
+from .klein import GaussianParams, backward_pmf, backward_sample_into, block_conditional
+from .klein import lattice_draw
+from .linalg import LatticeBasis, Permutation
 from .oracle import DiscreteDistribution
 
 MAX_KERNEL_ENUM_DIM = 7
-
-
-class ScanOrder(enum.Enum):
-    RANDOM = "random"
-    FIXED = "fixed"
 
 
 @dataclass(frozen=True)
@@ -35,15 +30,16 @@ class ChainState:
     x: tuple[int, ...]
     t: int
 
-    def vector(self) -> np.ndarray:
-        return np.array(self.x, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class GibbsKleinConfig:
+    """A chain's settings; G = B^T B and B^T c are derived once. Gibbs ignores block_size."""
+
     basis: LatticeBasis
     target: GaussianParams
     block_size: int
+    gram: list = field(init=False, repr=False, compare=False)
+    bc: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.block_size <= self.basis.n:
@@ -52,33 +48,15 @@ class GibbsKleinConfig:
             )
         if self.target.center.shape != (self.basis.n,):
             raise ValueError("target center dimension does not match basis")
+        b = self.basis.matrix
+        object.__setattr__(self, "gram", (b.T @ b).tolist())
+        object.__setattr__(self, "bc", (b.T @ self.target.center).tolist())
 
 
 @dataclass(frozen=True)
 class ChainTrace:
     states: tuple[ChainState, ...]
     burn_in: int
-    rng_seed: "int | None" = None
-
-
-def _as_state(x, t: int = 0) -> ChainState:
-    if isinstance(x, ChainState):
-        return x
-    return ChainState(tuple(int(v) for v in x), t)
-
-
-def _conditional_params(
-    basis: LatticeBasis, target: GaussianParams, x: np.ndarray, i: int
-) -> Gaussian1DParams:
-    """1-D conditional of coordinate i given the others.
-
-    Expanding ||Bx - c||^2 in x_i gives a discrete Gaussian with step
-    sigma/||b_i|| centered at the least-squares value of x_i.
-    """
-    col = basis.matrix[:, i]
-    nrm2 = float(col @ col)
-    resid = basis.matrix @ x - target.center - col * x[i]
-    return Gaussian1DParams(target.sigma / math.sqrt(nrm2), -float(resid @ col) / nrm2)
 
 
 def gibbs_conditional(
@@ -89,25 +67,41 @@ def gibbs_conditional(
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> DiscreteDistribution:
     """P(x_i | x_[-i]) as an explicit distribution over the truncated support."""
-    params = _conditional_params(basis, target, np.asarray(x, dtype=float), i)
-    ks, probs = dg.pmf_table(params, tail_eps)
+    cfg = GibbsKleinConfig(basis, target, 1)
+    rest = [j for j in range(basis.n) if j != i]
+    (u,), (c,) = block_conditional(cfg.gram, cfg.bc, np.asarray(x, float).tolist(), [i], rest)
+    ks, probs = dg.pmf_table(Gaussian1DParams(target.sigma / u[0], c / u[0]), tail_eps)
     return DiscreteDistribution(tuple(int(k) for k in ks), probs, tail_eps)
 
 
+def _block_step(
+    cfg: GibbsKleinConfig,
+    state: ChainState,
+    block: "list[int]",
+    rest: "list[int]",
+    rng: np.random.Generator,
+    tail_eps: float,
+) -> ChainState:
+    """Resample x[block] by one backward Klein pass given x[rest]."""
+    u, c = block_conditional(cfg.gram, cfg.bc, state.x, block, rest)
+    z = [0] * len(block)
+    backward_sample_into(u, c, cfg.target.sigma, z, rng, lattice_draw(tail_eps))
+    x = list(state.x)
+    for j, v in zip(block, z):
+        x[j] = v
+    return ChainState(tuple(x), state.t + 1)
+
+
 def gibbs_step(
-    basis: LatticeBasis,
-    target: GaussianParams,
+    cfg: GibbsKleinConfig,
     state: ChainState,
     rng: np.random.Generator,
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> ChainState:
     """Resample one uniformly chosen coordinate from its conditional."""
-    x = state.vector().astype(float)
-    i = int(rng.integers(basis.n))
-    params = _conditional_params(basis, target, x, i)
-    new_x = list(state.x)
-    new_x[i] = dg.sample(params, rng, tail_eps)
-    return ChainState(tuple(new_x), state.t + 1)
+    i = int(rng.integers(cfg.basis.n))
+    rest = [j for j in range(cfg.basis.n) if j != i]
+    return _block_step(cfg, state, [i], rest, rng, tail_eps)
 
 
 def gibbs_kernel_prob(
@@ -146,16 +140,10 @@ def gibbs_klein_step(
     rng: np.random.Generator,
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> ChainState:
-    """One blocked update: permute, re-factorize, Klein-sample the block."""
-    perm = random_permutation(cfg.basis.n, rng)
-    permuted = permute_basis(cfg.basis, perm)
-    z = perm.apply(state.vector()).astype(float)
-    c_prime = permuted.q_factor.T @ cfg.target.center
-    backward_sample_into(
-        permuted.r_factor, c_prime, cfg.target.sigma, z, cfg.block_size, rng, tail_eps
-    )
-    x = perm.unapply(z.astype(np.int64))
-    return ChainState(tuple(int(v) for v in x), state.t + 1)
+    """One blocked update: permute, Klein-sample the first block_size coordinates."""
+    order = rng.permutation(cfg.basis.n).tolist()
+    m = cfg.block_size
+    return _block_step(cfg, state, order[:m], order[m:], rng, tail_eps)
 
 
 def gibbs_klein_block_pmf(
@@ -171,10 +159,9 @@ def gibbs_klein_block_pmf(
     z_rest = np.asarray(z_rest, dtype=float)
     if z_block_new.shape != (m,) or z_rest.shape != (cfg.basis.n - m,):
         raise ValueError("block/rest shapes do not match the configured split")
-    permuted = permute_basis(cfg.basis, perm)
-    c_prime = permuted.q_factor.T @ cfg.target.center
-    z = np.concatenate([z_block_new, z_rest])
-    return backward_pmf(permuted.r_factor, c_prime, cfg.target.sigma, z, m, tail_eps)
+    block, rest = list(perm.order[:m]), list(perm.order[m:])
+    u, c = block_conditional(cfg.gram, cfg.bc, dict(zip(rest, z_rest.tolist())), block, rest)
+    return backward_pmf(np.array(u), np.array(c), cfg.target.sigma, z_block_new, m, tail_eps)
 
 
 def gibbs_klein_kernel_prob(
@@ -216,31 +203,25 @@ def run_chain(
     *,
     block_size: "int | None" = None,
     burn_in: int = 0,
-    scan: ScanOrder = ScanOrder.RANDOM,
     tail_eps: float = DEFAULT_TAIL_EPS,
-    rng_seed: "int | None" = None,
 ) -> ChainTrace:
     """Apply the chosen kernel `steps` times from x0, recording every state."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if scan is not ScanOrder.RANDOM:
-        raise NotImplementedError("only random-scan updating is implemented")
-    state = _as_state(x0)
-    states = [state]
     if kernel == "gibbs":
-        for _ in range(steps):
-            state = gibbs_step(basis, target, state, rng, tail_eps)
-            states.append(state)
+        step, cfg = gibbs_step, GibbsKleinConfig(basis, target, 1)
     elif kernel == "gibbs-klein":
         if block_size is None:
             raise ValueError("gibbs-klein kernel requires block_size")
-        cfg = GibbsKleinConfig(basis, target, block_size)
-        for _ in range(steps):
-            state = gibbs_klein_step(cfg, state, rng, tail_eps)
-            states.append(state)
+        step, cfg = gibbs_klein_step, GibbsKleinConfig(basis, target, block_size)
     else:
         raise ValueError(f"unknown kernel {kernel!r} (expected 'gibbs' or 'gibbs-klein')")
-    return ChainTrace(tuple(states), burn_in, rng_seed)
+    state = ChainState(tuple(int(v) for v in x0), 0)
+    states = [state]
+    for _ in range(steps):
+        state = step(cfg, state, rng, tail_eps)
+        states.append(state)
+    return ChainTrace(tuple(states), burn_in)
 
 
 def gibbs_ensemble(

@@ -23,15 +23,17 @@ How the decoders are computed:
   matrix from a single real GEMM (256 x 256 at n_tx = 4). Its row-major
   argmin is the first candidate in lexicographic order, as in a brute-force
   scan.
-* A Gibbs-Klein block step permutes the coordinates, takes the first m as the
-  block S and holds the rest R fixed. It needs only the leading m x m block of
-  the permuted basis's R factor and matching centers. Both come from the Gram
-  matrix G = g^T g and g^T t, formed once per trial: U = chol(G[S,S]) (upper
-  triangular), c = U^-T (g^T t[S] - G[S,R] k[R]), and Klein's backward pass
-  runs on U. This equals the QR of g[:, order] up to rounding, at O(m^3 + nm)
-  scalar work per step.
-* Per trial, the ZF start point, the QR of g for Klein's pass, sigma and the
-  Gram quantities are computed once and shared by every sampler decoder. The
+* Every sampler decoder is a configuration of the package's block step:
+  `klein.block_conditional` gives the triangular factor and centers of a
+  block S given the rest R, from the Gram matrix G = g^T g and g^T t formed
+  once per trial (U = chol(G[S,S]), c = U^-T (g^T t[S] - G[S,R] k[R])), and
+  `klein.backward_sample_into` runs Klein's backward pass on them with every
+  1-D draw restricted to {0..3} (`_draw_restricted4`). Klein's pass takes the
+  full block S = {0..n-1}, once per trial; a Gibbs-Klein step takes the first
+  m coordinates of a fresh permutation. This equals the QR of g[:, order] up
+  to rounding, at O(m^3 + nm) scalar work per step.
+* Per trial, the ZF start point, Klein's factor, sigma and the Gram
+  quantities are computed once and shared by every sampler decoder. The
   inner loops run on Python floats; each decoder's random stream is consumed
   call for call as by the textbook numpy formulation.
 """
@@ -46,6 +48,8 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
+
+from .klein import backward_sample_into, block_conditional
 
 QAM16_LEVELS = (-3.0, -1.0, 1.0, 3.0)
 BITS_PER_SYMBOL = 4
@@ -157,9 +161,8 @@ def nearest_levels(values: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * np.round((np.asarray(values, dtype=float) + 3.0) / 2.0) - 3.0, -3.0, 3.0)
 
 
-def zf_decode(h: np.ndarray, y: np.ndarray, constellation=QAM16_LEVELS) -> np.ndarray:
+def zf_decode(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Invert the channel and round componentwise."""
-    del constellation  # fixed 16-QAM grid
     try:
         x_ls = np.linalg.solve(h, y)
     except np.linalg.LinAlgError as exc:
@@ -180,7 +183,7 @@ def _symbol_grid(n_ant: int) -> np.ndarray:
     return grid
 
 
-def ml_decode(h: np.ndarray, y: np.ndarray, constellation=QAM16_LEVELS) -> np.ndarray:
+def ml_decode(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact argmin of ||Hx - y||; first (lexicographic) winner on ties.
 
     Meet in the middle: split the antennas into a head and a tail half, so
@@ -189,7 +192,6 @@ def ml_decode(h: np.ndarray, y: np.ndarray, constellation=QAM16_LEVELS) -> np.nd
     single real GEMM. Its row-major order is the lexicographic order of the
     full candidate list, so the flat argmin keeps the same tie-breaking.
     """
-    del constellation
     n_tx = h.shape[1]
     if n_tx > ML_MAX_TX:
         raise ValueError(f"exact ML search limited to n_tx <= {ML_MAX_TX}, got {n_tx}")
@@ -225,11 +227,6 @@ def _integer_lattice_problem(h: np.ndarray, y: np.ndarray):
     return g, t
 
 
-# Lean inner-loop helpers: the same math as dgauss1d.sample_restricted and
-# klein.backward_sample_into on plain Python floats, stripped of per-call
-# validation and numpy dispatch for the trial loop.
-
-
 def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> int:
     """One draw of D_{Z,alpha,center} restricted to {0, 1, 2, 3}, by inversion.
 
@@ -250,68 +247,6 @@ def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> 
     return 0 if v <= c0 else 1 if v <= c1 else 2 if v <= c2 else 3
 
 
-def _qr_pos(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, r = np.linalg.qr(mat)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs[np.newaxis, :], r * signs[:, np.newaxis]
-
-
-def _backward_restricted(
-    r: "list[list[float]]", c: "list[float]", sigma: float, rng: np.random.Generator
-) -> list[int]:
-    """Backward nearest-plane pass of upper-triangular r (positive diagonal).
-
-    Draws z[m-1], ..., z[0] in {0..3}, each centered on its plane residual
-    (c_i - sum_{j>i} r_ij z_j) / r_ii with step size sigma / r_ii.
-    """
-    m = len(c)
-    z = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = r[i]
-        acc = c[i]
-        for j in range(i + 1, m):
-            acc -= row[j] * z[j]
-        rii = row[i]
-        z[i] = _draw_restricted4(sigma / rii, acc / rii, rng)
-    return z
-
-
-def _block_conditional(
-    gram: "list[list[float]]",
-    gt: "list[float]",
-    k: "list[int]",
-    block: "list[int]",
-    rest: "list[int]",
-) -> tuple[list[list[float]], list[float]]:
-    """Triangular factor and centers of Klein's pass over `block`, given k[rest].
-
-    With G = g^T g, U = chol(G[S,S]) upper (U^T U = G[S,S]) is the leading
-    block of the sign-fixed R of g[:, S + R], and
-    c = U^-T (g^T t[S] - G[S,R] k[R]) is the matching block of Q^T t minus
-    the pull of the fixed coordinates. Costs O(m^3 + m (n - m)) scalar work.
-    """
-    m = len(block)
-    u: list[list[float]] = []
-    c: list[float] = []
-    for i, b in enumerate(block):
-        gb = gram[b]
-        acc = gt[b]
-        for j in rest:
-            acc -= gb[j] * k[j]
-        row = [gb[j] for j in block]
-        for p in range(i):
-            up = u[p]
-            f = up[i]
-            for j in range(i, m):
-                row[j] -= f * up[j]
-            acc -= f * c[p]
-        rii = math.sqrt(row[i])
-        u.append([0.0] * i + [rii] + [v / rii for v in row[i + 1 :]])
-        c.append(acc / rii)
-    return u, c
-
-
 @dataclass(frozen=True)
 class _TrialLattice:
     """One trial's CVP(g, t), in the forms the sampler decoders read.
@@ -321,8 +256,8 @@ class _TrialLattice:
     """
 
     sigma: float  # min_i r_ii / sqrt(log n)
-    r0: list  # sign-fixed R of g (Klein's pass on the natural order)
-    c0: list  # Q^T t
+    r0: list  # chol(G), the R of g's QR (Klein's pass on the natural order)
+    c0: list  # R^-T g^T t = Q^T t
     gram: list  # G = g^T g
     gt: list  # g^T t
     cols: list  # columns of g
@@ -336,15 +271,17 @@ def _trial_lattice(h: np.ndarray, y: np.ndarray, zf: "np.ndarray | None" = None)
     if zf is None:
         zf = zf_decode(h, y)
     g, t = _integer_lattice_problem(h, y)
-    q0, r0 = _qr_pos(g)
+    n = g.shape[0]
+    gram, gt = (g.T @ g).tolist(), (g.T @ t).tolist()
+    r0, c0 = block_conditional(gram, gt, [], list(range(n)), [])
     k_zf = np.clip(np.round((complex_to_real_vector(zf) + 3.0) / 2.0), 0, 3).astype(np.int64)
     resid = g @ k_zf - t
     return _TrialLattice(
-        sigma=float(np.abs(np.diag(r0)).min() / math.sqrt(math.log(g.shape[0]))),
-        r0=r0.tolist(),
-        c0=(q0.T @ t).tolist(),
-        gram=(g.T @ g).tolist(),
-        gt=(g.T @ t).tolist(),
+        sigma=min(r0[i][i] for i in range(n)) / math.sqrt(math.log(n)),
+        r0=r0,
+        c0=c0,
+        gram=gram,
+        gt=gt,
         cols=g.T.tolist(),
         k_zf=k_zf.tolist(),
         resid_zf=resid.tolist(),
@@ -397,7 +334,9 @@ def _decode_checkpoints(
     results: dict[int, np.ndarray] = {}
     for iteration in range(1, max(budgets) + 1):
         if strategy == "klein":
-            move(all_coords, _backward_restricted(lat.r0, lat.c0, sigma, rng))
+            z = [0] * n
+            backward_sample_into(lat.r0, lat.c0, sigma, z, rng, _draw_restricted4)
+            move(all_coords, z)
         elif strategy == "gibbs":
             for _ in range(n):
                 i = int(rng.integers(n))
@@ -407,8 +346,10 @@ def _decode_checkpoints(
             for _ in range(-(-n // block_size)):
                 order = rng.permutation(n).tolist()
                 block, rest = order[:block_size], order[block_size:]
-                u, c = _block_conditional(gram, lat.gt, k, block, rest)
-                move(block, _backward_restricted(u, c, sigma, rng))
+                u, c = block_conditional(gram, lat.gt, k, block, rest)
+                z = [0] * block_size
+                backward_sample_into(u, c, sigma, z, rng, _draw_restricted4)
+                move(block, z)
         if iteration in budgets:
             results[iteration] = _coeffs_to_symbols(best_k)
     return results

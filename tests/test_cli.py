@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -150,6 +151,77 @@ class TestVectorFlags:
         assert code == 1
         assert not os.path.exists(out)
         assert "center must be finite" in capsys.readouterr().err
+
+
+class TestGoldenChains:
+    # sha256 of the CSV bytes, recorded before the chain kernels moved onto
+    # the Gram-Cholesky block step; pins their random streams draw for draw.
+    GOLDEN = {
+        ("gibbs", None, 3): "bcab96fdf6af61772b0886490c359b6bb12daf6880b7b802fbb6850dc6acb715",
+        ("gibbs", None, 11): "287f1ba4b09896e20b635bb95e0cc34ca84b59d713de8c2c709b61193ffc86e6",
+        ("gibbs-klein", 1, 3): "7ee26e9acfe450fd4eb0c0a8729527dc3b87d853c9c4f86e175d143137f4e1ce",
+        ("gibbs-klein", 1, 11): "9ad18a077bb43578498efe604b5596f78ed08d3890910472cb953e47a8f6f8bb",
+        ("gibbs-klein", 2, 3): "edde572606df3ce3f897b8801c8bff7dbaa2f00802dcef07b5b9e079ffcd0a5c",
+        ("gibbs-klein", 2, 11): "b299d26bfb0328e22e874e1fe3550c15fc3c7eecde3407aab9db7c6c7f185192",
+    }
+
+    @pytest.mark.parametrize("algo, m, seed", sorted(GOLDEN, key=str))
+    def test_sample_csv_bytes(self, skew2_file, tmp_path, algo, m, seed):
+        out = str(tmp_path / "golden.csv")
+        argv = ["sample", "--basis", skew2_file, "--algo", algo, "--sigma", "0.8",
+                "--center=0.3,-0.4", "--x0=3,-2", "--iters", "300", "--chains", "2",
+                "--seed", str(seed), "-o", out]
+        if m is not None:
+            argv += ["--block-size", str(m)]
+        assert run_cli(argv) == 0
+        digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+        assert digest == self.GOLDEN[(algo, m, seed)]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("x0", ["nan,0.7", "1.5,2", "inf,0", "1,-inf", "1e30,0"])
+    @pytest.mark.parametrize("command", ["sample", "diagnose"])
+    def test_bad_start_state_rejected_without_output(self, skew2_file, tmp_path, capsys,
+                                                     command, x0):
+        out = str(tmp_path / "never.csv")
+        code = run_cli(
+            [command, "--basis", skew2_file, "--algo", "gibbs", "--sigma", "1.0",
+             "--iters", "5", f"--x0={x0}", "--output", out]
+        )
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "--x0 entries must be integers" in capsys.readouterr().err
+
+    def test_integral_float_start_state_accepted(self, skew2_file, tmp_path):
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        base = ["sample", "--basis", skew2_file, "--algo", "gibbs", "--sigma", "1.0",
+                "--iters", "5", "--seed", "2"]
+        assert run_cli(base + ["--x0=3.0,-2", "-o", a]) == 0
+        assert run_cli(base + ["--x0=3,-2", "-o", b]) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_basis_rejected_without_output(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n1 {entry}\n0 1\n")
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["sample", "--basis", str(path), "--algo", "gibbs", "--sigma", "1.0",
+                        "--iters", "5", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "basis entries must be finite" in capsys.readouterr().err
+
+    def test_zero_cholesky_pivot_rejected_without_output(self, tmp_path, capsys):
+        # QR accepts this basis (r_22 = 1e-9), but in floating point
+        # G[1][1] - G[0][1]^2 / G[0][0] is exactly 0 in either order
+        path = tmp_path / "flat.txt"
+        path.write_text("2\n1 1\n0 1e-9\n")
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["sample", "--basis", str(path), "--algo", "gibbs-klein",
+                        "--block-size", "2", "--sigma", "1.0", "--iters", "5", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "singular" in capsys.readouterr().err
 
 
 class TestDiagnoseCommand:

@@ -122,34 +122,6 @@ class TestSample:
             assert tv <= tol
 
 
-class TestSampleRestricted:
-    def test_singleton(self, rng):
-        p = Gaussian1DParams(1.0, 0.0)
-        assert dg.sample_restricted(p, [5], rng) == 5
-
-    def test_full_support_matches_sample(self):
-        p = Gaussian1DParams(1.7, 0.4)
-        sup = dg.support_bounds(p)
-        full = list(range(sup.lo, sup.hi + 1))
-        a = [dg.sample(p, np.random.default_rng(7)) for _ in range(50)]
-        b = [dg.sample_restricted(p, full, np.random.default_rng(7)) for _ in range(50)]
-        assert a == b
-
-    def test_empty_set_rejected(self, rng):
-        with pytest.raises(ValueError):
-            dg.sample_restricted(Gaussian1DParams(1.0, 0.0), [], rng)
-
-    def test_renormalized_frequencies(self):
-        # weights proportional to (1, e^-1/2, e^-2, e^-9/2) on {0,1,2,3}
-        p = Gaussian1DParams(1.0, 0.0)
-        target = np.exp([-0.0, -0.5, -2.0, -4.5])
-        target /= target.sum()
-        rng = np.random.default_rng(11)
-        draws = np.array([dg.sample_restricted(p, [0, 1, 2, 3], rng) for _ in range(100_000)])
-        emp = np.array([(draws == k).mean() for k in range(4)])
-        assert 0.5 * np.abs(emp - target).sum() <= 0.005
-
-
 def test_pmf_rows_matches_scalar_pmf():
     alpha = 1.3
     centers = np.array([0.0, 0.45, -2.2, 7.9])

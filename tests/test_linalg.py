@@ -153,6 +153,19 @@ class TestPermuteBasis:
         assert not np.allclose(gram_schmidt_norms(b), gram_schmidt_norms(swapped))
 
 
+class TestNonFiniteBasis:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_from_matrix_rejects(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            LatticeBasis.from_matrix([[1.0, entry], [0.0, 1.0]])
+
+    def test_load_basis_rejects(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("2\n1 0\nnan 1\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_basis(str(path))
+
+
 class TestLoadBasis:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "b.txt"

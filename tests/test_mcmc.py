@@ -6,8 +6,15 @@ import pytest
 from lattice_gibbs import dgauss1d as dg
 from lattice_gibbs import mcmc, oracle
 from lattice_gibbs.dgauss1d import Gaussian1DParams
-from lattice_gibbs.klein import GaussianParams, KleinSampler, klein_pmf, smoothing_threshold
-from lattice_gibbs.linalg import LatticeBasis, Permutation, permute_basis
+from lattice_gibbs.klein import (
+    GaussianParams,
+    KleinSampler,
+    backward_pmf,
+    block_conditional,
+    klein_pmf,
+    smoothing_threshold,
+)
+from lattice_gibbs.linalg import LatticeBasis, Permutation, SingularBasisError, permute_basis
 
 from conftest import make_random_basis
 
@@ -49,9 +56,10 @@ class TestGibbsConditional:
 
 class TestGibbsStep:
     def test_single_coordinate_change(self, basis_2d, target_2d, rng):
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
         state = mcmc.ChainState((4, -2), 0)
         for _ in range(50):
-            new = mcmc.gibbs_step(basis_2d, target_2d, state, rng)
+            new = mcmc.gibbs_step(cfg, state, rng)
             assert sum(a != b for a, b in zip(state.x, new.x)) <= 1
             assert new.t == state.t + 1
             state = new
@@ -60,9 +68,10 @@ class TestGibbsStep:
         basis = LatticeBasis.from_matrix([[2.0]])
         target = GaussianParams(1.1, np.array([0.4]))
         rng = np.random.default_rng(8)
+        cfg = mcmc.GibbsKleinConfig(basis, target, 1)
         draws = np.array(
             [
-                mcmc.gibbs_step(basis, target, mcmc.ChainState((7,), 0), rng).x
+                mcmc.gibbs_step(cfg, mcmc.ChainState((7,), 0), rng).x
                 for _ in range(30_000)
             ]
         )
@@ -160,6 +169,38 @@ class TestGibbsKlein:
             )
             assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_pmf_equals_permuted_qr_pmf(self, n):
+        # the Gram-Cholesky block conditional against Klein's pass on the QR
+        # of the permuted basis, for every permutation and block size
+        rng = np.random.default_rng(40 + n)
+        basis = make_random_basis(rng, n)
+        target = GaussianParams(0.9, rng.uniform(-1, 1, n))
+        zs = rng.integers(-2, 3, size=(4, n))
+        worst = 0.0
+        for m in range(1, n + 1):
+            cfg = mcmc.GibbsKleinConfig(basis, target, m)
+            for order in itertools.permutations(range(n)):
+                perm = Permutation(order)
+                permuted = permute_basis(basis, perm)
+                c_prime = permuted.q_factor.T @ target.center
+                for z in zs:
+                    got = mcmc.gibbs_klein_block_pmf(cfg, perm, z[:m], z[m:])
+                    ref = backward_pmf(permuted.r_factor, c_prime, target.sigma, z, m)
+                    worst = max(worst, abs(got - ref))
+        assert worst <= 1e-12
+
+    def test_zero_cholesky_pivot_raises(self):
+        # QR accepts the basis (r_22 = 1e-9); the 2x2 Gram block is exactly
+        # singular in floating point whichever column comes first
+        basis = LatticeBasis.from_matrix([[1.0, 1.0], [0.0, 1e-9]])
+        cfg = mcmc.GibbsKleinConfig(basis, GaussianParams(1.0, np.zeros(2)), 2)
+        for block in ([0, 1], [1, 0]):
+            with pytest.raises(SingularBasisError):
+                block_conditional(cfg.gram, cfg.bc, [0, 0], block, [])
+        with pytest.raises(SingularBasisError):
+            mcmc.gibbs_klein_step(cfg, mcmc.ChainState((0, 0), 0), np.random.default_rng(0))
+
     def test_single_step_reachability(self):
         # n=3, m=2: any state differing in <= 2 coordinates is reachable in
         # one step because some permutation puts the differing pair in the block
@@ -201,12 +242,6 @@ class TestRunChain:
         with pytest.raises(ValueError):
             mcmc.run_chain("gibbs-klein", basis_2d, target_2d, (0, 0), 1, rng)
 
-    def test_fixed_scan_unimplemented(self, basis_2d, target_2d, rng):
-        with pytest.raises(NotImplementedError):
-            mcmc.run_chain(
-                "gibbs", basis_2d, target_2d, (0, 0), 1, rng, scan=mcmc.ScanOrder.FIXED
-            )
-
     def test_single_chain_converges_above_smoothing(self):
         # sigma just above the smoothing threshold; T = 2e4 keeps the
         # occupancy Monte Carlo floor safely under the 0.02 tolerance
@@ -243,11 +278,12 @@ class TestGibbsEnsemble:
             basis_2d, target_2d, (0, 0), 20_000, 30, np.random.default_rng(2), record_at=(30,)
         )
         rng = np.random.default_rng(3)
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
         finals = []
         for _ in range(5_000):
             state = mcmc.ChainState((0, 0), 0)
             for _ in range(30):
-                state = mcmc.gibbs_step(basis_2d, target_2d, state, rng)
+                state = mcmc.gibbs_step(cfg, state, rng)
             finals.append(state.x)
         tv = oracle.tv_distance(
             oracle.empirical_from_states(snaps[30]),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lattice_gibbs import mimo, oracle
-from lattice_gibbs.klein import GaussianParams
-from lattice_gibbs.linalg import LatticeBasis
+from lattice_gibbs.klein import GaussianParams, block_conditional
+from lattice_gibbs.linalg import LatticeBasis, qr_decompose
 
 
 def brute_force_ml(h, y):
@@ -220,10 +220,10 @@ class TestInnerLoop:
                 k = rng.integers(0, 4, n)
                 for m in range(1, n + 1):
                     order = rng.permutation(n)
-                    u, c = mimo._block_conditional(
+                    u, c = block_conditional(
                         gram, gt, k.tolist(), order[:m].tolist(), order[m:].tolist()
                     )
-                    q, r = mimo._qr_pos(g[:, order])
+                    q, r = qr_decompose(g[:, order])
                     c_ref = (q.T @ t)[:m] - r[:m, m:] @ k[order[m:]]
                     err_r = np.abs(np.array(u) - r[:m, :m]).max() / np.abs(r).max()
                     err_c = np.abs(np.array(c) - c_ref).max() / (1.0 + np.abs(c_ref).max())
@@ -271,9 +271,9 @@ class TestSamplerDecode:
         sigma = None
         law_exact: dict[tuple, float] = {}
         for order in ([0, 1], [1, 0]):
-            q, r = mimo._qr_pos(g[:, order])
+            q, r = qr_decompose(g[:, order])
             if sigma is None:
-                q0, r0 = mimo._qr_pos(g)
+                q0, r0 = qr_decompose(g)
                 sigma = float(np.abs(np.diag(r0)).min() / np.sqrt(np.log(2)))
             cp = q.T @ t
             ks = np.arange(4.0)
