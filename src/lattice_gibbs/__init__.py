@@ -7,16 +7,14 @@ decoding benchmark, all behind a deterministic seeded CLI.
 
 from .dgauss1d import Gaussian1DParams, IntegerSupport
 from .klein import GaussianParams, KleinSampler, klein_pmf, klein_sample, klein_sigma_default
-from .linalg import LatticeBasis, Permutation, load_basis
-from .mcmc import ChainState, ChainTrace, GibbsKleinConfig, run_chain
+from .linalg import LatticeBasis, load_basis
+from .mcmc import GibbsKleinConfig, run_chain
 from .mimo import BerTable, MimoConfig, ber_experiment
 from .oracle import BalanceReport, DiscreteDistribution, enumerate_support, tv_distance
 
 __all__ = [
     "BalanceReport",
     "BerTable",
-    "ChainState",
-    "ChainTrace",
     "DiscreteDistribution",
     "Gaussian1DParams",
     "GaussianParams",
@@ -25,7 +23,6 @@ __all__ = [
     "KleinSampler",
     "LatticeBasis",
     "MimoConfig",
-    "Permutation",
     "ber_experiment",
     "enumerate_support",
     "klein_pmf",

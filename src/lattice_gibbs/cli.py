@@ -53,10 +53,10 @@ def _resolve_seed(arg_seed: "int | None") -> int:
 def _parse_vector(text: "str | None", n: int, what: str) -> np.ndarray:
     if text is None:
         return np.zeros(n)
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    if len(vals) != n:
-        raise ValueError(f"{what} must have {n} comma-separated entries, got {len(vals)}")
-    return np.array(vals)
+    fields = text.split(",")
+    if len(fields) != n or not all(f.strip() for f in fields):
+        raise ValueError(f"{what} must have {n} non-empty comma-separated entries, got {text!r}")
+    return np.array([float(f) for f in fields])
 
 
 def _attach_vector_values(argv: "list[str]") -> "list[str]":
@@ -143,26 +143,17 @@ def cmd_sample(cfg: RunConfig) -> int:
     for chain_idx, rng in enumerate(rngs):
         if cfg.algorithm == "klein":
             sampler = KleinSampler(cfg.basis, cfg.target)
-            draws = klein_sample_many(sampler, cfg.iterations, rng, cfg.tail_eps)
-            for t, row in enumerate(draws.tolist(), start=1):
-                if t >= cfg.burn_in:
-                    lines.append(f"{chain_idx},{t}," + ",".join(map(str, row)))
+            rows = klein_sample_many(sampler, cfg.iterations, rng, cfg.tail_eps)
+            t_first = 1  # independent draws t = 1..iters
         else:
-            trace = mcmc.run_chain(
-                cfg.algorithm,
-                cfg.basis,
-                cfg.target,
-                cfg.x0,
-                cfg.iterations,
-                rng,
-                block_size=cfg.block_size,
-                burn_in=cfg.burn_in,
-                tail_eps=cfg.tail_eps,
+            rows = mcmc.run_chain(
+                cfg.algorithm, cfg.basis, cfg.target, cfg.x0, cfg.iterations, rng,
+                block_size=cfg.block_size, tail_eps=cfg.tail_eps,
             )
-            for state in trace.states:
-                if state.t >= cfg.burn_in:
-                    coords = ",".join(str(v) for v in state.x)
-                    lines.append(f"{chain_idx},{state.t},{coords}")
+            t_first = 0  # row 0 is the start state
+        skip = max(cfg.burn_in - t_first, 0)
+        for t, row in enumerate(rows[skip:].tolist(), start=t_first + skip):
+            lines.append(f"{chain_idx},{t}," + ",".join(map(str, row)))
     _write_output(cfg.output, "\n".join(lines) + "\n")
     return 0
 
@@ -183,12 +174,12 @@ def _gibbs_klein_snapshots(
 ) -> dict[int, np.ndarray]:
     snaps = {t: np.empty((cfg.chains, cfg.basis.n), dtype=np.int64) for t in checkpoints}
     for chain_idx, rng in enumerate(_chain_streams(cfg.seed, cfg.chains)):
-        trace = mcmc.run_chain(
+        states = mcmc.run_chain(
             "gibbs-klein", cfg.basis, cfg.target, cfg.x0, max(checkpoints), rng,
             block_size=cfg.block_size, tail_eps=cfg.tail_eps,
         )
         for t in checkpoints:
-            snaps[t][chain_idx] = trace.states[t].x
+            snaps[t][chain_idx] = states[t]
     return snaps
 
 
@@ -255,7 +246,7 @@ def cmd_mimo(args: argparse.Namespace) -> int:
     """Run the paired BER experiment and write the table CSV."""
     cfg = mimo.MimoConfig(
         n_tx=args.ntx,
-        n_rx=args.nrx if args.nrx is not None else args.ntx,
+        n_rx=args.ntx,
         ebn0_db=args.ebn0_db,
         trials=args.trials,
         iteration_budgets=tuple(int(v) for v in args.iterations.split(",")),
@@ -299,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mimo = sub.add_parser("mimo", help="paired BER benchmark")
     p_mimo.add_argument("--ntx", type=int, default=4)
-    p_mimo.add_argument("--nrx", type=int, default=None)
     p_mimo.add_argument("--ebn0-db", type=float, default=15.0)
     p_mimo.add_argument("--trials", type=int, required=True)
     p_mimo.add_argument("--iterations", default="1,5,20")

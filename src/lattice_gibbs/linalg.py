@@ -1,4 +1,4 @@
-"""Dense basis handling: QR factorization, Gram-Schmidt norms, permutations.
+"""Dense basis handling: QR factorization, Gram-Schmidt norms, column reordering.
 
 A lattice basis is stored column-wise: ``matrix[:, i]`` is the i-th basis
 vector, so a coefficient vector ``x`` maps to the lattice point ``matrix @ x``.
@@ -6,7 +6,7 @@ vector, so a coefficient vector ``x`` maps to the lattice point ``matrix @ x``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,58 +86,17 @@ def gram_schmidt_norms(basis: LatticeBasis) -> np.ndarray:
     return np.abs(np.diag(basis.r_factor))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of column indices, stored as an index array.
-
-    ``order[i] = j`` means position i of the permuted object takes entry j of
-    the original, so applying to a basis gives ``B[:, order]``.
-    """
-
-    order: tuple[int, ...] = field()
-
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"not a permutation of 0..{len(self.order) - 1}: {self.order}")
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.order):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """z = E^-1 x: coefficients of x relabeled to the permuted basis."""
-        return np.asarray(x)[list(self.order)]
-
-    def unapply(self, z: np.ndarray) -> np.ndarray:
-        """x = E z: undo `apply`, so B @ unapply(z) == (B E) @ z."""
-        z = np.asarray(z)
-        x = np.empty_like(z)
-        x[list(self.order)] = z
-        return x
+def check_permutation(order, n: int) -> "list[int]":
+    """`order` as a list of ints; ValueError unless it is a permutation of 0..n-1."""
+    order = [int(j) for j in order]
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
+    return order
 
 
-def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniformly random permutation (Fisher-Yates via the generator)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Permutation(tuple(int(i) for i in rng.permutation(n)))
-
-
-def permute_basis(basis: LatticeBasis, perm: Permutation) -> LatticeBasis:
-    """Reorder basis columns by `perm` and re-factorize."""
-    if perm.n != basis.n:
-        raise ValueError(f"permutation size {perm.n} != basis dimension {basis.n}")
-    return LatticeBasis.from_matrix(basis.matrix[:, list(perm.order)])
+def permute_basis(basis: LatticeBasis, order) -> LatticeBasis:
+    """Reorder basis columns to B[:, order] and re-factorize."""
+    return LatticeBasis.from_matrix(basis.matrix[:, check_permutation(order, basis.n)])
 
 
 def load_basis(path: str) -> LatticeBasis:

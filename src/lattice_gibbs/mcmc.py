@@ -19,16 +19,10 @@ from . import dgauss1d as dg
 from .dgauss1d import DEFAULT_TAIL_EPS, Gaussian1DParams
 from .klein import GaussianParams, backward_pmf, backward_sample_into, block_conditional
 from .klein import lattice_draw
-from .linalg import LatticeBasis, Permutation
+from .linalg import LatticeBasis, check_permutation
 from .oracle import DiscreteDistribution
 
 MAX_KERNEL_ENUM_DIM = 7
-
-
-@dataclass(frozen=True)
-class ChainState:
-    x: tuple[int, ...]
-    t: int
 
 
 @dataclass(frozen=True)
@@ -53,12 +47,6 @@ class GibbsKleinConfig:
         object.__setattr__(self, "bc", (b.T @ self.target.center).tolist())
 
 
-@dataclass(frozen=True)
-class ChainTrace:
-    states: tuple[ChainState, ...]
-    burn_in: int
-
-
 def gibbs_conditional(
     basis: LatticeBasis,
     target: GaussianParams,
@@ -76,32 +64,30 @@ def gibbs_conditional(
 
 def _block_step(
     cfg: GibbsKleinConfig,
-    state: ChainState,
+    x: "list[int]",
     block: "list[int]",
     rest: "list[int]",
     rng: np.random.Generator,
     tail_eps: float,
-) -> ChainState:
-    """Resample x[block] by one backward Klein pass given x[rest]."""
-    u, c = block_conditional(cfg.gram, cfg.bc, state.x, block, rest)
+) -> None:
+    """Resample x[block] in place by one backward Klein pass given x[rest]."""
+    u, c = block_conditional(cfg.gram, cfg.bc, x, block, rest)
     z = [0] * len(block)
     backward_sample_into(u, c, cfg.target.sigma, z, rng, lattice_draw(tail_eps))
-    x = list(state.x)
     for j, v in zip(block, z):
         x[j] = v
-    return ChainState(tuple(x), state.t + 1)
 
 
 def gibbs_step(
     cfg: GibbsKleinConfig,
-    state: ChainState,
+    x: "list[int]",
     rng: np.random.Generator,
     tail_eps: float = DEFAULT_TAIL_EPS,
-) -> ChainState:
-    """Resample one uniformly chosen coordinate from its conditional."""
+) -> None:
+    """Resample one uniformly chosen coordinate of x in place from its conditional."""
     i = int(rng.integers(cfg.basis.n))
     rest = [j for j in range(cfg.basis.n) if j != i]
-    return _block_step(cfg, state, [i], rest, rng, tail_eps)
+    _block_step(cfg, x, [i], rest, rng, tail_eps)
 
 
 def gibbs_kernel_prob(
@@ -136,30 +122,35 @@ def gibbs_kernel_prob(
 
 def gibbs_klein_step(
     cfg: GibbsKleinConfig,
-    state: ChainState,
+    x: "list[int]",
     rng: np.random.Generator,
     tail_eps: float = DEFAULT_TAIL_EPS,
-) -> ChainState:
-    """One blocked update: permute, Klein-sample the first block_size coordinates."""
+) -> None:
+    """One blocked update in place: permute, Klein-sample the first block_size coordinates."""
     order = rng.permutation(cfg.basis.n).tolist()
     m = cfg.block_size
-    return _block_step(cfg, state, order[:m], order[m:], rng, tail_eps)
+    _block_step(cfg, x, order[:m], order[m:], rng, tail_eps)
 
 
 def gibbs_klein_block_pmf(
     cfg: GibbsKleinConfig,
-    perm: Permutation,
+    order,
     z_block_new: np.ndarray,
     z_rest: np.ndarray,
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> float:
-    """Exact probability the block pass outputs z_block_new given z_rest and perm."""
+    """Exact probability the block pass outputs z_block_new given z_rest.
+
+    `order` lists all n coordinates: the block order[:m], then the rest
+    order[m:], which z_rest follows.
+    """
     m = cfg.block_size
     z_block_new = np.asarray(z_block_new, dtype=float)
     z_rest = np.asarray(z_rest, dtype=float)
     if z_block_new.shape != (m,) or z_rest.shape != (cfg.basis.n - m,):
         raise ValueError("block/rest shapes do not match the configured split")
-    block, rest = list(perm.order[:m]), list(perm.order[m:])
+    order = check_permutation(order, cfg.basis.n)
+    block, rest = order[:m], order[m:]
     u, c = block_conditional(cfg.gram, cfg.bc, dict(zip(rest, z_rest.tolist())), block, rest)
     return backward_pmf(np.array(u), np.array(c), cfg.target.sigma, z_block_new, m, tail_eps)
 
@@ -170,27 +161,27 @@ def gibbs_klein_kernel_prob(
     s_j,
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> float:
-    """One-step Gibbs-Klein transition probability, averaged over permutations.
+    """One-step Gibbs-Klein transition probability, averaged over ordered blocks.
 
-    Exact enumeration of all n! permutations; intended for kernel-level
-    verification at small n.
+    A uniform permutation's first m entries are a uniform ordered block, and
+    the block pmf does not depend on the order of the rest, so the average
+    runs over the n!/(n-m)! ordered blocks. Exact enumeration, intended for
+    kernel-level verification at small n.
     """
     n = cfg.basis.n
     if n > MAX_KERNEL_ENUM_DIM:
         raise ValueError(f"kernel enumeration limited to n <= {MAX_KERNEL_ENUM_DIM}")
-    a = np.asarray(s_i, dtype=np.int64)
-    b = np.asarray(s_j, dtype=np.int64)
-    m = cfg.block_size
+    a = [int(v) for v in s_i]
+    b = [int(v) for v in s_j]
+    blocks = list(itertools.permutations(range(n), cfg.block_size))
     total = 0.0
-    count = 0
-    for order in itertools.permutations(range(n)):
-        perm = Permutation(order)
-        z_i = perm.apply(a)
-        z_j = perm.apply(b)
-        count += 1
-        if np.array_equal(z_i[m:], z_j[m:]):
-            total += gibbs_klein_block_pmf(cfg, perm, z_j[:m], z_j[m:], tail_eps)
-    return total / count
+    for block in blocks:
+        rest = [j for j in range(n) if j not in block]
+        if all(a[j] == b[j] for j in rest):
+            total += gibbs_klein_block_pmf(
+                cfg, [*block, *rest], [b[j] for j in block], [b[j] for j in rest], tail_eps
+            )
+    return total / len(blocks)
 
 
 def run_chain(
@@ -202,10 +193,13 @@ def run_chain(
     rng: np.random.Generator,
     *,
     block_size: "int | None" = None,
-    burn_in: int = 0,
     tail_eps: float = DEFAULT_TAIL_EPS,
-) -> ChainTrace:
-    """Apply the chosen kernel `steps` times from x0, recording every state."""
+) -> np.ndarray:
+    """Apply the chosen kernel `steps` times from x0.
+
+    Returns the (steps + 1, n) int64 array of states; row t is the state
+    after t steps, row 0 is x0.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if kernel == "gibbs":
@@ -216,12 +210,13 @@ def run_chain(
         step, cfg = gibbs_klein_step, GibbsKleinConfig(basis, target, block_size)
     else:
         raise ValueError(f"unknown kernel {kernel!r} (expected 'gibbs' or 'gibbs-klein')")
-    state = ChainState(tuple(int(v) for v in x0), 0)
-    states = [state]
-    for _ in range(steps):
-        state = step(cfg, state, rng, tail_eps)
-        states.append(state)
-    return ChainTrace(tuple(states), burn_in)
+    x = [int(v) for v in x0]
+    states = np.empty((steps + 1, len(x)), dtype=np.int64)
+    states[0] = x
+    for t in range(1, steps + 1):
+        step(cfg, x, rng, tail_eps)
+        states[t] = x
+    return states
 
 
 def gibbs_ensemble(

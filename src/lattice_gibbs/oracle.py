@@ -9,19 +9,18 @@ negligible relative to eps, which the self-consistency tests confirm.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dgauss1d as dg
 from .dgauss1d import DEFAULT_TAIL_EPS, Gaussian1DParams
 from .klein import GaussianParams
-from .linalg import LatticeBasis, Permutation, permute_basis
-
-if TYPE_CHECKING:
-    from .mcmc import ChainTrace
+from .linalg import LatticeBasis, permute_basis
 
 MAX_ENUM_DIM = 6
 MAX_BLOCK_DIM = 4
@@ -119,14 +118,6 @@ def empirical_from_states(states: np.ndarray) -> DiscreteDistribution:
     return from_weights([tuple(int(v) for v in row) for row in uniq], counts.astype(float))
 
 
-def empirical_distribution(trace: "ChainTrace", burn_in: int) -> DiscreteDistribution:
-    """Frequency counts of trace states with t >= burn_in."""
-    states = trace.states
-    if burn_in >= len(states):
-        raise ValueError(f"burn_in {burn_in} >= trace length {len(states)}")
-    return empirical_from_states(np.array([s.x for s in states[burn_in:]]))
-
-
 def detailed_balance_residual(
     kernel_prob: Callable,
     target: DiscreteDistribution,
@@ -149,16 +140,17 @@ def detailed_balance_residual(
 def block_conditional_exact(
     basis: LatticeBasis,
     target: GaussianParams,
-    perm: Permutation,
+    order,
     m: int,
     z_rest: np.ndarray,
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> DiscreteDistribution:
-    """Exact conditional of the first m permuted coordinates given the rest.
+    """Exact conditional of coordinates order[:m] given order[m:] = z_rest.
 
-    With BE = QR the residual splits row-wise, so conditioning on z_rest
-    leaves exp(-||r_bar z_block - c_bar||^2 / 2 sigma^2) over the leading m x m
-    block r_bar with shifted center c_bar_i = c'_i - sum_{j>m} r_ij z_rest_j.
+    With B[:, order] = QR the residual splits row-wise, so conditioning on
+    z_rest leaves exp(-||r_bar z_block - c_bar||^2 / 2 sigma^2) over the
+    leading m x m block r_bar with shifted center
+    c_bar_i = c'_i - sum_{j>m} r_ij z_rest_j.
     """
     if m > MAX_BLOCK_DIM:
         raise ValueError(f"block enumeration limited to m <= {MAX_BLOCK_DIM}, got {m}")
@@ -167,7 +159,7 @@ def block_conditional_exact(
     z_rest = np.asarray(z_rest, dtype=float)
     if z_rest.shape != (basis.n - m,):
         raise ValueError(f"z_rest must have shape ({basis.n - m},)")
-    permuted = permute_basis(basis, perm)
+    permuted = permute_basis(basis, order)
     r = permuted.r_factor
     c_prime = permuted.q_factor.T @ target.center
     c_bar = c_prime[:m] - r[:m, m:] @ z_rest
@@ -189,17 +181,14 @@ def single_flip_pairs(
     for p in pts:
         for i in range(len(p)):
             groups.setdefault((i, p[:i], p[i + 1 :]), []).append(p)
-    pairs = []
-    for members in groups.values():
-        members.sort()
-        for a_idx in range(len(members)):
-            for b_idx in range(a_idx + 1, len(members)):
-                p, q = members[a_idx], members[b_idx]
-                pairs.append((weight[p] * weight[q], p, q))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    if max_pairs is not None:
-        pairs = pairs[:max_pairs]
-    return [(p, q) for _, p, q in pairs]
+    pairs = [
+        (weight[p] * weight[q], p, q)
+        for members in groups.values()
+        for p, q in itertools.combinations(sorted(members), 2)
+    ]
+    key = lambda t: (-t[0], t[1], t[2])  # noqa: E731
+    top = sorted(pairs, key=key) if max_pairs is None else heapq.nsmallest(max_pairs, pairs, key)
+    return [(p, q) for _, p, q in top]
 
 
 def _log_theta(r: float, sigma: float, shift: float, tail_eps: float = 1e-16) -> float:

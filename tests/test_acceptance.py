@@ -21,13 +21,7 @@ from lattice_gibbs.klein import (
     klein_pmf,
     klein_pmf_many,
 )
-from lattice_gibbs.linalg import (
-    LatticeBasis,
-    Permutation,
-    gram_schmidt_norms,
-    permute_basis,
-    random_permutation,
-)
+from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms, permute_basis
 
 # one-sided z for a family of 9 comparisons at joint 95% (0.05/9 per test)
 Z_FAMILY_9 = 2.539
@@ -163,10 +157,10 @@ def test_criterion_4_block_conditional_accuracy():
         r_diag = np.abs(np.diag(basis.r_factor))
         sigma = 3.0 * r_diag.max()
         target = GaussianParams(sigma, rng.uniform(-1.0, 1.0, 3))
-        perm = random_permutation(3, rng)
+        order = rng.permutation(3)
         z_rest = np.array([int(rng.integers(-2, 3))])
-        exact = oracle.block_conditional_exact(basis, target, perm, 2, z_rest, 1e-6)
-        permuted = permute_basis(basis, perm)
+        exact = oracle.block_conditional_exact(basis, target, order, 2, z_rest, 1e-6)
+        permuted = permute_basis(basis, order)
         zs = np.hstack(
             [np.array(exact.support, float), np.tile(z_rest, (len(exact.support), 1))]
         )
@@ -204,10 +198,9 @@ def test_criterion_5_kernel_reductions(basis_2d):
     cfg_mn = mcmc.GibbsKleinConfig(basis_2d, target, 2)
     worst_mn = 0.0
     for order in itertools.permutations(range(2)):
-        perm = Permutation(order)
-        sampler = KleinSampler(permute_basis(basis_2d, perm), target)
+        sampler = KleinSampler(permute_basis(basis_2d, order), target)
         for z in states:
-            block = mcmc.gibbs_klein_block_pmf(cfg_mn, perm, np.array(z), np.array([]))
+            block = mcmc.gibbs_klein_block_pmf(cfg_mn, order, np.array(z), np.array([]))
             worst_mn = max(worst_mn, abs(block - klein_pmf(sampler, np.array(z))))
     elapsed = time.time() - t0
     ok = worst_m1 <= 1e-12 and worst_mn <= 1e-12 and elapsed < 5.0

@@ -192,6 +192,24 @@ class TestBadInputs:
         assert not os.path.exists(out)
         assert "--x0 entries must be integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vectors", [
+        ("--center=0.5,,1", "--x0=1,,2"),
+        ("--center=0.5,,1", "--x0=1,2"),
+        ("--center=0.5,1", "--x0=1,2,"),
+        ("--center=,0.5,1", "--x0=1,2"),
+    ])
+    @pytest.mark.parametrize("command", ["sample", "diagnose"])
+    def test_empty_vector_field_rejected_without_output(self, skew2_file, tmp_path, capsys,
+                                                        command, vectors):
+        out = str(tmp_path / "never.csv")
+        code = run_cli(
+            [command, "--basis", skew2_file, "--algo", "gibbs", "--sigma", "1.0",
+             "--iters", "5", *vectors, "--output", out]
+        )
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "non-empty comma-separated entries" in capsys.readouterr().err
+
     def test_integral_float_start_state_accepted(self, skew2_file, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         base = ["sample", "--basis", skew2_file, "--algo", "gibbs", "--sigma", "1.0",

@@ -14,7 +14,7 @@ from lattice_gibbs.klein import (
     klein_pmf,
     smoothing_threshold,
 )
-from lattice_gibbs.linalg import LatticeBasis, Permutation, SingularBasisError, permute_basis
+from lattice_gibbs.linalg import LatticeBasis, SingularBasisError, permute_basis
 
 from conftest import make_random_basis
 
@@ -57,24 +57,22 @@ class TestGibbsConditional:
 class TestGibbsStep:
     def test_single_coordinate_change(self, basis_2d, target_2d, rng):
         cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
-        state = mcmc.ChainState((4, -2), 0)
+        x = [4, -2]
         for _ in range(50):
-            new = mcmc.gibbs_step(cfg, state, rng)
-            assert sum(a != b for a, b in zip(state.x, new.x)) <= 1
-            assert new.t == state.t + 1
-            state = new
+            prev = list(x)
+            mcmc.gibbs_step(cfg, x, rng)
+            assert sum(a != b for a, b in zip(prev, x)) <= 1
 
     def test_n1_single_step_is_exact(self):
         basis = LatticeBasis.from_matrix([[2.0]])
         target = GaussianParams(1.1, np.array([0.4]))
         rng = np.random.default_rng(8)
         cfg = mcmc.GibbsKleinConfig(basis, target, 1)
-        draws = np.array(
-            [
-                mcmc.gibbs_step(cfg, mcmc.ChainState((7,), 0), rng).x
-                for _ in range(30_000)
-            ]
-        )
+        draws = np.empty((30_000, 1), dtype=np.int64)
+        for row in draws:
+            x = [7]
+            mcmc.gibbs_step(cfg, x, rng)
+            row[:] = x
         exact = oracle.enumerate_support(basis, target, 1e-9)
         assert oracle.tv_distance(oracle.empirical_from_states(draws), exact) <= 0.02
 
@@ -120,40 +118,39 @@ class TestGibbsKlein:
     def test_block_coordinate_change_count(self, rng):
         basis = make_random_basis(rng, 4)
         cfg = mcmc.GibbsKleinConfig(basis, GaussianParams(1.0, np.zeros(4)), 2)
-        state = mcmc.ChainState((3, -1, 2, 0), 0)
+        x = [3, -1, 2, 0]
         for _ in range(50):
-            new = mcmc.gibbs_klein_step(cfg, state, rng)
-            assert sum(a != b for a, b in zip(state.x, new.x)) <= 2
-            state = new
+            prev = list(x)
+            mcmc.gibbs_klein_step(cfg, x, rng)
+            assert sum(a != b for a, b in zip(prev, x)) <= 2
 
     def test_m_equals_n_matches_permuted_klein(self, basis_2d, target_2d):
         cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 2)
         for order in itertools.permutations(range(2)):
-            perm = Permutation(order)
-            sampler = KleinSampler(permute_basis(basis_2d, perm), target_2d)
+            sampler = KleinSampler(permute_basis(basis_2d, order), target_2d)
             for z in itertools.product(range(-2, 4), repeat=2):
-                block = mcmc.gibbs_klein_block_pmf(cfg, perm, np.array(z), np.array([]))
+                block = mcmc.gibbs_klein_block_pmf(cfg, order, np.array(z), np.array([]))
                 assert block == pytest.approx(klein_pmf(sampler, np.array(z)), abs=1e-12)
 
     def test_m1_block_pmf_is_permuted_conditional(self, basis_2d, target_2d):
         cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
-        perm = Permutation((1, 0))
-        permuted = permute_basis(basis_2d, perm)
+        order = (1, 0)
+        permuted = permute_basis(basis_2d, order)
         z_rest = np.array([1])
         cond = mcmc.gibbs_conditional(permuted, target_2d, np.array([0, 1]), 0)
         for k in range(-3, 4):
-            block = mcmc.gibbs_klein_block_pmf(cfg, perm, np.array([k]), z_rest)
+            block = mcmc.gibbs_klein_block_pmf(cfg, order, np.array([k]), z_rest)
             assert block == pytest.approx(cond.prob(k), abs=1e-12)
 
     def test_block_pmf_sums_to_one(self, rng):
         basis = make_random_basis(rng, 3)
         target = GaussianParams(1.5, rng.uniform(-1, 1, 3))
         cfg = mcmc.GibbsKleinConfig(basis, target, 2)
-        perm = Permutation((2, 0, 1))
+        order = (2, 0, 1)
         z_rest = np.array([1])
-        exact = oracle.block_conditional_exact(basis, target, perm, 2, z_rest, 1e-9)
+        exact = oracle.block_conditional_exact(basis, target, order, 2, z_rest, 1e-9)
         total = sum(
-            mcmc.gibbs_klein_block_pmf(cfg, perm, np.array(z), z_rest)
+            mcmc.gibbs_klein_block_pmf(cfg, order, np.array(z), z_rest)
             for z in exact.support
         )
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -161,9 +158,8 @@ class TestGibbsKlein:
     def test_identity_basis_block_is_product(self):
         target = GaussianParams(1.0, np.array([0.2, -0.5, 0.8]))
         cfg = mcmc.GibbsKleinConfig(LatticeBasis.identity(3), target, 2)
-        perm = Permutation.identity(3)
         for z in itertools.product(range(-2, 3), repeat=2):
-            got = mcmc.gibbs_klein_block_pmf(cfg, perm, np.array(z), np.array([0]))
+            got = mcmc.gibbs_klein_block_pmf(cfg, range(3), np.array(z), np.array([0]))
             expected = dg.pmf(Gaussian1DParams(1.0, 0.2), z[0]) * dg.pmf(
                 Gaussian1DParams(1.0, -0.5), z[1]
             )
@@ -181,14 +177,46 @@ class TestGibbsKlein:
         for m in range(1, n + 1):
             cfg = mcmc.GibbsKleinConfig(basis, target, m)
             for order in itertools.permutations(range(n)):
-                perm = Permutation(order)
-                permuted = permute_basis(basis, perm)
+                permuted = permute_basis(basis, order)
                 c_prime = permuted.q_factor.T @ target.center
                 for z in zs:
-                    got = mcmc.gibbs_klein_block_pmf(cfg, perm, z[:m], z[m:])
+                    got = mcmc.gibbs_klein_block_pmf(cfg, order, z[:m], z[m:])
                     ref = backward_pmf(permuted.r_factor, c_prime, target.sigma, z, m)
                     worst = max(worst, abs(got - ref))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kernel_prob_equals_full_permutation_average(self, n):
+        # the ordered-block average against the average over all n!
+        # permutations, each term from the QR of the permuted basis
+        rng = np.random.default_rng(70 + n)
+        basis = make_random_basis(rng, n)
+        target = GaussianParams(0.9, rng.uniform(-1, 1, n))
+        orders = list(itertools.permutations(range(n)))
+        factors = {}
+        for order in orders:
+            permuted = permute_basis(basis, order)
+            factors[order] = (permuted.r_factor, permuted.q_factor.T @ target.center)
+        a = rng.integers(-1, 2, n)
+        # destinations differing from a in k = 0..n coordinates, then random subsets
+        dests = [a + (np.arange(n) < k) for k in range(n + 1)]
+        dests += [a + (rng.random(n) < 0.5) for _ in range(4)]
+        worst = 0.0
+        for m in range(1, n + 1):
+            cfg = mcmc.GibbsKleinConfig(basis, target, m)
+            for b in dests:
+                ref = 0.0
+                for order in orders:
+                    idx = list(order)
+                    if np.array_equal(a[idx][m:], b[idx][m:]):
+                        r, c_prime = factors[order]
+                        ref += backward_pmf(r, c_prime, target.sigma, b[idx], m)
+                ref /= len(orders)
+                got = mcmc.gibbs_klein_kernel_prob(cfg, a, b)
+                assert (got > 0.0) == (ref > 0.0)
+                if ref > 0.0:
+                    worst = max(worst, abs(got - ref) / ref)
+        assert worst <= 1e-13
 
     def test_zero_cholesky_pivot_raises(self):
         # QR accepts the basis (r_22 = 1e-9); the 2x2 Gram block is exactly
@@ -199,7 +227,7 @@ class TestGibbsKlein:
             with pytest.raises(SingularBasisError):
                 block_conditional(cfg.gram, cfg.bc, [0, 0], block, [])
         with pytest.raises(SingularBasisError):
-            mcmc.gibbs_klein_step(cfg, mcmc.ChainState((0, 0), 0), np.random.default_rng(0))
+            mcmc.gibbs_klein_step(cfg, [0, 0], np.random.default_rng(0))
 
     def test_single_step_reachability(self):
         # n=3, m=2: any state differing in <= 2 coordinates is reachable in
@@ -219,20 +247,20 @@ class TestGibbsKlein:
 
 class TestRunChain:
     def test_zero_steps(self, basis_2d, target_2d, rng):
-        trace = mcmc.run_chain("gibbs", basis_2d, target_2d, (1, 2), 0, rng)
-        assert len(trace.states) == 1
-        assert trace.states[0].x == (1, 2)
+        states = mcmc.run_chain("gibbs", basis_2d, target_2d, (1, 2), 0, rng)
+        assert states.shape == (1, 2)
+        assert states[0].tolist() == [1, 2]
 
     def test_deterministic_given_seed(self, basis_2d, target_2d):
         args = ("gibbs-klein", basis_2d, target_2d, (0, 0), 30)
         t1 = mcmc.run_chain(*args, np.random.default_rng(5), block_size=1)
         t2 = mcmc.run_chain(*args, np.random.default_rng(5), block_size=1)
-        assert [s.x for s in t1.states] == [s.x for s in t2.states]
+        assert np.array_equal(t1, t2)
 
     def test_trace_length_and_time_index(self, basis_2d, target_2d, rng):
-        trace = mcmc.run_chain("gibbs", basis_2d, target_2d, (0, 0), 25, rng)
-        assert len(trace.states) == 26
-        assert [s.t for s in trace.states] == list(range(26))
+        states = mcmc.run_chain("gibbs", basis_2d, target_2d, (0, 0), 25, rng)
+        assert states.shape == (26, 2)
+        assert states.dtype == np.int64
 
     def test_unknown_kernel(self, basis_2d, target_2d, rng):
         with pytest.raises(ValueError):
@@ -248,16 +276,16 @@ class TestRunChain:
         basis = LatticeBasis.from_matrix(0.5 * np.array([[1.0, 0.5], [0.0, 1.0]]))
         target = GaussianParams(0.45, np.array([0.15, -0.2]))
         assert target.sigma >= smoothing_threshold(basis)
-        trace = mcmc.run_chain(
+        states = mcmc.run_chain(
             "gibbs", basis, target, (0, 0), 20_000, np.random.default_rng(1)
         )
-        emp = oracle.empirical_distribution(trace, 1_000)
+        emp = oracle.empirical_from_states(states[1_000:])
         exact = oracle.enumerate_support(basis, target, 1e-9)
         assert oracle.tv_distance(emp, exact) <= 0.02
 
     def test_gibbs_klein_chain_converges(self, basis_2d):
         target = GaussianParams(1.0, np.array([0.3, 0.7]))
-        trace = mcmc.run_chain(
+        states = mcmc.run_chain(
             "gibbs-klein",
             basis_2d,
             target,
@@ -266,7 +294,7 @@ class TestRunChain:
             np.random.default_rng(3),
             block_size=2,
         )
-        emp = oracle.empirical_distribution(trace, 500)
+        emp = oracle.empirical_from_states(states[500:])
         exact = oracle.enumerate_support(basis_2d, target, 1e-9)
         assert oracle.tv_distance(emp, exact) <= 0.05
 
@@ -281,10 +309,10 @@ class TestGibbsEnsemble:
         cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
         finals = []
         for _ in range(5_000):
-            state = mcmc.ChainState((0, 0), 0)
+            x = [0, 0]
             for _ in range(30):
-                state = mcmc.gibbs_step(cfg, state, rng)
-            finals.append(state.x)
+                mcmc.gibbs_step(cfg, x, rng)
+            finals.append(x)
         tv = oracle.tv_distance(
             oracle.empirical_from_states(snaps[30]),
             oracle.empirical_from_states(np.array(finals)),

@@ -8,7 +8,7 @@ from lattice_gibbs import dgauss1d as dg
 from lattice_gibbs import mcmc, oracle
 from lattice_gibbs.dgauss1d import Gaussian1DParams
 from lattice_gibbs.klein import GaussianParams, backward_pmf_many
-from lattice_gibbs.linalg import LatticeBasis, Permutation, permute_basis
+from lattice_gibbs.linalg import LatticeBasis, permute_basis
 from lattice_gibbs.oracle import DiscreteDistribution
 
 from conftest import make_random_basis
@@ -85,22 +85,13 @@ class TestTvDistance:
 
 class TestEmpiricalDistribution:
     def test_constant_trace(self):
-        states = tuple(mcmc.ChainState((1, 2), t) for t in range(5))
-        trace = mcmc.ChainTrace(states, 0)
-        dist = oracle.empirical_distribution(trace, 0)
+        dist = oracle.empirical_from_states(np.tile([1, 2], (5, 1)))
         assert dist.support == ((1, 2),)
         assert dist.probs[0] == 1.0
 
     def test_concatenation_mixture(self):
-        s_a = tuple(mcmc.ChainState((0,), t) for t in range(3))
-        s_b = tuple(mcmc.ChainState((1,), t) for t in range(1))
-        dist = oracle.empirical_distribution(mcmc.ChainTrace(s_a + s_b, 0), 0)
+        dist = oracle.empirical_from_states(np.array([[0], [0], [0], [1]]))
         assert dist.as_dict() == {(0,): 0.75, (1,): 0.25}
-
-    def test_burn_in_bound(self):
-        trace = mcmc.ChainTrace((mcmc.ChainState((0,), 0),), 0)
-        with pytest.raises(ValueError):
-            oracle.empirical_distribution(trace, 1)
 
     def test_monte_carlo_control(self, basis_2d):
         # 1e5 exact draws via inverse cdf: TV floor ~ 0.007 at this support
@@ -137,19 +128,19 @@ class TestDetailedBalance:
         basis = make_random_basis(rng, 3)
         sigma = 3.0 * np.abs(np.diag(basis.r_factor)).max()
         target = GaussianParams(sigma, rng.uniform(-1, 1, 3))
-        perm = Permutation((1, 2, 0))
+        order = (1, 2, 0)
         m, z_rest = 2, np.array([0])
         cfg = mcmc.GibbsKleinConfig(basis, target, m)
-        exact_block = oracle.block_conditional_exact(basis, target, perm, m, z_rest, 1e-8)
+        exact_block = oracle.block_conditional_exact(basis, target, order, m, z_rest, 1e-8)
 
         def kernel(a, b):
-            return mcmc.gibbs_klein_block_pmf(cfg, perm, np.array(b), z_rest)
+            return mcmc.gibbs_klein_block_pmf(cfg, order, np.array(b), z_rest)
 
         pairs = oracle.single_flip_pairs(exact_block, max_pairs=200)
         report = oracle.detailed_balance_residual(kernel, exact_block, pairs)
         assert report.max_rel_residual <= 0.01
         # epsilon window propagated through the balance relation
-        r_norms = np.abs(np.diag(permute_basis(basis, perm).r_factor))[:m]
+        r_norms = np.abs(np.diag(permute_basis(basis, order).r_factor))[:m]
         shifts = rng.uniform(-0.5, 0.5, (50, m)) * r_norms
         lo, _ = oracle.smoothing_ratio_window(r_norms, sigma, shifts)
         eps = (1.0 - lo ** (1.0 / m)) / (1.0 + lo ** (1.0 / m))
@@ -162,10 +153,10 @@ class TestDetailedBalance:
 class TestBlockConditional:
     def test_m1_matches_gibbs_conditional(self, basis_2d):
         target = GaussianParams(1.0, np.array([0.2, -0.4]))
-        perm = Permutation((1, 0))
+        order = (1, 0)
         z_rest = np.array([2])
-        block = oracle.block_conditional_exact(basis_2d, target, perm, 1, z_rest, 1e-12)
-        permuted = permute_basis(basis_2d, perm)
+        block = oracle.block_conditional_exact(basis_2d, target, order, 1, z_rest, 1e-12)
+        permuted = permute_basis(basis_2d, order)
         x = np.array([0, 2])
         cond = mcmc.gibbs_conditional(permuted, target, x, 0)
         for point, prob in zip(block.support, block.probs):
@@ -174,7 +165,7 @@ class TestBlockConditional:
     def test_identity_basis_is_product(self):
         target = GaussianParams(1.1, np.array([0.3, -0.2, 0.6]))
         block = oracle.block_conditional_exact(
-            LatticeBasis.identity(3), target, Permutation.identity(3), 2, np.array([1]), 1e-12
+            LatticeBasis.identity(3), target, range(3), 2, np.array([1]), 1e-12
         )
         for (a, b), prob in zip(block.support, block.probs):
             expected = dg.pmf(Gaussian1DParams(1.1, 0.3), a) * dg.pmf(
@@ -186,15 +177,15 @@ class TestBlockConditional:
         basis = LatticeBasis.from_matrix(
             [[1.0, 0.9, 0.8], [0.0, 0.5, 0.4], [0.0, 0.0, 0.3]]
         )
-        perm = Permutation((2, 0, 1))
+        order = (2, 0, 1)
         z_rest = np.array([1])
         center = np.array([0.45, 0.55, 0.35])
         r_max = np.abs(np.diag(basis.r_factor)).max()
-        permuted = permute_basis(basis, perm)
+        permuted = permute_basis(basis, order)
 
         def block_tv(sigma):
             target = GaussianParams(sigma, center)
-            exact = oracle.block_conditional_exact(basis, target, perm, 2, z_rest, 1e-9)
+            exact = oracle.block_conditional_exact(basis, target, order, 2, z_rest, 1e-9)
             zs = np.hstack(
                 [np.array(exact.support, float), np.tile(z_rest, (len(exact.support), 1))]
             )
@@ -210,7 +201,7 @@ class TestBlockConditional:
         target = GaussianParams(1.0, np.zeros(2))
         with pytest.raises(ValueError):
             oracle.block_conditional_exact(
-                basis_2d, target, Permutation.identity(2), 5, np.array([])
+                basis_2d, target, range(2), 5, np.array([])
             )
 
 
@@ -241,3 +232,17 @@ def test_single_flip_pairs_differ_in_one_coordinate(basis_2d):
     assert pairs
     for a, b in pairs:
         assert sum(x != y for x, y in zip(a, b)) == 1
+
+
+def test_single_flip_pairs_capped_is_prefix_of_uncapped():
+    # 4-D target: the capped top pairs are exactly the head of the full order
+    rng = np.random.default_rng(21)
+    basis = make_random_basis(rng, 4)
+    dist = oracle.enumerate_support(basis, GaussianParams(0.7, rng.uniform(-1, 1, 4)), 1e-6)
+    full = oracle.single_flip_pairs(dist)
+    assert len(full) > 200
+    for cap in (1, 200, len(full) + 5):
+        assert oracle.single_flip_pairs(dist, max_pairs=cap) == full[:cap]
+    weight = dist.as_dict()
+    joint = [weight[a] * weight[b] for a, b in full]
+    assert joint == sorted(joint, reverse=True)
