@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mcmc, mimo, oracle
-from .dgauss1d import DEFAULT_TAIL_EPS
 from .klein import GaussianParams, KleinSampler, klein_sample_many
 from .linalg import LatticeBasis, load_basis
 
@@ -39,7 +38,6 @@ class RunConfig:
     chains: int
     burn_in: int
     seed: int
-    tail_eps: float
     output: str
 
 
@@ -107,8 +105,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--iters must be >= 0")
     if args.chains < 1:
         raise ValueError("--chains must be >= 1")
-    if not 0.0 < args.tail_eps < 1.0:
-        raise ValueError("--tail-eps must lie in (0, 1)")
     if args.burn_in < 0:
         raise ValueError("--burn-in must be >= 0")
     target = GaussianParams(args.sigma, _parse_vector(args.center, n, "--center"))
@@ -125,7 +121,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         chains=args.chains,
         burn_in=args.burn_in,
         seed=_resolve_seed(args.seed),
-        tail_eps=args.tail_eps,
         output=args.output,
     )
 
@@ -143,12 +138,12 @@ def cmd_sample(cfg: RunConfig) -> int:
     for chain_idx, rng in enumerate(rngs):
         if cfg.algorithm == "klein":
             sampler = KleinSampler(cfg.basis, cfg.target)
-            rows = klein_sample_many(sampler, cfg.iterations, rng, cfg.tail_eps)
+            rows = klein_sample_many(sampler, cfg.iterations, rng)
             t_first = 1  # independent draws t = 1..iters
         else:
             rows = mcmc.run_chain(
                 cfg.algorithm, cfg.basis, cfg.target, cfg.x0, cfg.iterations, rng,
-                block_size=cfg.block_size, tail_eps=cfg.tail_eps,
+                block_size=cfg.block_size,
             )
             t_first = 0  # row 0 is the start state
         skip = max(cfg.burn_in - t_first, 0)
@@ -176,7 +171,7 @@ def _gibbs_klein_snapshots(
     for chain_idx, rng in enumerate(_chain_streams(cfg.seed, cfg.chains)):
         states = mcmc.run_chain(
             "gibbs-klein", cfg.basis, cfg.target, cfg.x0, max(checkpoints), rng,
-            block_size=cfg.block_size, tail_eps=cfg.tail_eps,
+            block_size=cfg.block_size,
         )
         for t in checkpoints:
             snaps[t][chain_idx] = states[t]
@@ -189,19 +184,17 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
     Also prints a detailed-balance residual report (stderr) for the MCMC
     kernels, computed over the highest-probability single-flip pairs.
     """
-    exact = oracle.enumerate_support(cfg.basis, cfg.target, cfg.tail_eps)
     if checkpoints is None:
         checkpoints = default_checkpoints(cfg.iterations)
     checkpoints = sorted(set(checkpoints))
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > cfg.iterations:
         raise ValueError("checkpoints must lie in [1, iters]")
+    exact = oracle.enumerate_support(cfg.basis, cfg.target)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     if cfg.algorithm == "klein":
         sampler = KleinSampler(cfg.basis, cfg.target)
-        snaps = {
-            t: klein_sample_many(sampler, cfg.chains, rng, cfg.tail_eps) for t in checkpoints
-        }
+        snaps = {t: klein_sample_many(sampler, cfg.chains, rng) for t in checkpoints}
     elif cfg.algorithm == "gibbs":
         snaps, _ = mcmc.gibbs_ensemble(
             cfg.basis,
@@ -211,7 +204,6 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
             max(checkpoints),
             rng,
             record_at=tuple(checkpoints),
-            tail_eps=cfg.tail_eps,
         )
     else:
         snaps = _gibbs_klein_snapshots(cfg, checkpoints)
@@ -225,14 +217,10 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
     if cfg.algorithm in ("gibbs", "gibbs-klein"):
         pairs = oracle.single_flip_pairs(exact, max_pairs=200)
         if cfg.algorithm == "gibbs":
-            kernel = lambda a, b: mcmc.gibbs_kernel_prob(  # noqa: E731
-                cfg.basis, cfg.target, a, b, cfg.tail_eps
-            )
+            kernel = lambda a, b: mcmc.gibbs_kernel_prob(cfg.basis, cfg.target, a, b)  # noqa: E731
         else:
             kcfg = mcmc.GibbsKleinConfig(cfg.basis, cfg.target, cfg.block_size)
-            kernel = lambda a, b: mcmc.gibbs_klein_kernel_prob(  # noqa: E731
-                kcfg, a, b, cfg.tail_eps
-            )
+            kernel = lambda a, b: mcmc.gibbs_klein_kernel_prob(kcfg, a, b)  # noqa: E731
         report = oracle.detailed_balance_residual(kernel, exact, pairs)
         print(
             f"detailed_balance max_abs={report.max_abs_residual:.6e} "
@@ -270,7 +258,6 @@ def _add_common_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tail-eps", type=float, default=DEFAULT_TAIL_EPS)
     p.add_argument("--output", "-o", default="-", help="CSV path ('-' for stdout)")
 
 

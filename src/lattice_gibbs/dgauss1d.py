@@ -1,11 +1,13 @@
 """Exact 1-D discrete Gaussian over the integers: pmf tables and inversion sampling.
 
 The infinite sum over Z is truncated to a window wide enough that the omitted
-mass is provably below ``tail_eps``: the centered Gaussian tail outside
-``c +- w`` with ``w = alpha * sqrt(2 ln(4/eps)) + 1`` contributes less than
-eps of the total, by the standard tail bound (the +1 absorbs the
-integer-rounding slack). All exponent sums subtract the max exponent first so
-small alpha cannot underflow to an all-zero table.
+mass is provably below ``TAIL_EPS`` = 1e-12: the centered Gaussian tail
+outside ``c +- w`` with ``w = alpha * sqrt(2 ln(4/eps)) + 1`` contributes less
+than eps of the total, by the standard tail bound (the +1 absorbs the
+integer-rounding slack). The cut is one constant for every sampler and pmf in
+the package, as in the SampleZ routine of Gentry, Peikert & Vaikuntanathan
+(STOC 2008). All exponent sums subtract the max exponent first so small alpha
+cannot underflow to an all-zero table.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TAIL_EPS = 1e-12
+TAIL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,41 +47,35 @@ def truncation_halfwidth(alpha: float, tail_eps: float) -> float:
     return alpha * math.sqrt(2.0 * math.log(4.0 / tail_eps)) + 1.0
 
 
-def support_bounds(p: Gaussian1DParams, tail_eps: float = DEFAULT_TAIL_EPS) -> IntegerSupport:
-    """Integer window around the center whose complement has mass < tail_eps."""
-    if not (0.0 < tail_eps < 1.0):
-        raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
-    w = truncation_halfwidth(p.alpha, tail_eps)
+def support_bounds(p: Gaussian1DParams) -> IntegerSupport:
+    """Integer window around the center whose complement has mass < TAIL_EPS."""
+    w = truncation_halfwidth(p.alpha, TAIL_EPS)
     return IntegerSupport(
-        lo=math.floor(p.center - w), hi=math.ceil(p.center + w), omitted_mass_bound=tail_eps
+        lo=math.floor(p.center - w), hi=math.ceil(p.center + w), omitted_mass_bound=TAIL_EPS
     )
 
 
-def pmf_table(
-    p: Gaussian1DParams, tail_eps: float = DEFAULT_TAIL_EPS
-) -> tuple[np.ndarray, np.ndarray]:
+def pmf_table(p: Gaussian1DParams) -> tuple[np.ndarray, np.ndarray]:
     """Support points and normalized probabilities over the truncated window."""
-    sup = support_bounds(p, tail_eps)
+    sup = support_bounds(p)
     ks = np.arange(sup.lo, sup.hi + 1)
     logw = -((ks - p.center) ** 2) / (2.0 * p.alpha * p.alpha)
     w = np.exp(logw - logw.max())
     return ks, w / w.sum()
 
 
-def pmf(p: Gaussian1DParams, k: int, tail_eps: float = DEFAULT_TAIL_EPS) -> float:
+def pmf(p: Gaussian1DParams, k: int) -> float:
     """Probability of integer k; zero outside the truncated support."""
-    ks, probs = pmf_table(p, tail_eps)
+    ks, probs = pmf_table(p)
     if k < ks[0] or k > ks[-1]:
         return 0.0
     return float(probs[k - ks[0]])
 
 
-def sample(
-    p: Gaussian1DParams, rng: np.random.Generator, tail_eps: float = DEFAULT_TAIL_EPS
-) -> int:
+def sample(p: Gaussian1DParams, rng: np.random.Generator) -> int:
     """Exact inversion draw from the truncated pmf table: the smallest support
     point whose cumulative probability reaches a uniform u."""
-    ks, probs = pmf_table(p, tail_eps)
+    ks, probs = pmf_table(p)
     return int(ks[np.searchsorted(np.cumsum(probs), rng.random(), side="left")])
 
 
@@ -87,19 +83,26 @@ def sample(
 # sharing a fixed alpha. Used by the batch Klein sampler, the chain ensembles,
 # and exact pmf evaluation over large point sets. The window is anchored at
 # round(center) per row, which shifts the truncation by < 1 point relative to
-# the scalar table; the resulting pmf difference is below tail_eps.
+# the scalar table; the resulting pmf difference is below TAIL_EPS. Inputs are
+# checked as `Gaussian1DParams` checks them, so a bad alpha or center raises
+# instead of casting NaN to an int64 or building an empty table.
 
 
-def pmf_rows(
-    alpha: float,
-    centers: np.ndarray,
-    values: np.ndarray,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-) -> np.ndarray:
-    """Normalized pmf of values[i] under D_{Z, alpha, centers[i]} for each row i."""
+def _checked_centers(alpha: float, centers) -> np.ndarray:
     centers = np.asarray(centers, dtype=float)
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    finite = np.isfinite(centers)
+    if not finite.all():
+        raise ValueError(f"center must be finite, got {centers[~finite][0]}")
+    return centers
+
+
+def pmf_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Normalized pmf of values[i] under D_{Z, alpha, centers[i]} for each row i."""
+    centers = _checked_centers(alpha, centers)
     values = np.asarray(values)
-    w = truncation_halfwidth(alpha, tail_eps)
+    w = truncation_halfwidth(alpha, TAIL_EPS)
     half = int(math.ceil(w))
     offs = np.arange(-half, half + 1)
     ks = np.round(centers)[:, None] + offs[None, :]
@@ -112,20 +115,15 @@ def pmf_rows(
     return np.where(np.abs(dv) <= w + 0.5, pv, 0.0)
 
 
-def sample_rows(
-    alpha: float,
-    centers: np.ndarray,
-    rng: np.random.Generator,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-) -> np.ndarray:
+def sample_rows(alpha: float, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One inversion draw per row from D_{Z, alpha, centers[i]}.
 
     Processes rows in chunks so wide tables (large alpha) stay within a few
     tens of MB; uniforms are drawn up front so chunking cannot change draws.
     """
-    centers = np.asarray(centers, dtype=float)
+    centers = _checked_centers(alpha, centers)
     n = centers.shape[0]
-    half = int(math.ceil(truncation_halfwidth(alpha, tail_eps)))
+    half = int(math.ceil(truncation_halfwidth(alpha, TAIL_EPS)))
     offs = np.arange(-half, half + 1)
     u_all = rng.random(n)
     out = np.empty(n, dtype=np.int64)

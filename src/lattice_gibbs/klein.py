@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgauss1d as dg
-from .dgauss1d import DEFAULT_TAIL_EPS, Gaussian1DParams
+from .dgauss1d import Gaussian1DParams
 from .linalg import LatticeBasis, SingularBasisError, gram_schmidt_norms
 
 
@@ -119,13 +119,9 @@ def backward_sample_into(
         z[i] = draw(sigma / rii, acc / rii, rng)
 
 
-def lattice_draw(tail_eps: float = DEFAULT_TAIL_EPS):
-    """The 1-D draw over Z for `backward_sample_into`: `dg.sample` at `tail_eps`."""
-
-    def draw(alpha: float, center: float, rng: np.random.Generator) -> int:
-        return dg.sample(Gaussian1DParams(alpha, center), rng, tail_eps)
-
-    return draw
+def lattice_draw(alpha: float, center: float, rng: np.random.Generator) -> int:
+    """The 1-D draw over Z for `backward_sample_into`."""
+    return dg.sample(Gaussian1DParams(alpha, center), rng)
 
 
 def backward_pmf(
@@ -134,7 +130,6 @@ def backward_pmf(
     sigma: float,
     z: np.ndarray,
     m: int,
-    tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> float:
     """Probability that backward sampling of z[:m] outputs exactly z[:m]."""
     z = np.asarray(z, dtype=float)
@@ -142,7 +137,7 @@ def backward_pmf(
     for i in range(m - 1, -1, -1):
         rii = r[i, i]
         center = (c_prime[i] - r[i, i + 1 :] @ z[i + 1 :]) / rii
-        prob *= dg.pmf(Gaussian1DParams(sigma / abs(rii), center), int(round(z[i])), tail_eps)
+        prob *= dg.pmf(Gaussian1DParams(sigma / abs(rii), center), int(round(z[i])))
     return prob
 
 
@@ -152,7 +147,6 @@ def backward_pmf_many(
     sigma: float,
     zs: np.ndarray,
     m: int,
-    tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> np.ndarray:
     """Vectorized `backward_pmf` over the rows of zs."""
     zs = np.asarray(zs, dtype=float)
@@ -160,24 +154,19 @@ def backward_pmf_many(
     for i in range(m - 1, -1, -1):
         rii = r[i, i]
         centers = (c_prime[i] - zs[:, i + 1 :] @ r[i, i + 1 :]) / rii
-        probs *= dg.pmf_rows(sigma / abs(rii), centers, zs[:, i], tail_eps)
+        probs *= dg.pmf_rows(sigma / abs(rii), centers, zs[:, i])
     return probs
 
 
-def klein_sample(
-    s: KleinSampler, rng: np.random.Generator, tail_eps: float = DEFAULT_TAIL_EPS
-) -> np.ndarray:
+def klein_sample(s: KleinSampler, rng: np.random.Generator) -> np.ndarray:
     """One full pass: integer coefficient vector x (lattice point is B @ x)."""
     c_prime = (s.basis.q_factor.T @ s.params.center).tolist()
     z = [0] * s.basis.n
-    draw = lattice_draw(tail_eps)
-    backward_sample_into(s.basis.r_factor.tolist(), c_prime, s.params.sigma, z, rng, draw)
+    backward_sample_into(s.basis.r_factor.tolist(), c_prime, s.params.sigma, z, rng, lattice_draw)
     return np.array(z, dtype=np.int64)
 
 
-def klein_sample_many(
-    s: KleinSampler, n_draws: int, rng: np.random.Generator, tail_eps: float = DEFAULT_TAIL_EPS
-) -> np.ndarray:
+def klein_sample_many(s: KleinSampler, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """n_draws independent passes, vectorized coordinate by coordinate."""
     r = s.basis.r_factor
     c_prime = s.basis.q_factor.T @ s.params.center
@@ -185,21 +174,19 @@ def klein_sample_many(
     for i in range(s.basis.n - 1, -1, -1):
         rii = r[i, i]
         centers = (c_prime[i] - xs[:, i + 1 :] @ r[i, i + 1 :]) / rii
-        xs[:, i] = dg.sample_rows(s.params.sigma / abs(rii), centers, rng, tail_eps)
+        xs[:, i] = dg.sample_rows(s.params.sigma / abs(rii), centers, rng)
     return xs.astype(np.int64)
 
 
-def klein_pmf(s: KleinSampler, x: np.ndarray, tail_eps: float = DEFAULT_TAIL_EPS) -> float:
+def klein_pmf(s: KleinSampler, x: np.ndarray) -> float:
     """Exact probability that `klein_sample` outputs x."""
     c_prime = s.basis.q_factor.T @ s.params.center
-    return backward_pmf(s.basis.r_factor, c_prime, s.params.sigma, x, s.basis.n, tail_eps)
+    return backward_pmf(s.basis.r_factor, c_prime, s.params.sigma, x, s.basis.n)
 
 
-def klein_pmf_many(
-    s: KleinSampler, xs: np.ndarray, tail_eps: float = DEFAULT_TAIL_EPS
-) -> np.ndarray:
+def klein_pmf_many(s: KleinSampler, xs: np.ndarray) -> np.ndarray:
     c_prime = s.basis.q_factor.T @ s.params.center
-    return backward_pmf_many(s.basis.r_factor, c_prime, s.params.sigma, xs, s.basis.n, tail_eps)
+    return backward_pmf_many(s.basis.r_factor, c_prime, s.params.sigma, xs, s.basis.n)
 
 
 def klein_sigma_default(basis: LatticeBasis) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dgauss1d as dg
-from .dgauss1d import DEFAULT_TAIL_EPS, Gaussian1DParams
+from .dgauss1d import TAIL_EPS, Gaussian1DParams
 from .klein import GaussianParams, backward_pmf, backward_sample_into, block_conditional
 from .klein import lattice_draw
 from .linalg import LatticeBasis, check_permutation
@@ -52,14 +52,13 @@ def gibbs_conditional(
     target: GaussianParams,
     x: np.ndarray,
     i: int,
-    tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> DiscreteDistribution:
     """P(x_i | x_[-i]) as an explicit distribution over the truncated support."""
     cfg = GibbsKleinConfig(basis, target, 1)
     rest = [j for j in range(basis.n) if j != i]
     (u,), (c,) = block_conditional(cfg.gram, cfg.bc, np.asarray(x, float).tolist(), [i], rest)
-    ks, probs = dg.pmf_table(Gaussian1DParams(target.sigma / u[0], c / u[0]), tail_eps)
-    return DiscreteDistribution(tuple(int(k) for k in ks), probs, tail_eps)
+    ks, probs = dg.pmf_table(Gaussian1DParams(target.sigma / u[0], c / u[0]))
+    return DiscreteDistribution(tuple(int(k) for k in ks), probs, TAIL_EPS)
 
 
 def _block_step(
@@ -68,35 +67,23 @@ def _block_step(
     block: "list[int]",
     rest: "list[int]",
     rng: np.random.Generator,
-    tail_eps: float,
 ) -> None:
     """Resample x[block] in place by one backward Klein pass given x[rest]."""
     u, c = block_conditional(cfg.gram, cfg.bc, x, block, rest)
     z = [0] * len(block)
-    backward_sample_into(u, c, cfg.target.sigma, z, rng, lattice_draw(tail_eps))
+    backward_sample_into(u, c, cfg.target.sigma, z, rng, lattice_draw)
     for j, v in zip(block, z):
         x[j] = v
 
 
-def gibbs_step(
-    cfg: GibbsKleinConfig,
-    x: "list[int]",
-    rng: np.random.Generator,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-) -> None:
+def gibbs_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
     """Resample one uniformly chosen coordinate of x in place from its conditional."""
     i = int(rng.integers(cfg.basis.n))
     rest = [j for j in range(cfg.basis.n) if j != i]
-    _block_step(cfg, x, [i], rest, rng, tail_eps)
+    _block_step(cfg, x, [i], rest, rng)
 
 
-def gibbs_kernel_prob(
-    basis: LatticeBasis,
-    target: GaussianParams,
-    s_i,
-    s_j,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-) -> float:
+def gibbs_kernel_prob(basis: LatticeBasis, target: GaussianParams, s_i, s_j) -> float:
     """One-step transition probability of random-scan Gibbs from s_i to s_j.
 
     Zero beyond single-coordinate moves; the diagonal aggregates the
@@ -110,26 +97,15 @@ def gibbs_kernel_prob(
         return 0.0
     if diff.size == 1:
         k = int(diff[0])
-        return gibbs_conditional(basis, target, a, k, tail_eps).prob(int(b[k])) / n
-    return (
-        sum(
-            gibbs_conditional(basis, target, a, k, tail_eps).prob(int(a[k]))
-            for k in range(n)
-        )
-        / n
-    )
+        return gibbs_conditional(basis, target, a, k).prob(int(b[k])) / n
+    return sum(gibbs_conditional(basis, target, a, k).prob(int(a[k])) for k in range(n)) / n
 
 
-def gibbs_klein_step(
-    cfg: GibbsKleinConfig,
-    x: "list[int]",
-    rng: np.random.Generator,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-) -> None:
+def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
     """One blocked update in place: permute, Klein-sample the first block_size coordinates."""
     order = rng.permutation(cfg.basis.n).tolist()
     m = cfg.block_size
-    _block_step(cfg, x, order[:m], order[m:], rng, tail_eps)
+    _block_step(cfg, x, order[:m], order[m:], rng)
 
 
 def gibbs_klein_block_pmf(
@@ -137,7 +113,6 @@ def gibbs_klein_block_pmf(
     order,
     z_block_new: np.ndarray,
     z_rest: np.ndarray,
-    tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> float:
     """Exact probability the block pass outputs z_block_new given z_rest.
 
@@ -152,15 +127,10 @@ def gibbs_klein_block_pmf(
     order = check_permutation(order, cfg.basis.n)
     block, rest = order[:m], order[m:]
     u, c = block_conditional(cfg.gram, cfg.bc, dict(zip(rest, z_rest.tolist())), block, rest)
-    return backward_pmf(np.array(u), np.array(c), cfg.target.sigma, z_block_new, m, tail_eps)
+    return backward_pmf(np.array(u), np.array(c), cfg.target.sigma, z_block_new, m)
 
 
-def gibbs_klein_kernel_prob(
-    cfg: GibbsKleinConfig,
-    s_i,
-    s_j,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-) -> float:
+def gibbs_klein_kernel_prob(cfg: GibbsKleinConfig, s_i, s_j) -> float:
     """One-step Gibbs-Klein transition probability, averaged over ordered blocks.
 
     A uniform permutation's first m entries are a uniform ordered block, and
@@ -179,7 +149,7 @@ def gibbs_klein_kernel_prob(
         rest = [j for j in range(n) if j not in block]
         if all(a[j] == b[j] for j in rest):
             total += gibbs_klein_block_pmf(
-                cfg, [*block, *rest], [b[j] for j in block], [b[j] for j in rest], tail_eps
+                cfg, [*block, *rest], [b[j] for j in block], [b[j] for j in rest]
             )
     return total / len(blocks)
 
@@ -193,7 +163,6 @@ def run_chain(
     rng: np.random.Generator,
     *,
     block_size: "int | None" = None,
-    tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> np.ndarray:
     """Apply the chosen kernel `steps` times from x0.
 
@@ -214,7 +183,7 @@ def run_chain(
     states = np.empty((steps + 1, len(x)), dtype=np.int64)
     states[0] = x
     for t in range(1, steps + 1):
-        step(cfg, x, rng, tail_eps)
+        step(cfg, x, rng)
         states[t] = x
     return states
 
@@ -229,7 +198,6 @@ def gibbs_ensemble(
     *,
     record_at: "tuple[int, ...]" = (),
     pool_from: "int | None" = None,
-    tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> tuple[dict[int, np.ndarray], "dict[tuple, int] | None"]:
     """Run many independent Gibbs chains in lockstep, vectorized across chains.
 
@@ -255,7 +223,7 @@ def gibbs_ensemble(
                 continue
             col = basis.matrix[:, i]
             centers = x[rows, i] - (resid[rows] @ col) / col_nrm2[i]
-            new_vals = dg.sample_rows(alphas[i], centers, rng, tail_eps)
+            new_vals = dg.sample_rows(alphas[i], centers, rng)
             resid[rows] += np.outer(new_vals - x[rows, i], col)
             x[rows, i] = new_vals
         if t in record_at:

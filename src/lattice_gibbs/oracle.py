@@ -18,12 +18,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import dgauss1d as dg
-from .dgauss1d import DEFAULT_TAIL_EPS, Gaussian1DParams
+from .dgauss1d import TAIL_EPS, Gaussian1DParams
 from .klein import GaussianParams
 from .linalg import LatticeBasis, permute_basis
 
 MAX_ENUM_DIM = 6
 MAX_BLOCK_DIM = 4
+MAX_BOX_POINTS = 2_000_000  # about 0.5 GB of box rows, logits and tuples
 
 
 def _key(point) -> "int | tuple[int, ...]":
@@ -87,23 +88,30 @@ def enumeration_box(
 
 
 def enumerate_support(
-    basis: LatticeBasis, target: GaussianParams, tail_eps: float = DEFAULT_TAIL_EPS
+    basis: LatticeBasis, target: GaussianParams, tail_eps: float = TAIL_EPS
 ) -> DiscreteDistribution:
-    """Exact target distribution, normalized over the enumeration box."""
+    """Exact target distribution, normalized over the enumeration box.
+
+    Raises ValueError, before allocating anything, when the box holds more
+    than MAX_BOX_POINTS points.
+    """
     if basis.n > MAX_ENUM_DIM:
         raise ValueError(f"enumeration limited to n <= {MAX_ENUM_DIM}, got n = {basis.n}")
     if not (0.0 < tail_eps < 1.0):
         raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
     lo, hi = enumeration_box(basis, target, tail_eps)
+    count = math.prod(int(h) - int(l) + 1 for l, h in zip(lo, hi))
+    if count > MAX_BOX_POINTS:
+        raise ValueError(
+            f"enumeration box has {count} points, more than the {MAX_BOX_POINTS} allowed"
+        )
     axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
     grid = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grid], axis=1)
     resid = points @ basis.matrix.T - target.center
     logw = -np.einsum("ij,ij->i", resid, resid) / (2.0 * target.sigma**2)
     w = np.exp(logw - logw.max())
-    return DiscreteDistribution(
-        tuple(tuple(int(v) for v in row) for row in points), w / w.sum(), tail_eps
-    )
+    return DiscreteDistribution(tuple(map(tuple, points.tolist())), w / w.sum(), tail_eps)
 
 
 def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -143,7 +151,7 @@ def block_conditional_exact(
     order,
     m: int,
     z_rest: np.ndarray,
-    tail_eps: float = DEFAULT_TAIL_EPS,
+    tail_eps: float = TAIL_EPS,
 ) -> DiscreteDistribution:
     """Exact conditional of coordinates order[:m] given order[m:] = z_rest.
 
@@ -191,13 +199,13 @@ def single_flip_pairs(
     return [(p, q) for _, p, q in top]
 
 
-def _log_theta(r: float, sigma: float, shift: float, tail_eps: float = 1e-16) -> float:
-    """log of rho_sigma(r Z + shift) = log sum_k exp(-(r k + shift)^2 / 2 sigma^2)."""
-    alpha = sigma / abs(r)
-    center = -shift / r
-    sup = dg.support_bounds(Gaussian1DParams(alpha, center), tail_eps)
-    ks = np.arange(sup.lo, sup.hi + 1)
-    logw = -((ks - center) ** 2) / (2.0 * alpha * alpha)
+def _log_theta(r: float, sigma: float, shift: float) -> float:
+    """log of rho_sigma(r Z + shift) = log sum_k exp(-(r k + shift)^2 / 2 sigma^2),
+    summed over a window that omits less than 1e-16 of the mass."""
+    p = Gaussian1DParams(sigma / abs(r), -shift / r)
+    w = dg.truncation_halfwidth(p.alpha, 1e-16)
+    ks = np.arange(math.floor(p.center - w), math.ceil(p.center + w) + 1)
+    logw = -((ks - p.center) ** 2) / (2.0 * p.alpha * p.alpha)
     m = logw.max()
     return float(m + np.log(np.exp(logw - m).sum()))
 

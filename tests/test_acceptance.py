@@ -35,8 +35,8 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num}: {description}{suffix}"
 
 
-def exact_tv(sampler: KleinSampler, dist, window_eps=1e-6) -> float:
-    kp = klein_pmf_many(sampler, np.array(dist.support), window_eps)
+def exact_tv(sampler: KleinSampler, dist) -> float:
+    kp = klein_pmf_many(sampler, np.array(dist.support))
     return 0.5 * np.abs(kp - dist.probs).sum() + 0.5 * abs(1.0 - kp.sum())
 
 
@@ -56,7 +56,7 @@ def test_criterion_1_klein_exactness_and_failure():
     sigma_low = 0.2 * gram_schmidt_norms(skew).min()
     target_low = GaussianParams(sigma_low, np.array([0.5, 0.5]))
     dist_low = oracle.enumerate_support(skew, target_low, 1e-9)
-    tv_low = exact_tv(KleinSampler(skew, target_low), dist_low, 1e-9)
+    tv_low = exact_tv(KleinSampler(skew, target_low), dist_low)
     elapsed = time.time() - t0
     ok = worst <= 0.01 and tv_low >= 0.05 and elapsed < 10.0
     report(

@@ -178,6 +178,39 @@ class TestGoldenChains:
         assert digest == self.GOLDEN[(algo, m, seed)]
 
 
+class TestGoldenDiagnose:
+    # sha256 of the TV CSV and the exact stderr balance line, recorded before
+    # the 1-D tail cut became a module constant; pins the oracle, the ensemble
+    # streams and the kernel-probability sums.
+    GOLDEN = {
+        ("klein", None): (
+            "9a98bcdeccdd0b7ff657b4ca7163f0b21584fe71fff997d6b24f3148391837d2", ""),
+        ("gibbs", None): (
+            "4d2473e9d214caaa9ba5bde7a8e8bebee917c470d59a3799aaa1d1fff8b91a48",
+            "detailed_balance max_abs=2.081668e-17 max_rel=5.914349e-15 pairs=200\n"),
+        ("gibbs-klein", 1): (
+            "b2ffc1c076874e1473bcbfa86d77c5012b1428b2d131345f7bac6a7a0b913b59",
+            "detailed_balance max_abs=2.081668e-17 max_rel=5.914349e-15 pairs=200\n"),
+        ("gibbs-klein", 2): (
+            "9b8b660f630ce54d04b8338a54974c2a49f7fb51bcdb2965a6bf6ef078879342",
+            "detailed_balance max_abs=7.101820e-04 max_rel=6.395919e-02 pairs=200\n"),
+    }
+
+    @pytest.mark.parametrize("algo, m", sorted(GOLDEN, key=str))
+    def test_diagnose_csv_and_balance_line(self, tmp_path, capsys, algo, m):
+        basis = tmp_path / "b3.txt"
+        basis.write_text("3\n1 0.4 0.4\n0 1.3 0.4\n0 0 1.6\n")
+        out = str(tmp_path / "golden.csv")
+        argv = ["diagnose", "--basis", str(basis), "--algo", algo, "--sigma", "0.7",
+                "--center=0.3,-0.2,0.45", "--x0=2,-1,1", "--iters", "16",
+                "--chains", "200", "--seed", "5", "-o", out]
+        if m is not None:
+            argv += ["--block-size", str(m)]
+        assert run_cli(argv) == 0
+        digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+        assert (digest, capsys.readouterr().err) == self.GOLDEN[(algo, m)]
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("x0", ["nan,0.7", "1.5,2", "inf,0", "1,-inf", "1e30,0"])
     @pytest.mark.parametrize("command", ["sample", "diagnose"])
@@ -300,6 +333,33 @@ class TestDiagnoseCommand:
         )
         assert code != 0
         assert not os.path.exists(str(tmp_path / "x.csv"))
+
+    def test_oversized_box_rejected_without_output(self, tmp_path, capsys):
+        # 6-D identity at sigma 1: 25^6 box points, tens of GB if allocated
+        path = tmp_path / "id6.txt"
+        n = 6
+        lines = [str(n)] + [" ".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+        path.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "x.csv")
+        code = run_cli(["diagnose", "--basis", str(path), "--algo", "gibbs", "--sigma", "1.0",
+                        "--iters", "4", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "enumeration box has 244140625 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--iters", "0"], ["--iters", "4", "--checkpoints=0"]])
+    def test_bad_checkpoints_rejected_before_enumeration(self, skew2_file, tmp_path, capsys,
+                                                         monkeypatch, flags):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerate_support called before the checkpoint check")
+
+        monkeypatch.setattr(cli.oracle, "enumerate_support", never)
+        out = str(tmp_path / "x.csv")
+        code = run_cli(["diagnose", "--basis", skew2_file, "--algo", "gibbs", "--sigma", "1.0",
+                        *flags, "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "checkpoints must lie in [1, iters]" in capsys.readouterr().err
 
 
 class TestMimoCommand:

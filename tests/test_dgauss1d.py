@@ -22,7 +22,7 @@ def brute_force_pmf(alpha, center, k, width=60):
 
 class TestSupportBounds:
     def test_contains_standard_interval(self):
-        sup = dg.support_bounds(Gaussian1DParams(1.0, 0.0), 1e-12)
+        sup = dg.support_bounds(Gaussian1DParams(1.0, 0.0))
         # w = sqrt(2 ln(4e12)) + 1 ~ 8.6, so [-8, 8] must be covered
         assert sup.lo <= -8 and sup.hi >= 8
         w = dg.truncation_halfwidth(1.0, 1e-12)
@@ -31,19 +31,12 @@ class TestSupportBounds:
     @given(alphas, centers, st.integers(min_value=-100, max_value=100))
     @settings(max_examples=50, deadline=None)
     def test_translation_equivariance(self, alpha, c, k):
-        base = dg.support_bounds(Gaussian1DParams(alpha, c), 1e-9)
-        shifted = dg.support_bounds(Gaussian1DParams(alpha, c + k), 1e-9)
+        base = dg.support_bounds(Gaussian1DParams(alpha, c))
+        shifted = dg.support_bounds(Gaussian1DParams(alpha, c + k))
         assert shifted.lo == base.lo + k and shifted.hi == base.hi + k
 
     def test_smaller_eps_gives_superset(self):
-        p = Gaussian1DParams(2.0, 0.3)
-        a = dg.support_bounds(p, 1e-6)
-        b = dg.support_bounds(p, 1e-12)
-        assert b.lo <= a.lo and b.hi >= a.hi
-
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            dg.support_bounds(Gaussian1DParams(1.0, 0.0), 0.0)
+        assert dg.truncation_halfwidth(2.0, 1e-12) >= dg.truncation_halfwidth(2.0, 1e-6)
 
 
 class TestPmf:
@@ -120,6 +113,29 @@ class TestSample:
             emp = np.array([(draws == k).mean() for k in ks])
             tv = 0.5 * np.abs(emp - probs).sum() + 0.5 * (1 - emp.sum())
             assert tv <= tol
+
+
+BAD_ROWS = [
+    (0.0, [0.3], "alpha must be positive and finite"),
+    (-1.0, [0.3], "alpha must be positive and finite"),
+    (math.nan, [0.3], "alpha must be positive and finite"),
+    (math.inf, [0.3], "alpha must be positive and finite"),
+    (1.0, [math.nan], "center must be finite"),
+    (1.0, [0.2, math.inf], "center must be finite"),
+    (1.0, [-math.inf, 0.0], "center must be finite"),
+]
+
+
+@pytest.mark.parametrize("alpha, centers, message", BAD_ROWS)
+def test_sample_rows_rejects_bad_inputs(alpha, centers, message):
+    with pytest.raises(ValueError, match=message):
+        dg.sample_rows(alpha, np.array(centers), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha, centers, message", BAD_ROWS)
+def test_pmf_rows_rejects_bad_inputs(alpha, centers, message):
+    with pytest.raises(ValueError, match=message):
+        dg.pmf_rows(alpha, np.array(centers), np.zeros(len(centers)))
 
 
 def test_pmf_rows_matches_scalar_pmf():

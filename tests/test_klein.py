@@ -22,10 +22,10 @@ from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms
 from conftest import make_random_basis
 
 
-def exact_tv_vs_oracle(sampler, dist, window_eps=1e-9):
+def exact_tv_vs_oracle(sampler, dist):
     """TV between the sampler's exact pmf and an enumerated distribution."""
     pts = np.array(dist.support)
-    kp = klein_pmf_many(sampler, pts, window_eps)
+    kp = klein_pmf_many(sampler, pts)
     return 0.5 * np.abs(kp - dist.probs).sum() + 0.5 * abs(1.0 - kp.sum())
 
 
@@ -65,7 +65,7 @@ class TestKleinSample:
         draws = klein_sample_many(s, 100_000, np.random.default_rng(8))
         emp = oracle.empirical_from_states(draws)
         box = oracle.enumerate_support(basis, s.params, 1e-6)
-        kp = klein_pmf_many(s, np.array(box.support), 1e-9)
+        kp = klein_pmf_many(s, np.array(box.support))
         exact = oracle.DiscreteDistribution(box.support, kp / kp.sum(), 0.0)
         assert oracle.tv_distance(emp, exact) <= 0.015
 
@@ -98,7 +98,7 @@ class TestKleinPmf:
         basis = LatticeBasis.from_matrix(np.diag([2.0, 0.5, 1.25]))
         target = GaussianParams(0.8, np.array([0.3, -0.4, 0.9]))
         exact = oracle.enumerate_support(basis, target, 1e-12)
-        kp = klein_pmf_many(KleinSampler(basis, target), np.array(exact.support), 1e-12)
+        kp = klein_pmf_many(KleinSampler(basis, target), np.array(exact.support))
         assert np.abs(kp - exact.probs).max() <= 1e-10
 
     def test_tv_non_increasing_in_sigma(self):
@@ -112,7 +112,7 @@ class TestKleinPmf:
             for mult in (0.5, 1.0, 2.0, 4.0):
                 target = GaussianParams(mult * scale, center)
                 exact = oracle.enumerate_support(basis, target, 1e-5)
-                tvs.append(exact_tv_vs_oracle(KleinSampler(basis, target), exact, 1e-6))
+                tvs.append(exact_tv_vs_oracle(KleinSampler(basis, target), exact))
             for lo, hi in zip(tvs[1:], tvs[:-1]):
                 assert lo <= hi + 1e-3
             assert tvs[-1] <= 0.01

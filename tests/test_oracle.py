@@ -66,6 +66,21 @@ class TestEnumerateSupport:
                 LatticeBasis.identity(7), GaussianParams(1.0, np.zeros(7))
             )
 
+    def test_bad_eps(self):
+        with pytest.raises(ValueError):
+            oracle.enumerate_support(
+                LatticeBasis.identity(1), GaussianParams(1.0, np.zeros(1)), 0.0
+            )
+
+    def test_box_cap_raises_before_allocating(self, monkeypatch):
+        # 6-D identity at sigma 1: about 2.4e8 box points, tens of GB if built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("meshgrid called for an oversized box")
+
+        monkeypatch.setattr(oracle.np, "meshgrid", no_grid)
+        with pytest.raises(ValueError, match="enumeration box has 244140625 points"):
+            oracle.enumerate_support(LatticeBasis.identity(6), GaussianParams(1.0, np.zeros(6)))
+
 
 class TestTvDistance:
     def test_self_is_zero(self, basis_2d):
