@@ -5,7 +5,7 @@ MCMC kernels, an exact enumeration oracle for validation, and an uncoded MIMO
 decoding benchmark, all behind a deterministic seeded CLI.
 """
 
-from .dgauss1d import Gaussian1DParams, IntegerSupport
+from .dgauss1d import Gaussian1DParams
 from .klein import GaussianParams, KleinSampler, klein_pmf, klein_sample, klein_sigma_default
 from .linalg import LatticeBasis, load_basis
 from .mcmc import GibbsKleinConfig, run_chain
@@ -19,7 +19,6 @@ __all__ = [
     "Gaussian1DParams",
     "GaussianParams",
     "GibbsKleinConfig",
-    "IntegerSupport",
     "KleinSampler",
     "LatticeBasis",
     "MimoConfig",

@@ -108,14 +108,11 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.burn_in < 0:
         raise ValueError("--burn-in must be >= 0")
     target = GaussianParams(args.sigma, _parse_vector(args.center, n, "--center"))
-    x0 = _parse_vector(args.x0, n, "--x0")
-    if not (np.isfinite(x0) & (x0 == np.round(x0)) & (np.abs(x0) < 2.0**63)).all():
-        raise ValueError(f"--x0 entries must be integers, got {args.x0}")
     return RunConfig(
         basis=basis,
         algorithm=args.algo,
         target=target,
-        x0=x0.astype(np.int64),
+        x0=mcmc.start_state(_parse_vector(args.x0, n, "--x0"), n),
         block_size=args.block_size,
         iterations=args.iters,
         chains=args.chains,

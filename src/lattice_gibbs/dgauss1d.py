@@ -34,31 +34,15 @@ class Gaussian1DParams:
             raise ValueError(f"center must be finite, got {self.center}")
 
 
-@dataclass(frozen=True)
-class IntegerSupport:
-    """Closed integer window [lo, hi] carrying all but `omitted_mass_bound`."""
-
-    lo: int
-    hi: int
-    omitted_mass_bound: float
-
-
 def truncation_halfwidth(alpha: float, tail_eps: float) -> float:
     return alpha * math.sqrt(2.0 * math.log(4.0 / tail_eps)) + 1.0
 
 
-def support_bounds(p: Gaussian1DParams) -> IntegerSupport:
-    """Integer window around the center whose complement has mass < TAIL_EPS."""
-    w = truncation_halfwidth(p.alpha, TAIL_EPS)
-    return IntegerSupport(
-        lo=math.floor(p.center - w), hi=math.ceil(p.center + w), omitted_mass_bound=TAIL_EPS
-    )
-
-
 def pmf_table(p: Gaussian1DParams) -> tuple[np.ndarray, np.ndarray]:
-    """Support points and normalized probabilities over the truncated window."""
-    sup = support_bounds(p)
-    ks = np.arange(sup.lo, sup.hi + 1)
+    """Support points and normalized probabilities over the window
+    [floor(c - w), ceil(c + w)], whose omitted mass is below TAIL_EPS."""
+    w = truncation_halfwidth(p.alpha, TAIL_EPS)
+    ks = np.arange(math.floor(p.center - w), math.ceil(p.center + w) + 1)
     logw = -((ks - p.center) ** 2) / (2.0 * p.alpha * p.alpha)
     w = np.exp(logw - logw.max())
     return ks, w / w.sum()
@@ -104,12 +88,16 @@ def pmf_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarra
     values = np.asarray(values)
     w = truncation_halfwidth(alpha, TAIL_EPS)
     half = int(math.ceil(w))
-    offs = np.arange(-half, half + 1)
-    ks = np.round(centers)[:, None] + offs[None, :]
-    dev = ks - centers[:, None]
-    logw = -(dev * dev) / (2.0 * alpha * alpha)
-    m = logw.max(axis=1)
-    z = np.exp(logw - m[:, None]).sum(axis=1)
+    # The window is round(c) + offs. frac = c - round(c) is exact, so offs - frac
+    # equals (round(c) + offs) - c bit for bit, and |frac| <= 1/2 puts the peak
+    # log-weight m at offset 0. The normaliser is built in one (S, W) buffer.
+    frac = centers - np.round(centers)
+    m = -(frac * frac) / (2.0 * alpha * alpha)
+    buf = np.subtract(np.arange(-half, half + 1), frac[:, None])
+    np.multiply(buf, buf, out=buf)
+    np.divide(buf, -(2.0 * alpha * alpha), out=buf)
+    np.subtract(buf, m[:, None], out=buf)
+    z = np.exp(buf, out=buf).sum(axis=1)
     dv = values - centers
     pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
     return np.where(np.abs(dv) <= w + 0.5, pv, 0.0)

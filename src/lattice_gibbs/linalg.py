@@ -76,10 +76,6 @@ class LatticeBasis:
     def identity(cls, n: int) -> "LatticeBasis":
         return cls.from_matrix(np.eye(n))
 
-    def point(self, x: np.ndarray) -> np.ndarray:
-        """Lattice point B @ x for an integer coefficient vector."""
-        return self.matrix @ np.asarray(x, dtype=float)
-
 
 def gram_schmidt_norms(basis: LatticeBasis) -> np.ndarray:
     """Norms of the Gram-Schmidt orthogonalized basis vectors, i.e. |r_ii|."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dgauss1d as dg
-from .dgauss1d import TAIL_EPS, Gaussian1DParams
+from .dgauss1d import Gaussian1DParams
 from .klein import GaussianParams, backward_pmf, backward_sample_into, block_conditional
 from .klein import lattice_draw
 from .linalg import LatticeBasis, check_permutation
@@ -47,18 +47,27 @@ class GibbsKleinConfig:
         object.__setattr__(self, "bc", (b.T @ self.target.center).tolist())
 
 
-def gibbs_conditional(
-    basis: LatticeBasis,
-    target: GaussianParams,
-    x: np.ndarray,
-    i: int,
-) -> DiscreteDistribution:
-    """P(x_i | x_[-i]) as an explicit distribution over the truncated support."""
+def start_state(x0, n: int) -> np.ndarray:
+    """x0 as an (n,) int64 row; a wrong length or a non-integer entry raises ValueError.
+
+    The messages name the CLI's --x0 flag, which this check also serves.
+    """
+    x = np.asarray(x0)
+    if x.shape != (n,):
+        raise ValueError(f"--x0 must have {n} entries, got shape {x.shape}")
+    if not np.issubdtype(x.dtype, np.integer):
+        x = x.astype(float)
+        if not (np.isfinite(x) & (x == np.round(x)) & (np.abs(x) < 2.0**63)).all():
+            raise ValueError(f"--x0 entries must be integers, got {x0}")
+    return x.astype(np.int64)
+
+
+def gibbs_conditional(basis: LatticeBasis, target: GaussianParams, x, i: int) -> Gaussian1DParams:
+    """P(x_i | x_[-i]): a 1-D discrete Gaussian, evaluated by `dg.pmf`."""
     cfg = GibbsKleinConfig(basis, target, 1)
     rest = [j for j in range(basis.n) if j != i]
     (u,), (c,) = block_conditional(cfg.gram, cfg.bc, np.asarray(x, float).tolist(), [i], rest)
-    ks, probs = dg.pmf_table(Gaussian1DParams(target.sigma / u[0], c / u[0]))
-    return DiscreteDistribution(tuple(int(k) for k in ks), probs, TAIL_EPS)
+    return Gaussian1DParams(target.sigma / u[0], c / u[0])
 
 
 def _block_step(
@@ -97,8 +106,8 @@ def gibbs_kernel_prob(basis: LatticeBasis, target: GaussianParams, s_i, s_j) -> 
         return 0.0
     if diff.size == 1:
         k = int(diff[0])
-        return gibbs_conditional(basis, target, a, k).prob(int(b[k])) / n
-    return sum(gibbs_conditional(basis, target, a, k).prob(int(a[k])) for k in range(n)) / n
+        return dg.pmf(gibbs_conditional(basis, target, a, k), int(b[k])) / n
+    return sum(dg.pmf(gibbs_conditional(basis, target, a, k), int(a[k])) for k in range(n)) / n
 
 
 def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
@@ -179,7 +188,7 @@ def run_chain(
         step, cfg = gibbs_klein_step, GibbsKleinConfig(basis, target, block_size)
     else:
         raise ValueError(f"unknown kernel {kernel!r} (expected 'gibbs' or 'gibbs-klein')")
-    x = [int(v) for v in x0]
+    x = start_state(x0, basis.n).tolist()
     states = np.empty((steps + 1, len(x)), dtype=np.int64)
     states[0] = x
     for t in range(1, steps + 1):
@@ -198,21 +207,23 @@ def gibbs_ensemble(
     *,
     record_at: "tuple[int, ...]" = (),
     pool_from: "int | None" = None,
-) -> tuple[dict[int, np.ndarray], "dict[tuple, int] | None"]:
+) -> tuple[dict[int, np.ndarray], "DiscreteDistribution | None"]:
     """Run many independent Gibbs chains in lockstep, vectorized across chains.
 
     Same kernel as `gibbs_step`, grouped by chosen coordinate per step so the
     1-D draws batch. Returns snapshots of the (n_chains, n) state array at the
-    requested times and, if `pool_from` is set, pooled state counts over all
-    steps t > pool_from.
+    requested times and, if `pool_from` is set, the law of the states pooled
+    over all chains and all steps t > pool_from.
     """
     n = basis.n
-    x = np.tile(np.asarray(x0, dtype=np.int64), (n_chains, 1))
+    if pool_from is not None and pool_from >= steps:
+        raise ValueError(f"pool_from must be below steps = {steps}, got {pool_from}")
+    x = np.tile(start_state(x0, n), (n_chains, 1))
     col_nrm2 = np.einsum("ij,ij->j", basis.matrix, basis.matrix)
     alphas = target.sigma / np.sqrt(col_nrm2)
     resid = x @ basis.matrix.T - target.center  # running Bx - c per chain
     snapshots: dict[int, np.ndarray] = {}
-    pooled: "dict[tuple, int] | None" = {} if pool_from is not None else None
+    pool = []  # (distinct states, counts) of each pooled step
     if 0 in record_at:
         snapshots[0] = x.copy()
     for t in range(1, steps + 1):
@@ -228,9 +239,10 @@ def gibbs_ensemble(
             x[rows, i] = new_vals
         if t in record_at:
             snapshots[t] = x.copy()
-        if pooled is not None and t > pool_from:
-            uniq, counts = np.unique(x, axis=0, return_counts=True)
-            for row, cnt in zip(uniq, counts):
-                key = tuple(int(v) for v in row)
-                pooled[key] = pooled.get(key, 0) + int(cnt)
-    return snapshots, pooled
+        if pool_from is not None and t > pool_from:
+            pool.append(np.unique(x, axis=0, return_counts=True))
+    if pool_from is None:
+        return snapshots, None
+    rows, inverse = np.unique(np.concatenate([u for u, _ in pool]), axis=0, return_inverse=True)
+    counts = np.bincount(inverse.ravel(), weights=np.concatenate([c for _, c in pool]))
+    return snapshots, DiscreteDistribution(rows, counts / counts.sum())

@@ -308,9 +308,9 @@ def _decode_checkpoints(
     """
     if strategy not in SAMPLER_DECODERS:
         raise ValueError(f"unknown sampler strategy {strategy!r}")
-    if strategy == "gibbs-klein" and block_size is None:
-        raise ValueError("gibbs-klein decoding requires block_size")
     n = len(lat.gt)
+    if strategy == "gibbs-klein" and not (block_size is not None and 1 <= block_size <= n):
+        raise ValueError(f"gibbs-klein decoding needs a block size in [1, {n}], got {block_size}")
     sigma, cols, gram = lat.sigma, lat.cols, lat.gram
     k, resid = lat.k_zf[:], lat.resid_zf
     best_k, best_cost = lat.k_zf, lat.cost_zf

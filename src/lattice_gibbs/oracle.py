@@ -1,9 +1,10 @@
 """Exact ground truth on small lattices: enumeration, TV distance, balance checks.
 
-Everything here is brute force by design. The enumeration box comes from the
-coefficient-space picture: x - B^-1 c = B^-1 (Bx - c), so a lattice point
-within distance R of the center has |x_i - (B^-1 c)_i| <= ||row_i(B^-1)|| R.
-Choosing R = sigma (sqrt(2 ln(4/eps)) + sqrt(n)) makes the mass beyond the box
+Everything here is brute force by design; every law is unique (S, n) int64
+rows with their probabilities. The enumeration box comes from the coefficient-
+space picture: x - B^-1 c = B^-1 (Bx - c), so a lattice point within distance
+R of the center has |x_i - (B^-1 c)_i| <= ||row_i(B^-1)|| R. Choosing
+R = sigma (sqrt(2 ln(4/eps)) + sqrt(n)) makes the mass beyond the box
 negligible relative to eps, which the self-consistency tests confirm.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,42 +25,57 @@ from .linalg import LatticeBasis, permute_basis
 
 MAX_ENUM_DIM = 6
 MAX_BLOCK_DIM = 4
-MAX_BOX_POINTS = 2_000_000  # about 0.5 GB of box rows, logits and tuples
+MAX_BOX_POINTS = 2_000_000  # about 0.5 GB of box rows, logits and index
 
 
-def _key(point) -> "int | tuple[int, ...]":
-    if np.isscalar(point) or isinstance(point, (int, np.integer)):
-        return int(point)
-    return tuple(int(v) for v in point)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each int64 row's bytes as one scalar, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite support -> probability map with an omitted-mass certificate."""
+    """A finite law on Z^n: unique (S, n) int64 rows and their (S,) probabilities.
 
-    support: tuple
+    The row keys are sorted once, so every lookup is a binary search.
+    """
+
+    support: np.ndarray
     probs: np.ndarray
-    omitted_mass_bound: float
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)  # sorted row keys
+    _order: np.ndarray = field(init=False, repr=False, compare=False)  # their support rows
 
     def __post_init__(self) -> None:
+        support = np.asarray(self.support, dtype=np.int64)
         probs = np.asarray(self.probs, dtype=float)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        if len(self.support) != probs.shape[0]:
-            raise ValueError("support and probs length mismatch")
+        if support.ndim != 2 or support.shape[0] == 0 or probs.shape != support.shape[:1]:
+            raise ValueError("support must be a non-empty (S, n) array of rows, one per prob")
+        order = np.argsort(_row_keys(support), kind="stable")
+        keys = _row_keys(support)[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("support rows must be unique")
+        for a in (support, probs):
+            a.setflags(write=False)
+        vars(self).update(support=support, probs=probs, _keys=keys, _order=order)
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.probs))
+    def locate(self, rows) -> np.ndarray:
+        """Support index of each row of an (m, n) integer array; -1 for an absent row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.support.shape[1]:
+            raise ValueError(f"rows must have width {self.support.shape[1]}, not {rows.shape}")
+        keys = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, self._order[pos], -1)
+
+    def probs_of(self, rows) -> np.ndarray:
+        """Probability of each row of an (m, n) integer array; 0.0 off the support."""
+        idx = self.locate(rows)
+        return np.where(idx >= 0, self.probs[idx], 0.0)
 
     def prob(self, point) -> float:
-        try:
-            idx = self.support.index(_key(point))
-        except ValueError:
-            return 0.0
-        return float(self.probs[idx])
-
-    def mode(self):
-        return self.support[int(np.argmax(self.probs))]
+        """Probability of one integer row; 0.0 for a row outside the support."""
+        return float(self.probs_of(np.reshape(point, (1, -1)))[0])
 
 
 @dataclass(frozen=True)
@@ -69,37 +85,25 @@ class BalanceReport:
     pairs_checked: int
 
 
-def from_weights(support: Iterable, weights: np.ndarray, omitted_mass_bound: float = 0.0):
-    w = np.asarray(weights, dtype=float)
-    return DiscreteDistribution(tuple(_key(p) for p in support), w / w.sum(), omitted_mass_bound)
+def enumerate_support(
+    basis: LatticeBasis, target: GaussianParams, tail_eps: float = TAIL_EPS
+) -> DiscreteDistribution:
+    """Exact target distribution over the enumeration box, rows in lexicographic order.
 
-
-def enumeration_box(
-    basis: LatticeBasis, target: GaussianParams, tail_eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate integer bounds (lo, hi) covering all but ~tail_eps mass."""
+    The box (module docstring, widened by 1) omits mass negligible relative to
+    tail_eps. Raises ValueError, before allocating anything, when it holds
+    more than MAX_BOX_POINTS points.
+    """
+    if basis.n > MAX_ENUM_DIM:
+        raise ValueError(f"enumeration limited to n <= {MAX_ENUM_DIM}, got n = {basis.n}")
+    if not (0.0 < tail_eps < 1.0):
+        raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
     b_inv = np.linalg.inv(basis.matrix)
     center_coeff = b_inv @ target.center
     radius = target.sigma * (math.sqrt(2.0 * math.log(4.0 / tail_eps)) + math.sqrt(basis.n))
     halfwidth = np.linalg.norm(b_inv, axis=1) * radius + 1.0
     lo = np.floor(center_coeff - halfwidth).astype(np.int64)
     hi = np.ceil(center_coeff + halfwidth).astype(np.int64)
-    return lo, hi
-
-
-def enumerate_support(
-    basis: LatticeBasis, target: GaussianParams, tail_eps: float = TAIL_EPS
-) -> DiscreteDistribution:
-    """Exact target distribution, normalized over the enumeration box.
-
-    Raises ValueError, before allocating anything, when the box holds more
-    than MAX_BOX_POINTS points.
-    """
-    if basis.n > MAX_ENUM_DIM:
-        raise ValueError(f"enumeration limited to n <= {MAX_ENUM_DIM}, got n = {basis.n}")
-    if not (0.0 < tail_eps < 1.0):
-        raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
-    lo, hi = enumeration_box(basis, target, tail_eps)
     count = math.prod(int(h) - int(l) + 1 for l, h in zip(lo, hi))
     if count > MAX_BOX_POINTS:
         raise ValueError(
@@ -111,19 +115,22 @@ def enumerate_support(
     resid = points @ basis.matrix.T - target.center
     logw = -np.einsum("ij,ij->i", resid, resid) / (2.0 * target.sigma**2)
     w = np.exp(logw - logw.max())
-    return DiscreteDistribution(tuple(map(tuple, points.tolist())), w / w.sum(), tail_eps)
+    return DiscreteDistribution(points, w / w.sum())
 
 
 def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Half the L1 distance over the union support (missing entries are 0)."""
-    dp, dq = p.as_dict(), q.as_dict()
-    return 0.5 * sum(abs(dp.get(s, 0.0) - dq.get(s, 0.0)) for s in dp.keys() | dq.keys())
+    """Half the L1 distance; a row outside one law's support has probability 0 there."""
+    idx = q.locate(p.support)
+    q_outside_p = np.ones(q.probs.shape, dtype=bool)
+    q_outside_p[idx[idx >= 0]] = False
+    q_at_p = np.where(idx >= 0, q.probs[idx], 0.0)
+    return 0.5 * float(np.abs(p.probs - q_at_p).sum() + q.probs[q_outside_p].sum())
 
 
 def empirical_from_states(states: np.ndarray) -> DiscreteDistribution:
     """Frequency distribution of an (N, n) array of integer state rows."""
     uniq, counts = np.unique(np.asarray(states, dtype=np.int64), axis=0, return_counts=True)
-    return from_weights([tuple(int(v) for v in row) for row in uniq], counts.astype(float))
+    return DiscreteDistribution(uniq, counts / counts.sum())
 
 
 def detailed_balance_residual(
@@ -132,11 +139,11 @@ def detailed_balance_residual(
     pair_set: Sequence[tuple],
 ) -> BalanceReport:
     """Worst-case |D(s_i)P(s_i;s_j) - D(s_j)P(s_j;s_i)| over the given pairs."""
-    max_abs = 0.0
-    max_rel = 0.0
-    for s_i, s_j in pair_set:
-        flow_ij = target.prob(s_i) * kernel_prob(s_i, s_j)
-        flow_ji = target.prob(s_j) * kernel_prob(s_j, s_i)
+    d = target.probs_of(np.reshape(pair_set, (-1, target.support.shape[1]))).tolist()
+    max_abs = max_rel = 0.0
+    for (s_i, s_j), p_i, p_j in zip(pair_set, d[0::2], d[1::2]):
+        flow_ij = p_i * kernel_prob(s_i, s_j)
+        flow_ji = p_j * kernel_prob(s_j, s_i)
         residual = abs(flow_ij - flow_ji)
         max_abs = max(max_abs, residual)
         scale = max(flow_ij, flow_ji)
@@ -183,8 +190,8 @@ def single_flip_pairs(
     Ordered by joint probability (descending) so a capped prefix covers the
     most relevant transitions first.
     """
-    pts = [p if isinstance(p, tuple) else (p,) for p in dist.support]
-    weight = dict(zip(pts, dist.probs))
+    pts = list(map(tuple, dist.support.tolist()))
+    weight = dict(zip(pts, dist.probs.tolist()))
     groups: dict[tuple, list[tuple]] = {}
     for p in pts:
         for i in range(len(p)):

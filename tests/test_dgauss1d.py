@@ -22,18 +22,18 @@ def brute_force_pmf(alpha, center, k, width=60):
 
 class TestSupportBounds:
     def test_contains_standard_interval(self):
-        sup = dg.support_bounds(Gaussian1DParams(1.0, 0.0))
+        ks, _ = dg.pmf_table(Gaussian1DParams(1.0, 0.0))
         # w = sqrt(2 ln(4e12)) + 1 ~ 8.6, so [-8, 8] must be covered
-        assert sup.lo <= -8 and sup.hi >= 8
+        assert ks[0] <= -8 and ks[-1] >= 8
         w = dg.truncation_halfwidth(1.0, 1e-12)
         assert 8.0 < w < 9.5
 
     @given(alphas, centers, st.integers(min_value=-100, max_value=100))
     @settings(max_examples=50, deadline=None)
     def test_translation_equivariance(self, alpha, c, k):
-        base = dg.support_bounds(Gaussian1DParams(alpha, c))
-        shifted = dg.support_bounds(Gaussian1DParams(alpha, c + k))
-        assert shifted.lo == base.lo + k and shifted.hi == base.hi + k
+        base, _ = dg.pmf_table(Gaussian1DParams(alpha, c))
+        shifted, _ = dg.pmf_table(Gaussian1DParams(alpha, c + k))
+        assert shifted[0] == base[0] + k and shifted[-1] == base[-1] + k
 
     def test_smaller_eps_gives_superset(self):
         assert dg.truncation_halfwidth(2.0, 1e-12) >= dg.truncation_halfwidth(2.0, 1e-6)
@@ -146,3 +146,28 @@ def test_pmf_rows_matches_scalar_pmf():
     for i in range(4):
         scalar = dg.pmf(Gaussian1DParams(alpha, centers[i]), int(values[i]))
         assert batch[i] == pytest.approx(scalar, abs=1e-12)
+
+
+def reduced_peak_pmf_rows(alpha, centers, values):
+    """The straightforward evaluation: full window table, peak found by a max."""
+    w = dg.truncation_halfwidth(alpha, dg.TAIL_EPS)
+    half = int(math.ceil(w))
+    ks = np.round(centers)[:, None] + np.arange(-half, half + 1)[None, :]
+    dev = ks - centers[:, None]
+    logw = -(dev * dev) / (2.0 * alpha * alpha)
+    m = logw.max(axis=1)
+    z = np.exp(logw - m[:, None]).sum(axis=1)
+    dv = values - centers
+    pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
+    return np.where(np.abs(dv) <= w + 0.5, pv, 0.0)
+
+
+def test_pmf_rows_bitwise_equals_reduced_peak_evaluation():
+    # the in-place normaliser and the offset-0 peak change no output bit,
+    # including half-integer centers where two window points tie for the peak
+    centers = np.concatenate([np.linspace(-7.5, 7.5, 61), [0.5, -0.5, 2.5, 1e-17, 1e6 + 0.3]])
+    for alpha in (0.05, 0.3, 1.0, 2.7, 9.0, 40.0):
+        for shift in range(-int(4 * alpha) - 2, int(4 * alpha) + 3):
+            values = np.round(centers) + shift
+            got = dg.pmf_rows(alpha, centers, values)
+            assert np.array_equal(got, reduced_peak_pmf_rows(alpha, centers, values)), alpha

@@ -53,7 +53,7 @@ class TestKleinSample:
         emp = oracle.empirical_from_states(draws)
         box = oracle.enumerate_support(basis_2d, s.params, 1e-9)
         kp = klein_pmf_many(s, np.array(box.support))
-        exact = oracle.DiscreteDistribution(box.support, kp / kp.sum(), 0.0)
+        exact = oracle.DiscreteDistribution(box.support, kp / kp.sum())
         assert oracle.tv_distance(emp, exact) <= 0.01
 
     def test_empirical_matches_pmf_3d(self):
@@ -66,7 +66,7 @@ class TestKleinSample:
         emp = oracle.empirical_from_states(draws)
         box = oracle.enumerate_support(basis, s.params, 1e-6)
         kp = klein_pmf_many(s, np.array(box.support))
-        exact = oracle.DiscreteDistribution(box.support, kp / kp.sum(), 0.0)
+        exact = oracle.DiscreteDistribution(box.support, kp / kp.sum())
         assert oracle.tv_distance(emp, exact) <= 0.015
 
     def test_sample_many_agrees_with_scalar_path(self, basis_2d):

@@ -32,11 +32,11 @@ class TestGibbsConditional:
             cond = mcmc.gibbs_conditional(basis, target, np.array([9, other]), 1)
             ks, probs = dg.pmf_table(Gaussian1DParams(1.2, -0.8))
             for k, p in zip(ks, probs):
-                assert cond.prob(int(k)) == pytest.approx(p, abs=1e-14)
+                assert dg.pmf(cond, int(k)) == pytest.approx(p, abs=1e-14)
 
     def test_sums_to_one(self, basis_2d, target_2d):
         cond = mcmc.gibbs_conditional(basis_2d, target_2d, np.array([2, -1]), 0)
-        assert abs(cond.probs.sum() - 1.0) <= 1e-12
+        assert abs(dg.pmf_table(cond)[1].sum() - 1.0) <= 1e-12
 
     def test_matches_oracle_slice(self, basis_2d):
         # first coordinate free, second fixed at 1, against the renormalized
@@ -49,7 +49,7 @@ class TestGibbsConditional:
         }
         total = sum(slice_probs.values())
         tv = 0.5 * sum(
-            abs(cond.prob(k) - v / total) for k, v in slice_probs.items()
+            abs(dg.pmf(cond, int(k)) - v / total) for k, v in slice_probs.items()
         )
         assert tv <= 1e-10
 
@@ -106,7 +106,7 @@ class TestGibbsKernelProb:
             total = mcmc.gibbs_kernel_prob(basis_2d, target_2d, s, s)
             for i in range(2):
                 cond = mcmc.gibbs_conditional(basis_2d, target_2d, np.array(s), i)
-                for k in cond.support:
+                for k in dg.pmf_table(cond)[0].tolist():
                     if k != s[i]:
                         dest = list(s)
                         dest[i] = k
@@ -140,7 +140,7 @@ class TestGibbsKlein:
         cond = mcmc.gibbs_conditional(permuted, target_2d, np.array([0, 1]), 0)
         for k in range(-3, 4):
             block = mcmc.gibbs_klein_block_pmf(cfg, order, np.array([k]), z_rest)
-            assert block == pytest.approx(cond.prob(k), abs=1e-12)
+            assert block == pytest.approx(dg.pmf(cond, k), abs=1e-12)
 
     def test_block_pmf_sums_to_one(self, rng):
         basis = make_random_basis(rng, 3)
@@ -331,4 +331,48 @@ class TestGibbsEnsemble:
             np.random.default_rng(0),
             pool_from=pool_from,
         )
-        assert sum(pooled.values()) == n_chains * (steps - pool_from)
+        counts = pooled.probs * (n_chains * (steps - pool_from))
+        assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-6)
+        assert np.round(counts).sum() == n_chains * (steps - pool_from)
+        assert pooled.support.shape[1] == 2
+
+    def test_pooled_law_matches_recorded_states(self, basis_2d, target_2d):
+        # pooling every step from t = 1 gives the law of all recorded snapshots
+        steps = 6
+        snaps, pooled = mcmc.gibbs_ensemble(
+            basis_2d, target_2d, (2, -1), 300, steps, np.random.default_rng(4),
+            record_at=tuple(range(1, steps + 1)), pool_from=0,
+        )
+        direct = oracle.empirical_from_states(np.concatenate(list(snaps.values())))
+        assert pooled.support.tolist() == direct.support.tolist()
+        assert np.allclose(pooled.probs, direct.probs, rtol=1e-15, atol=0.0)
+
+    def test_pool_from_must_leave_a_step(self, basis_2d, target_2d, rng):
+        with pytest.raises(ValueError, match="pool_from"):
+            mcmc.gibbs_ensemble(basis_2d, target_2d, (0, 0), 10, 5, rng, pool_from=5)
+
+
+class TestStartState:
+    @pytest.mark.parametrize("x0", [(1, 2, 3), (1,), [[1, 2]]])
+    def test_wrong_length_rejected(self, basis_2d, target_2d, rng, x0):
+        with pytest.raises(ValueError, match="--x0 must have 2 entries"):
+            mcmc.run_chain("gibbs", basis_2d, target_2d, x0, 3, rng)
+        with pytest.raises(ValueError, match="--x0 must have 2 entries"):
+            mcmc.gibbs_ensemble(basis_2d, target_2d, x0, 4, 3, rng)
+
+    @pytest.mark.parametrize("x0", [(0.7, 2), (np.nan, 0), (1, np.inf), (1e30, 0)])
+    def test_non_integer_entry_rejected(self, basis_2d, target_2d, rng, x0):
+        for run in (
+            lambda: mcmc.run_chain("gibbs", basis_2d, target_2d, x0, 3, rng),
+            lambda: mcmc.run_chain("gibbs-klein", basis_2d, target_2d, x0, 3, rng, block_size=1),
+            lambda: mcmc.gibbs_ensemble(basis_2d, target_2d, x0, 4, 3, rng),
+        ):
+            with pytest.raises(ValueError, match="--x0 entries must be integers"):
+                run()
+
+    def test_integral_floats_and_big_ints_accepted(self, basis_2d, target_2d):
+        a = mcmc.run_chain("gibbs", basis_2d, target_2d, (3.0, -2.0), 5, np.random.default_rng(1))
+        b = mcmc.run_chain("gibbs", basis_2d, target_2d, (3, -2), 5, np.random.default_rng(1))
+        assert np.array_equal(a, b)
+        big = np.array([2**62 + 1, 0], dtype=np.int64)
+        assert mcmc.start_state(big, 2)[0] == 2**62 + 1

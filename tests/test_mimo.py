@@ -119,7 +119,7 @@ class TestBaselineDecoders:
             dist = oracle.enumerate_support(
                 LatticeBasis.from_matrix(g), GaussianParams(1.0, t), 1e-6
             )
-            mode_k = np.array(dist.mode())
+            mode_k = dist.support[np.argmax(dist.probs)]
             if np.all(mode_k >= 0) & np.all(mode_k <= 3):
                 assert np.allclose(mimo._coeffs_to_symbols(mode_k), ml)
 
@@ -255,6 +255,17 @@ class TestSamplerDecode:
         h, _, y = mimo.generate_instance(cfg, rng)
         with pytest.raises(ValueError):
             mimo.sampler_decode(h, y, "gibbs-klein", 1, rng)
+
+    @pytest.mark.parametrize("block_size", [0, -1, 9, 16])
+    def test_gibbs_klein_block_size_outside_1_to_n_rejected(self, rng, block_size):
+        # the 4x4 channel is an 8-D real lattice: sizes 1..8 only
+        cfg = mimo.MimoConfig(trials=1)
+        h, _, y = mimo.generate_instance(cfg, rng)
+        with pytest.raises(ValueError, match=r"block size in \[1, 8\]"):
+            mimo.sampler_decode(h, y, "gibbs-klein", 1, rng, block_size)
+        with pytest.raises(ValueError, match=r"block size in \[1, 8\]"):
+            mimo._decode_checkpoints(mimo._trial_lattice(h, y), "gibbs-klein", (1, 2), rng,
+                                     block_size)
 
     def test_full_block_budget1_exact_output_law(self):
         # m = 2n with one iteration is one backward pass on a random

@@ -40,7 +40,7 @@ class TestEnumerateSupport:
             dist.support,
             key=lambda p: np.linalg.norm(basis_2d.matrix @ np.array(p) - target.center),
         )
-        assert dist.mode() == best
+        assert tuple(dist.support[np.argmax(dist.probs)]) == tuple(best)
 
     def test_mode_is_cvp_random_instances(self):
         for seed in range(20):
@@ -50,15 +50,14 @@ class TestEnumerateSupport:
             dist = oracle.enumerate_support(basis, target, 1e-9)
             pts = np.array(dist.support)
             dists = np.linalg.norm(pts @ basis.matrix.T - target.center, axis=1)
-            assert dist.mode() == tuple(pts[np.argmin(dists)])
+            assert np.array_equal(dist.support[np.argmax(dist.probs)], pts[np.argmin(dists)])
 
     def test_self_consistency_across_eps(self, basis_2d):
         target = GaussianParams(1.1, np.array([0.4, -0.3]))
         coarse = oracle.enumerate_support(basis_2d, target, 1e-6)
         fine = oracle.enumerate_support(basis_2d, target, 1e-7)
-        fine_map = fine.as_dict()
-        for point, prob in zip(coarse.support, coarse.probs):
-            assert abs(prob - fine_map[point]) <= 1e-6
+        assert (fine.locate(coarse.support) >= 0).all()
+        assert np.abs(coarse.probs - fine.probs_of(coarse.support)).max() <= 1e-6
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -88,25 +87,77 @@ class TestTvDistance:
         assert oracle.tv_distance(d, d) == 0.0
 
     def test_disjoint_point_masses(self):
-        p = DiscreteDistribution(((0, 0),), np.array([1.0]), 0.0)
-        q = DiscreteDistribution(((1, 1),), np.array([1.0]), 0.0)
+        p = DiscreteDistribution([[0, 0]], np.array([1.0]))
+        q = DiscreteDistribution([[1, 1]], np.array([1.0]))
         assert oracle.tv_distance(p, q) == 1.0
 
     def test_hand_value(self):
-        p = DiscreteDistribution((0, 1), np.array([0.5, 0.5]), 0.0)
-        q = DiscreteDistribution((0, 1), np.array([1.0, 0.0]), 0.0)
+        p = DiscreteDistribution([[0], [1]], np.array([0.5, 0.5]))
+        q = DiscreteDistribution([[0], [1]], np.array([1.0, 0.0]))
         assert oracle.tv_distance(p, q) == 0.5
+
+    def test_partly_overlapping_supports(self):
+        # shared rows (0, 0) and (1, 0); (2, 2) only in p, (5, 5) only in q
+        p = DiscreteDistribution([[2, 2], [0, 0], [1, 0]], np.array([0.25, 0.5, 0.25]))
+        q = DiscreteDistribution([[1, 0], [5, 5], [0, 0]], np.array([0.5, 0.25, 0.25]))
+        expected = 0.5 * (0.25 + 0.25 + 0.25 + 0.25)
+        assert oracle.tv_distance(p, q) == expected
+        assert oracle.tv_distance(q, p) == expected
+
+    def test_p_rows_outside_q_count_in_full(self):
+        p = DiscreteDistribution([[0], [7], [9]], np.array([0.5, 0.375, 0.125]))
+        q = DiscreteDistribution([[0], [1]], np.array([0.75, 0.25]))
+        assert oracle.tv_distance(p, q) == 0.5 * (0.25 + 0.375 + 0.125 + 0.25)
+
+    def test_width_mismatch_raises(self):
+        p = DiscreteDistribution([[0, 0]], np.array([1.0]))
+        with pytest.raises(ValueError, match="width"):
+            oracle.tv_distance(p, DiscreteDistribution([[0]], np.array([1.0])))
+
+
+class TestDiscreteDistribution:
+    def test_prob_of_present_and_absent_rows(self):
+        d = DiscreteDistribution([[3, -1], [0, 2]], np.array([0.75, 0.25]))
+        assert d.prob((0, 2)) == 0.25
+        assert d.prob(np.array([3, -1])) == 0.75
+        assert d.prob((2, 0)) == 0.0
+        assert d.prob((-1, 3)) == 0.0
+
+    def test_prob_of_wrong_width_row_raises(self):
+        d = DiscreteDistribution([[3, -1], [0, 2]], np.array([0.75, 0.25]))
+        for point in ((0,), (0, 2, 1)):
+            with pytest.raises(ValueError, match="width 2"):
+                d.prob(point)
+
+    def test_repeated_rows_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            DiscreteDistribution([[1, 2], [0, 0], [1, 2]], np.array([0.25, 0.5, 0.25]))
+
+    def test_support_must_be_rows(self):
+        with pytest.raises(ValueError, match="rows"):
+            DiscreteDistribution([0, 1], np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="one per prob"):
+            DiscreteDistribution([[0], [1]], np.array([1.0]))
+
+    def test_locate_returns_support_index(self):
+        d = DiscreteDistribution([[5], [-2], [0]], np.array([0.25, 0.25, 0.5]))
+        assert d.locate([[0], [5], [1], [-2]]).tolist() == [2, 0, -1, 1]
+
+    def test_enumerated_rows_are_lexicographic(self, basis_2d):
+        d = oracle.enumerate_support(basis_2d, GaussianParams(0.9, np.zeros(2)), 1e-6)
+        assert d.support.tolist() == sorted(d.support.tolist())
 
 
 class TestEmpiricalDistribution:
     def test_constant_trace(self):
         dist = oracle.empirical_from_states(np.tile([1, 2], (5, 1)))
-        assert dist.support == ((1, 2),)
+        assert dist.support.tolist() == [[1, 2]]
         assert dist.probs[0] == 1.0
 
     def test_concatenation_mixture(self):
         dist = oracle.empirical_from_states(np.array([[0], [0], [0], [1]]))
-        assert dist.as_dict() == {(0,): 0.75, (1,): 0.25}
+        assert dist.support.tolist() == [[0], [1]]
+        assert dist.probs.tolist() == [0.75, 0.25]
 
     def test_monte_carlo_control(self, basis_2d):
         # 1e5 exact draws via inverse cdf: TV floor ~ 0.007 at this support
@@ -175,7 +226,7 @@ class TestBlockConditional:
         x = np.array([0, 2])
         cond = mcmc.gibbs_conditional(permuted, target, x, 0)
         for point, prob in zip(block.support, block.probs):
-            assert prob == pytest.approx(cond.prob(point[0]), abs=1e-12)
+            assert prob == pytest.approx(dg.pmf(cond, int(point[0])), abs=1e-12)
 
     def test_identity_basis_is_product(self):
         target = GaussianParams(1.1, np.array([0.3, -0.2, 0.6]))
@@ -258,6 +309,6 @@ def test_single_flip_pairs_capped_is_prefix_of_uncapped():
     assert len(full) > 200
     for cap in (1, 200, len(full) + 5):
         assert oracle.single_flip_pairs(dist, max_pairs=cap) == full[:cap]
-    weight = dist.as_dict()
-    joint = [weight[a] * weight[b] for a, b in full]
+    d = dist.probs_of(np.reshape(full, (-1, 4)))
+    joint = (d[0::2] * d[1::2]).tolist()
     assert joint == sorted(joint, reverse=True)

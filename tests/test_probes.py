@@ -29,3 +29,20 @@ def test_gibbs_ensemble_work_arguments_are_positional():
 
     params = list(inspect.signature(mcmc.gibbs_ensemble).parameters)
     assert params[3:5] == ["n_chains", "steps"]
+
+
+def test_enumerate_support_work_counts_enumerated_points():
+    # the probe reports box points as the number of rows in the returned law
+    import numpy as np
+
+    from lattice_gibbs import oracle
+    from lattice_gibbs.klein import GaussianParams
+    from lattice_gibbs.linalg import LatticeBasis
+
+    (probe,) = [p for p in PROBES if p.name == "oracle.enumerate_support"]
+    args = (LatticeBasis.from_matrix([[1.0, 0.5], [0.0, 1.0]]),
+            GaussianParams(0.8, np.array([0.2, -0.1])), 1e-6)
+    result = oracle.enumerate_support(*args)
+    # the box is a product of integer ranges, one per coordinate
+    box = np.prod(result.support.max(axis=0) - result.support.min(axis=0) + 1)
+    assert probe.work(args, {}, result) == len(result.support) == box
