@@ -213,12 +213,12 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
 
     if cfg.algorithm in ("gibbs", "gibbs-klein"):
         pairs = oracle.single_flip_pairs(exact, max_pairs=200)
-        if cfg.algorithm == "gibbs":
-            kernel = lambda a, b: mcmc.gibbs_kernel_prob(cfg.basis, cfg.target, a, b)  # noqa: E731
-        else:
-            kcfg = mcmc.GibbsKleinConfig(cfg.basis, cfg.target, cfg.block_size)
-            kernel = lambda a, b: mcmc.gibbs_klein_kernel_prob(kcfg, a, b)  # noqa: E731
-        report = oracle.detailed_balance_residual(kernel, exact, pairs)
+        gibbs = cfg.algorithm == "gibbs"
+        kcfg = mcmc.GibbsKleinConfig(cfg.basis, cfg.target, 1 if gibbs else cfg.block_size)
+        kernel_prob = mcmc.gibbs_kernel_prob if gibbs else mcmc.gibbs_klein_kernel_prob
+        report = oracle.detailed_balance_residual(
+            lambda a, b: kernel_prob(kcfg, a, b), exact, pairs
+        )
         print(
             f"detailed_balance max_abs={report.max_abs_residual:.6e} "
             f"max_rel={report.max_rel_residual:.6e} pairs={report.pairs_checked}",

@@ -7,12 +7,14 @@ than eps of the total, by the standard tail bound (the +1 absorbs the
 integer-rounding slack). The cut is one constant for every sampler and pmf in
 the package, as in the SampleZ routine of Gentry, Peikert & Vaikuntanathan
 (STOC 2008). All exponent sums subtract the max exponent first so small alpha
-cannot underflow to an all-zero table.
+cannot underflow to an all-zero table, and an alpha with 2 alpha^2 below the
+smallest normal float (alpha below about 1.055e-154) is rejected.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +30,16 @@ class Gaussian1DParams:
     center: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        _check_alpha(self.alpha)
         if not math.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if 2.0 * alpha * alpha < sys.float_info.min:  # the exponents would divide by zero
+        raise ValueError(f"alpha {alpha} is too small: 2 alpha^2 underflows")
 
 
 def truncation_halfwidth(alpha: float, tail_eps: float) -> float:
@@ -74,8 +82,7 @@ def sample(p: Gaussian1DParams, rng: np.random.Generator) -> int:
 
 def _checked_centers(alpha: float, centers) -> np.ndarray:
     centers = np.asarray(centers, dtype=float)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     finite = np.isfinite(centers)
     if not finite.all():
         raise ValueError(f"center must be finite, got {centers[~finite][0]}")

@@ -82,17 +82,12 @@ def gram_schmidt_norms(basis: LatticeBasis) -> np.ndarray:
     return np.abs(np.diag(basis.r_factor))
 
 
-def check_permutation(order, n: int) -> "list[int]":
-    """`order` as a list of ints; ValueError unless it is a permutation of 0..n-1."""
-    order = [int(j) for j in order]
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
-    return order
-
-
 def permute_basis(basis: LatticeBasis, order) -> LatticeBasis:
-    """Reorder basis columns to B[:, order] and re-factorize."""
-    return LatticeBasis.from_matrix(basis.matrix[:, check_permutation(order, basis.n)])
+    """Reorder basis columns to B[:, order] and re-factorize; `order` must permute 0..n-1."""
+    order = [int(j) for j in order]
+    if sorted(order) != list(range(basis.n)):
+        raise ValueError(f"not a permutation of 0..{basis.n - 1}: {order}")
+    return LatticeBasis.from_matrix(basis.matrix[:, order])
 
 
 def load_basis(path: str) -> LatticeBasis:

@@ -19,7 +19,7 @@ from . import dgauss1d as dg
 from .dgauss1d import Gaussian1DParams
 from .klein import GaussianParams, backward_pmf, backward_sample_into, block_conditional
 from .klein import lattice_draw
-from .linalg import LatticeBasis, check_permutation
+from .linalg import LatticeBasis
 from .oracle import DiscreteDistribution
 
 MAX_KERNEL_ENUM_DIM = 7
@@ -62,12 +62,11 @@ def start_state(x0, n: int) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def gibbs_conditional(basis: LatticeBasis, target: GaussianParams, x, i: int) -> Gaussian1DParams:
+def gibbs_conditional(cfg: GibbsKleinConfig, x, i: int) -> Gaussian1DParams:
     """P(x_i | x_[-i]): a 1-D discrete Gaussian, evaluated by `dg.pmf`."""
-    cfg = GibbsKleinConfig(basis, target, 1)
-    rest = [j for j in range(basis.n) if j != i]
+    rest = [j for j in range(cfg.basis.n) if j != i]
     (u,), (c,) = block_conditional(cfg.gram, cfg.bc, np.asarray(x, float).tolist(), [i], rest)
-    return Gaussian1DParams(target.sigma / u[0], c / u[0])
+    return Gaussian1DParams(cfg.target.sigma / u[0], c / u[0])
 
 
 def _block_step(
@@ -92,7 +91,7 @@ def gibbs_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) 
     _block_step(cfg, x, [i], rest, rng)
 
 
-def gibbs_kernel_prob(basis: LatticeBasis, target: GaussianParams, s_i, s_j) -> float:
+def gibbs_kernel_prob(cfg: GibbsKleinConfig, s_i, s_j) -> float:
     """One-step transition probability of random-scan Gibbs from s_i to s_j.
 
     Zero beyond single-coordinate moves; the diagonal aggregates the
@@ -101,13 +100,13 @@ def gibbs_kernel_prob(basis: LatticeBasis, target: GaussianParams, s_i, s_j) -> 
     a = np.asarray(s_i, dtype=np.int64)
     b = np.asarray(s_j, dtype=np.int64)
     diff = np.nonzero(a != b)[0]
-    n = basis.n
+    n = cfg.basis.n
     if diff.size >= 2:
         return 0.0
     if diff.size == 1:
         k = int(diff[0])
-        return dg.pmf(gibbs_conditional(basis, target, a, k), int(b[k])) / n
-    return sum(dg.pmf(gibbs_conditional(basis, target, a, k), int(a[k])) for k in range(n)) / n
+        return dg.pmf(gibbs_conditional(cfg, a, k), int(b[k])) / n
+    return sum(dg.pmf(gibbs_conditional(cfg, a, k), int(a[k])) for k in range(n)) / n
 
 
 def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
@@ -117,26 +116,17 @@ def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Gener
     _block_step(cfg, x, order[:m], order[m:], rng)
 
 
-def gibbs_klein_block_pmf(
-    cfg: GibbsKleinConfig,
-    order,
-    z_block_new: np.ndarray,
-    z_rest: np.ndarray,
-) -> float:
-    """Exact probability the block pass outputs z_block_new given z_rest.
-
-    `order` lists all n coordinates: the block order[:m], then the rest
-    order[m:], which z_rest follows.
-    """
-    m = cfg.block_size
-    z_block_new = np.asarray(z_block_new, dtype=float)
-    z_rest = np.asarray(z_rest, dtype=float)
-    if z_block_new.shape != (m,) or z_rest.shape != (cfg.basis.n - m,):
-        raise ValueError("block/rest shapes do not match the configured split")
-    order = check_permutation(order, cfg.basis.n)
-    block, rest = order[:m], order[m:]
-    u, c = block_conditional(cfg.gram, cfg.bc, dict(zip(rest, z_rest.tolist())), block, rest)
-    return backward_pmf(np.array(u), np.array(c), cfg.target.sigma, z_block_new, m)
+def gibbs_klein_block_pmf(cfg: GibbsKleinConfig, block, x) -> float:
+    """Exact probability that the block pass over `block` outputs x[block],
+    given the other coordinates of the state row x."""
+    n, m = cfg.basis.n, cfg.block_size
+    block = [int(j) for j in block]
+    rest = [j for j in range(n) if j not in block]
+    x = np.asarray(x, dtype=float)
+    if len(block) != m or len(rest) != n - m or x.shape != (n,):
+        raise ValueError(f"need {m} distinct block indices in [0, {n}) and a state of {n} entries")
+    u, c = block_conditional(cfg.gram, cfg.bc, x.tolist(), block, rest)
+    return backward_pmf(np.array(u), np.array(c), cfg.target.sigma, x[block], m)
 
 
 def gibbs_klein_kernel_prob(cfg: GibbsKleinConfig, s_i, s_j) -> float:
@@ -150,16 +140,10 @@ def gibbs_klein_kernel_prob(cfg: GibbsKleinConfig, s_i, s_j) -> float:
     n = cfg.basis.n
     if n > MAX_KERNEL_ENUM_DIM:
         raise ValueError(f"kernel enumeration limited to n <= {MAX_KERNEL_ENUM_DIM}")
-    a = [int(v) for v in s_i]
-    b = [int(v) for v in s_j]
+    b = np.asarray(s_j, dtype=np.int64)
+    moved = set(np.nonzero(np.asarray(s_i, dtype=np.int64) != b)[0].tolist())
     blocks = list(itertools.permutations(range(n), cfg.block_size))
-    total = 0.0
-    for block in blocks:
-        rest = [j for j in range(n) if j not in block]
-        if all(a[j] == b[j] for j in rest):
-            total += gibbs_klein_block_pmf(
-                cfg, [*block, *rest], [b[j] for j in block], [b[j] for j in rest]
-            )
+    total = sum(gibbs_klein_block_pmf(cfg, block, b) for block in blocks if moved.issubset(block))
     return total / len(blocks)
 
 
@@ -219,9 +203,9 @@ def gibbs_ensemble(
     if pool_from is not None and pool_from >= steps:
         raise ValueError(f"pool_from must be below steps = {steps}, got {pool_from}")
     x = np.tile(start_state(x0, n), (n_chains, 1))
-    col_nrm2 = np.einsum("ij,ij->j", basis.matrix, basis.matrix)
-    alphas = target.sigma / np.sqrt(col_nrm2)
-    resid = x @ basis.matrix.T - target.center  # running Bx - c per chain
+    cfg = GibbsKleinConfig(basis, target, 1)
+    gram, bc = np.array(cfg.gram), np.array(cfg.bc)
+    alphas = target.sigma / np.sqrt(np.diag(gram))
     snapshots: dict[int, np.ndarray] = {}
     pool = []  # (distinct states, counts) of each pooled step
     if 0 in record_at:
@@ -232,11 +216,9 @@ def gibbs_ensemble(
             rows = np.nonzero(coords == i)[0]
             if rows.size == 0:
                 continue
-            col = basis.matrix[:, i]
-            centers = x[rows, i] - (resid[rows] @ col) / col_nrm2[i]
-            new_vals = dg.sample_rows(alphas[i], centers, rng)
-            resid[rows] += np.outer(new_vals - x[rows, i], col)
-            x[rows, i] = new_vals
+            # conditional center x_i + (B^T c - G x)_i / G_ii
+            centers = x[rows, i] + (bc[i] - x[rows] @ gram[:, i]) / gram[i, i]
+            x[rows, i] = dg.sample_rows(alphas[i], centers, rng)
         if t in record_at:
             snapshots[t] = x.copy()
         if pool_from is not None and t > pool_from:

@@ -77,6 +77,8 @@ class MimoConfig:
             raise ValueError("square channels only: n_tx must equal n_rx")
         if self.n_tx < 1 or self.trials < 0:
             raise ValueError("bad antenna count or trial count")
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if any(t < 1 for t in self.iteration_budgets):
             raise ValueError("iteration budgets must be positive")
         n_real = 2 * self.n_tx

@@ -10,8 +10,6 @@ negligible relative to eps, which the self-consistency tests confirm.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -136,9 +134,9 @@ def empirical_from_states(states: np.ndarray) -> DiscreteDistribution:
 def detailed_balance_residual(
     kernel_prob: Callable,
     target: DiscreteDistribution,
-    pair_set: Sequence[tuple],
+    pair_set: "np.ndarray | Sequence[tuple]",
 ) -> BalanceReport:
-    """Worst-case |D(s_i)P(s_i;s_j) - D(s_j)P(s_j;s_i)| over the given pairs."""
+    """Worst-case |D(s_i)P(s_i;s_j) - D(s_j)P(s_j;s_i)| over the given row pairs."""
     d = target.probs_of(np.reshape(pair_set, (-1, target.support.shape[1]))).tolist()
     max_abs = max_rel = 0.0
     for (s_i, s_j), p_i, p_j in zip(pair_set, d[0::2], d[1::2]):
@@ -182,28 +180,36 @@ def block_conditional_exact(
     return enumerate_support(sub_basis, GaussianParams(target.sigma, c_bar), tail_eps)
 
 
-def single_flip_pairs(
-    dist: DiscreteDistribution, max_pairs: "int | None" = None
-) -> list[tuple[tuple, tuple]]:
-    """State pairs from the support differing in exactly one coordinate.
+def _best_pairs(dist: DiscreteDistribution, pairs: np.ndarray, max_pairs) -> np.ndarray:
+    """(P, 2) support-index pairs sorted by (-P(p) P(q), p, q), cut to max_pairs."""
+    joint = dist.probs[pairs[:, 0]] * dist.probs[pairs[:, 1]]
+    if max_pairs is not None and len(pairs) > max_pairs:  # the top joints, ties at the cut too
+        keep = joint >= np.partition(joint, -max_pairs)[-max_pairs]
+        pairs, joint = pairs[keep], joint[keep]
+    rows = dist.support[pairs]
+    return pairs[np.lexsort([*rows[:, 1, ::-1].T, *rows[:, 0, ::-1].T, -joint])[:max_pairs]]
 
-    Ordered by joint probability (descending) so a capped prefix covers the
-    most relevant transitions first.
+
+def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None) -> np.ndarray:
+    """(P, 2, n) int64 pairs (p, q), p < q, of support rows differing in one coordinate.
+
+    Sorted by joint probability (descending), then p and q, so a capped prefix
+    covers the most relevant transitions first. Partners come from `locate` on
+    the support shifted by +1, +2, ... in one coordinate; a cap keeps a running
+    top max_pairs, so memory is O(S + max_pairs).
     """
-    pts = list(map(tuple, dist.support.tolist()))
-    weight = dict(zip(pts, dist.probs.tolist()))
-    groups: dict[tuple, list[tuple]] = {}
-    for p in pts:
-        for i in range(len(p)):
-            groups.setdefault((i, p[:i], p[i + 1 :]), []).append(p)
-    pairs = [
-        (weight[p] * weight[q], p, q)
-        for members in groups.values()
-        for p, q in itertools.combinations(sorted(members), 2)
-    ]
-    key = lambda t: (-t[0], t[1], t[2])  # noqa: E731
-    top = sorted(pairs, key=key) if max_pairs is None else heapq.nsmallest(max_pairs, pairs, key)
-    return [(p, q) for _, p, q in top]
+    pts = dist.support
+    found = [np.empty((0, 2), dtype=np.intp)]  # support indices of (p, q)
+    for i in range(pts.shape[1]):
+        shifted = pts.copy()
+        for _ in range(np.ptp(pts[:, i])):
+            shifted[:, i] += 1
+            partner = dist.locate(shifted)
+            hit = np.nonzero(partner >= 0)[0]
+            found.append(np.stack([hit, partner[hit]], axis=1))
+            if max_pairs is not None:
+                found = [_best_pairs(dist, np.concatenate(found), max_pairs)]
+    return pts[_best_pairs(dist, np.concatenate(found), max_pairs)]
 
 
 def _log_theta(r: float, sigma: float, shift: float) -> float:

@@ -74,13 +74,14 @@ def test_criterion_2_gibbs_stationarity_and_balance(basis_2d):
     exact = oracle.enumerate_support(basis_2d, target, 1e-12)
     support = list(map(tuple, exact.support.tolist()))
     probs = dict(zip(support, exact.probs.tolist()))
+    cfg = mcmc.GibbsKleinConfig(basis_2d, target, 1)
 
     conds: dict = {}
 
     def cond(x, i):
         key = (i, x[:i], x[i + 1 :])
         if key not in conds:
-            ks, ps = dg.pmf_table(mcmc.gibbs_conditional(basis_2d, target, np.array(x), i))
+            ks, ps = dg.pmf_table(mcmc.gibbs_conditional(cfg, np.array(x), i))
             conds[key] = dict(zip(ks.tolist(), ps.tolist()))
         return conds[key]
 
@@ -110,7 +111,7 @@ def test_criterion_2_gibbs_stationarity_and_balance(basis_2d):
     # at the truncation (flows outside the tail window are exact zeros)
     pairs = [
         (a, b)
-        for a, b in oracle.single_flip_pairs(exact)
+        for a, b in (map(tuple, pair) for pair in oracle.single_flip_pairs(exact).tolist())
         if kernel(a, b) > 0.0 and kernel(b, a) > 0.0
     ]
     balance = oracle.detailed_balance_residual(kernel, exact, pairs)
@@ -188,7 +189,7 @@ def test_criterion_5_kernel_reductions(basis_2d):
     worst_m1 = 0.0
     for a in states:
         for b in states:
-            gibbs_p = mcmc.gibbs_kernel_prob(basis_2d, target, a, b)
+            gibbs_p = mcmc.gibbs_kernel_prob(cfg_m1, a, b)
             gk_p = mcmc.gibbs_klein_kernel_prob(cfg_m1, a, b)
             worst_m1 = max(worst_m1, abs(gibbs_p - gk_p))
 
@@ -197,7 +198,7 @@ def test_criterion_5_kernel_reductions(basis_2d):
     for order in itertools.permutations(range(2)):
         sampler = KleinSampler(permute_basis(basis_2d, order), target)
         for z in states:
-            block = mcmc.gibbs_klein_block_pmf(cfg_mn, order, np.array(z), np.array([]))
+            block = mcmc.gibbs_klein_block_pmf(cfg_mn, order, np.array(z)[np.argsort(order)])
             worst_mn = max(worst_mn, abs(block - klein_pmf(sampler, np.array(z))))
     elapsed = time.time() - t0
     ok = worst_m1 <= 1e-12 and worst_mn <= 1e-12 and elapsed < 5.0

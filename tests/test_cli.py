@@ -251,6 +251,17 @@ class TestBadInputs:
         assert run_cli(base + ["--x0=3,-2", "-o", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
+    def test_underflowing_sigma_rejected_without_output(self, skew2_file, tmp_path, capsys,
+                                                        algo):
+        # 2 alpha^2 underflows at sigma 1e-300: the 1-D tables would be NaN
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["sample", "--basis", skew2_file, "--algo", algo, "--sigma", "1e-300",
+                        "--iters", "2", "--block-size", "1", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "is too small: 2 alpha^2 underflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_basis_rejected_without_output(self, tmp_path, capsys, entry):
         path = tmp_path / "bad.txt"
@@ -388,6 +399,13 @@ class TestMimoCommand:
         assert run_cli(args + ["--output", out1]) == 0
         assert run_cli(args + ["--output", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    @pytest.mark.parametrize("ebn0", ["nan", "inf", "-inf"])
+    def test_non_finite_ebn0_rejected_without_output(self, tmp_path, capsys, ebn0):
+        out = str(tmp_path / "never.csv")
+        assert run_cli(["mimo", "--trials", "2", f"--ebn0-db={ebn0}", "--output", out]) == 1
+        assert not os.path.exists(out)
+        assert "ebn0_db must be finite" in capsys.readouterr().err
 
     def test_bad_decoder_rejected(self, capsys):
         assert run_cli(["mimo", "--trials", "1", "--decoders", "sphere"]) != 0

@@ -123,6 +123,7 @@ BAD_ROWS = [
     (1.0, [math.nan], "center must be finite"),
     (1.0, [0.2, math.inf], "center must be finite"),
     (1.0, [-math.inf, 0.0], "center must be finite"),
+    (1e-155, [0.3], "alpha 1e-155 is too small"),
 ]
 
 

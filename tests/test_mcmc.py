@@ -28,21 +28,24 @@ class TestGibbsConditional:
     def test_identity_basis_decouples(self):
         basis = LatticeBasis.identity(2)
         target = GaussianParams(1.2, np.array([0.4, -0.8]))
+        cfg = mcmc.GibbsKleinConfig(basis, target, 1)
         for other in (-3, 0, 5):
-            cond = mcmc.gibbs_conditional(basis, target, np.array([9, other]), 1)
+            cond = mcmc.gibbs_conditional(cfg, np.array([9, other]), 1)
             ks, probs = dg.pmf_table(Gaussian1DParams(1.2, -0.8))
             for k, p in zip(ks, probs):
                 assert dg.pmf(cond, int(k)) == pytest.approx(p, abs=1e-14)
 
     def test_sums_to_one(self, basis_2d, target_2d):
-        cond = mcmc.gibbs_conditional(basis_2d, target_2d, np.array([2, -1]), 0)
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
+        cond = mcmc.gibbs_conditional(cfg, np.array([2, -1]), 0)
         assert abs(dg.pmf_table(cond)[1].sum() - 1.0) <= 1e-12
 
     def test_matches_oracle_slice(self, basis_2d):
         # first coordinate free, second fixed at 1, against the renormalized
         # exact distribution on that line
         target = GaussianParams(1.0, np.zeros(2))
-        cond = mcmc.gibbs_conditional(basis_2d, target, np.array([0, 1]), 0)
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target, 1)
+        cond = mcmc.gibbs_conditional(cfg, np.array([0, 1]), 0)
         exact = oracle.enumerate_support(basis_2d, target, 1e-12)
         slice_probs = {
             pt[0]: pr for pt, pr in zip(exact.support, exact.probs) if pt[1] == 1
@@ -90,27 +93,30 @@ class TestGibbsStep:
 
 class TestGibbsKernelProb:
     def test_two_coordinate_difference_is_zero(self, basis_2d, target_2d):
-        assert mcmc.gibbs_kernel_prob(basis_2d, target_2d, (0, 0), (1, 1)) == 0.0
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
+        assert mcmc.gibbs_kernel_prob(cfg, (0, 0), (1, 1)) == 0.0
 
     def test_n1_kernel_row_is_target(self):
         basis = LatticeBasis.from_matrix([[1.0]])
         target = GaussianParams(0.9, np.array([0.3]))
         exact = oracle.enumerate_support(basis, target, 1e-12)
+        cfg = mcmc.GibbsKleinConfig(basis, target, 1)
         for start in ((0,), (4,)):
             for point, prob in zip(exact.support, exact.probs):
-                got = mcmc.gibbs_kernel_prob(basis, target, start, point)
+                got = mcmc.gibbs_kernel_prob(cfg, start, point)
                 assert got == pytest.approx(prob, abs=1e-12)
 
     def test_rows_sum_to_one(self, basis_2d, target_2d):
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
         for s in ((0, 0), (2, -1)):
-            total = mcmc.gibbs_kernel_prob(basis_2d, target_2d, s, s)
+            total = mcmc.gibbs_kernel_prob(cfg, s, s)
             for i in range(2):
-                cond = mcmc.gibbs_conditional(basis_2d, target_2d, np.array(s), i)
+                cond = mcmc.gibbs_conditional(cfg, np.array(s), i)
                 for k in dg.pmf_table(cond)[0].tolist():
                     if k != s[i]:
                         dest = list(s)
                         dest[i] = k
-                        total += mcmc.gibbs_kernel_prob(basis_2d, target_2d, s, tuple(dest))
+                        total += mcmc.gibbs_kernel_prob(cfg, s, tuple(dest))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -129,7 +135,7 @@ class TestGibbsKlein:
         for order in itertools.permutations(range(2)):
             sampler = KleinSampler(permute_basis(basis_2d, order), target_2d)
             for z in itertools.product(range(-2, 4), repeat=2):
-                block = mcmc.gibbs_klein_block_pmf(cfg, order, np.array(z), np.array([]))
+                block = mcmc.gibbs_klein_block_pmf(cfg, order, np.array(z)[np.argsort(order)])
                 assert block == pytest.approx(klein_pmf(sampler, np.array(z)), abs=1e-12)
 
     def test_m1_block_pmf_is_permuted_conditional(self, basis_2d, target_2d):
@@ -137,9 +143,11 @@ class TestGibbsKlein:
         order = (1, 0)
         permuted = permute_basis(basis_2d, order)
         z_rest = np.array([1])
-        cond = mcmc.gibbs_conditional(permuted, target_2d, np.array([0, 1]), 0)
+        cond_cfg = mcmc.GibbsKleinConfig(permuted, target_2d, 1)
+        cond = mcmc.gibbs_conditional(cond_cfg, np.array([0, 1]), 0)
         for k in range(-3, 4):
-            block = mcmc.gibbs_klein_block_pmf(cfg, order, np.array([k]), z_rest)
+            x = np.array([k, *z_rest])[np.argsort(order)]  # x[order] = (k, *z_rest)
+            block = mcmc.gibbs_klein_block_pmf(cfg, order[:1], x)
             assert block == pytest.approx(dg.pmf(cond, k), abs=1e-12)
 
     def test_block_pmf_sums_to_one(self, rng):
@@ -150,7 +158,7 @@ class TestGibbsKlein:
         z_rest = np.array([1])
         exact = oracle.block_conditional_exact(basis, target, order, 2, z_rest, 1e-9)
         total = sum(
-            mcmc.gibbs_klein_block_pmf(cfg, order, np.array(z), z_rest)
+            mcmc.gibbs_klein_block_pmf(cfg, order[:2], np.array([*z, *z_rest])[np.argsort(order)])
             for z in exact.support
         )
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -159,7 +167,7 @@ class TestGibbsKlein:
         target = GaussianParams(1.0, np.array([0.2, -0.5, 0.8]))
         cfg = mcmc.GibbsKleinConfig(LatticeBasis.identity(3), target, 2)
         for z in itertools.product(range(-2, 3), repeat=2):
-            got = mcmc.gibbs_klein_block_pmf(cfg, range(3), np.array(z), np.array([0]))
+            got = mcmc.gibbs_klein_block_pmf(cfg, range(2), np.array([*z, 0]))
             expected = dg.pmf(Gaussian1DParams(1.0, 0.2), z[0]) * dg.pmf(
                 Gaussian1DParams(1.0, -0.5), z[1]
             )
@@ -180,7 +188,7 @@ class TestGibbsKlein:
                 permuted = permute_basis(basis, order)
                 c_prime = permuted.q_factor.T @ target.center
                 for z in zs:
-                    got = mcmc.gibbs_klein_block_pmf(cfg, order, z[:m], z[m:])
+                    got = mcmc.gibbs_klein_block_pmf(cfg, order[:m], z[np.argsort(order)])
                     ref = backward_pmf(permuted.r_factor, c_prime, target.sigma, z, m)
                     worst = max(worst, abs(got - ref))
         assert worst <= 1e-12

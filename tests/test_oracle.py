@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,7 +182,8 @@ class TestDetailedBalance:
     def test_gibbs_balances_exactly(self, basis_2d):
         target = GaussianParams(1.0, np.array([0.3, 0.7]))
         exact = oracle.enumerate_support(basis_2d, target, 1e-12)
-        kernel = lambda a, b: mcmc.gibbs_kernel_prob(basis_2d, target, a, b)  # noqa: E731
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target, 1)
+        kernel = lambda a, b: mcmc.gibbs_kernel_prob(cfg, a, b)  # noqa: E731
         pairs = oracle.single_flip_pairs(exact, max_pairs=400)
         report = oracle.detailed_balance_residual(kernel, exact, pairs)
         assert report.max_rel_residual <= 1e-10
@@ -200,7 +202,8 @@ class TestDetailedBalance:
         exact_block = oracle.block_conditional_exact(basis, target, order, m, z_rest, 1e-8)
 
         def kernel(a, b):
-            return mcmc.gibbs_klein_block_pmf(cfg, order, np.array(b), z_rest)
+            x = np.array([*b, *z_rest])[np.argsort(order)]  # x[order] = (*b, *z_rest)
+            return mcmc.gibbs_klein_block_pmf(cfg, order[:m], x)
 
         pairs = oracle.single_flip_pairs(exact_block, max_pairs=200)
         report = oracle.detailed_balance_residual(kernel, exact_block, pairs)
@@ -224,7 +227,7 @@ class TestBlockConditional:
         block = oracle.block_conditional_exact(basis_2d, target, order, 1, z_rest, 1e-12)
         permuted = permute_basis(basis_2d, order)
         x = np.array([0, 2])
-        cond = mcmc.gibbs_conditional(permuted, target, x, 0)
+        cond = mcmc.gibbs_conditional(mcmc.GibbsKleinConfig(permuted, target, 1), x, 0)
         for point, prob in zip(block.support, block.probs):
             assert prob == pytest.approx(dg.pmf(cond, int(point[0])), abs=1e-12)
 
@@ -295,7 +298,7 @@ class TestSmoothingRatioWindow:
 def test_single_flip_pairs_differ_in_one_coordinate(basis_2d):
     dist = oracle.enumerate_support(basis_2d, GaussianParams(0.8, np.zeros(2)), 1e-6)
     pairs = oracle.single_flip_pairs(dist, max_pairs=100)
-    assert pairs
+    assert len(pairs)
     for a, b in pairs:
         assert sum(x != y for x, y in zip(a, b)) == 1
 
@@ -308,7 +311,53 @@ def test_single_flip_pairs_capped_is_prefix_of_uncapped():
     full = oracle.single_flip_pairs(dist)
     assert len(full) > 200
     for cap in (1, 200, len(full) + 5):
-        assert oracle.single_flip_pairs(dist, max_pairs=cap) == full[:cap]
+        assert np.array_equal(oracle.single_flip_pairs(dist, max_pairs=cap), full[:cap])
     d = dist.probs_of(np.reshape(full, (-1, 4)))
     joint = (d[0::2] * d[1::2]).tolist()
     assert joint == sorted(joint, reverse=True)
+
+
+def brute_force_flip_pairs(dist):
+    """Every support pair (p, q), p < q, differing in one coordinate, sorted by
+    (-P(p) P(q), p, q): the O(S^2) reference."""
+    rows = [tuple(r) for r in dist.support.tolist()]
+    probs = dist.probs.tolist()
+    pairs = sorted(
+        (-(probs[a] * probs[b]), rows[a], rows[b])
+        for a in range(len(rows))
+        for b in range(len(rows))
+        if rows[a] < rows[b] and sum(x != y for x, y in zip(rows[a], rows[b])) == 1
+    )
+    return [[list(p), list(q)] for _, p, q in pairs]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_single_flip_pairs_equal_brute_force(seed):
+    # random supports with holes (not a box), shuffled rows and tied weights
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 4
+    box = np.array(list(itertools.product(range(-2, 3), repeat=n)))
+    rows = box[rng.random(len(box)) < 0.5]
+    rows = rows[rng.permutation(len(rows))]
+    weights = rng.integers(1, 4, len(rows)).astype(float)
+    dist = DiscreteDistribution(rows, weights / weights.sum())
+    expected = brute_force_flip_pairs(dist)
+    for cap in (None, 1, 7):
+        got = oracle.single_flip_pairs(dist, max_pairs=cap)
+        assert got.dtype == np.int64 and got.shape[1:] == (2, n)
+        assert got.tolist() == expected[:cap]
+
+
+def test_single_flip_pairs_capped_memory_is_bounded():
+    # 3,364 support rows hold about 2e5 single-flip pairs; keeping only the
+    # running top 200 needs O(S + max_pairs) memory
+    exact = oracle.enumerate_support(LatticeBasis.identity(2), GaussianParams(3.0, np.full(2, 0.5)))
+    assert len(exact.support) == 3364
+    tracemalloc.start()
+    try:
+        pairs = oracle.single_flip_pairs(exact, max_pairs=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (200, 2, 2)
+    assert peak < 2_000_000
