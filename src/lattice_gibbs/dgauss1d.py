@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 TAIL_EPS = 1e-12
+# Widest window `sample` walks in a Python loop. The loop's cost grows with the
+# window and meets the numpy table's between about 64 and 96 points (alpha 4-6).
+LOOP_MAX_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,13 @@ def truncation_halfwidth(alpha: float, tail_eps: float) -> float:
 def pmf_table(p: Gaussian1DParams) -> tuple[np.ndarray, np.ndarray]:
     """Support points and normalized probabilities over the window
     [floor(c - w), ceil(c + w)], whose omitted mass is below TAIL_EPS."""
-    w = truncation_halfwidth(p.alpha, TAIL_EPS)
-    ks = np.arange(math.floor(p.center - w), math.ceil(p.center + w) + 1)
-    logw = -((ks - p.center) ** 2) / (2.0 * p.alpha * p.alpha)
+    return _window_table(p.alpha, p.center)
+
+
+def _window_table(alpha: float, center: float) -> tuple[np.ndarray, np.ndarray]:
+    w = truncation_halfwidth(alpha, TAIL_EPS)
+    ks = np.arange(math.floor(center - w), math.ceil(center + w) + 1)
+    logw = -((ks - center) ** 2) / (2.0 * alpha * alpha)
     w = np.exp(logw - logw.max())
     return ks, w / w.sum()
 
@@ -64,11 +72,43 @@ def pmf(p: Gaussian1DParams, k: int) -> float:
     return float(probs[k - ks[0]])
 
 
-def sample(p: Gaussian1DParams, rng: np.random.Generator) -> int:
-    """Exact inversion draw from the truncated pmf table: the smallest support
-    point whose cumulative probability reaches a uniform u."""
-    ks, probs = pmf_table(p)
-    return int(ks[np.searchsorted(np.cumsum(probs), rng.random(), side="left")])
+def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
+    """One inversion draw from D_{Z, alpha, center} on the `pmf_table` window:
+    the smallest window point whose cumulative weight reaches u times the total,
+    for one uniform u = rng.random().
+
+    A window of at most LOOP_MAX_POINTS points is walked in a plain Python
+    loop with no table; a wider one inverts the numpy table, whose cost grows
+    like alpha. Both paths use the table's exponents, each weight relative to
+    the peak one. math.exp and numpy's exp may differ in the last bit, and the
+    loop compares running weights with u times their running total where the
+    table compares normalized cumulative probabilities with u, so the paths
+    can differ only when u lies within about one ulp of a CDF boundary (about
+    1e-16 per draw). A u above the table's last cumulative entry, which may
+    fall short of 1 by a few ulps, draws the last window point.
+    """
+    _check_alpha(alpha)
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    w = truncation_halfwidth(alpha, TAIL_EPS)
+    lo = math.floor(center - w)
+    hi = math.ceil(center + w)
+    if hi - lo >= LOOP_MAX_POINTS:
+        ks, probs = _window_table(alpha, center)
+        i = np.searchsorted(np.cumsum(probs), rng.random(), side="left")
+        return int(ks[min(i, len(ks) - 1)])
+    den = 2.0 * alpha * alpha
+    d = round(center) - center  # the window point nearest c has the peak exponent
+    top = -(d * d) / den
+    exp = math.exp
+    cum = []
+    acc = 0.0
+    for k in range(lo, hi + 1):
+        d = k - center
+        acc += exp(-(d * d) / den - top)
+        cum.append(acc)
+    # u * acc <= acc = cum[-1], so the search stays inside the window
+    return lo + bisect_left(cum, rng.random() * acc)
 
 
 # Vectorized row-wise helpers: one independent 1-D discrete Gaussian per row,
@@ -106,7 +146,8 @@ def pmf_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarra
     np.subtract(buf, m[:, None], out=buf)
     z = np.exp(buf, out=buf).sum(axis=1)
     dv = values - centers
-    pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
+    with np.errstate(over="ignore"):  # a value far outside a tiny-alpha window: weight 0
+        pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
     return np.where(np.abs(dv) <= w + 0.5, pv, 0.0)
 
 

@@ -108,7 +108,7 @@ def backward_sample_into(
 
     `u` is upper triangular with positive diagonal and `c` holds its m
     centers, both as from `block_conditional`. `draw(alpha, center, rng)`
-    is the 1-D draw: `lattice_draw` over Z, or a restricted alphabet.
+    is the 1-D draw: `dgauss1d.sample` over Z, or a restricted alphabet.
     """
     for i in range(len(c) - 1, -1, -1):
         row = u[i]
@@ -117,11 +117,6 @@ def backward_sample_into(
             acc -= row[j] * z[j]
         rii = row[i]
         z[i] = draw(sigma / rii, acc / rii, rng)
-
-
-def lattice_draw(alpha: float, center: float, rng: np.random.Generator) -> int:
-    """The 1-D draw over Z for `backward_sample_into`."""
-    return dg.sample(Gaussian1DParams(alpha, center), rng)
 
 
 def backward_pmf(
@@ -162,7 +157,7 @@ def klein_sample(s: KleinSampler, rng: np.random.Generator) -> np.ndarray:
     """One full pass: integer coefficient vector x (lattice point is B @ x)."""
     c_prime = (s.basis.q_factor.T @ s.params.center).tolist()
     z = [0] * s.basis.n
-    backward_sample_into(s.basis.r_factor.tolist(), c_prime, s.params.sigma, z, rng, lattice_draw)
+    backward_sample_into(s.basis.r_factor.tolist(), c_prime, s.params.sigma, z, rng, dg.sample)
     return np.array(z, dtype=np.int64)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import dgauss1d as dg
 from .dgauss1d import Gaussian1DParams
 from .klein import GaussianParams, backward_pmf, backward_sample_into, block_conditional
-from .klein import lattice_draw
 from .linalg import LatticeBasis
 from .oracle import DiscreteDistribution
 
@@ -79,7 +78,7 @@ def _block_step(
     """Resample x[block] in place by one backward Klein pass given x[rest]."""
     u, c = block_conditional(cfg.gram, cfg.bc, x, block, rest)
     z = [0] * len(block)
-    backward_sample_into(u, c, cfg.target.sigma, z, rng, lattice_draw)
+    backward_sample_into(u, c, cfg.target.sigma, z, rng, dg.sample)
     for j, v in zip(block, z):
         x[j] = v
 

@@ -49,6 +49,9 @@ class DiscreteDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if support.ndim != 2 or support.shape[0] == 0 or probs.shape != support.shape[:1]:
             raise ValueError("support must be a non-empty (S, n) array of rows, one per prob")
+        bad = ~(np.isfinite(probs) & (probs >= 0.0))
+        if bad.any():
+            raise ValueError(f"probs must be finite and non-negative, got {probs[bad][0]}")
         order = np.argsort(_row_keys(support), kind="stable")
         keys = _row_keys(support)[order]
         if np.any(keys[1:] == keys[:-1]):
@@ -90,7 +93,8 @@ def enumerate_support(
 
     The box (module docstring, widened by 1) omits mass negligible relative to
     tail_eps. Raises ValueError, before allocating anything, when it holds
-    more than MAX_BOX_POINTS points.
+    more than MAX_BOX_POINTS points, and after, when sigma is too small for
+    finite weights.
     """
     if basis.n > MAX_ENUM_DIM:
         raise ValueError(f"enumeration limited to n <= {MAX_ENUM_DIM}, got n = {basis.n}")
@@ -111,8 +115,11 @@ def enumerate_support(
     grid = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grid], axis=1)
     resid = points @ basis.matrix.T - target.center
-    logw = -np.einsum("ij,ij->i", resid, resid) / (2.0 * target.sigma**2)
-    w = np.exp(logw - logw.max())
+    # A sigma so small that 2 sigma^2 underflows gives NaN weights, which
+    # DiscreteDistribution rejects with ValueError.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logw = -np.einsum("ij,ij->i", resid, resid) / (2.0 * target.sigma**2)
+        w = np.exp(logw - logw.max())
     return DiscreteDistribution(points, w / w.sum())
 
 

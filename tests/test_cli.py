@@ -262,6 +262,18 @@ class TestBadInputs:
         assert not os.path.exists(out)
         assert "is too small: 2 alpha^2 underflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
+    def test_diagnose_underflowing_sigma_rejected_without_output(self, skew2_file, tmp_path,
+                                                                 capsys, algo):
+        # the oracle's weights divide by 2 sigma^2, which underflows: all NaN
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["diagnose", "--basis", skew2_file, "--algo", algo, "--sigma", "1e-160",
+                        "--center=0.3,-0.2", "--iters", "2", "--block-size", "1",
+                        "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "probs must be finite and non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_basis_rejected_without_output(self, tmp_path, capsys, entry):
         path = tmp_path / "bad.txt"

@@ -81,26 +81,82 @@ class TestPmf:
             Gaussian1DParams(1.0, math.inf)
 
 
+class FixedUniform:
+    """A generator stub whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+BAD_SCALARS = [
+    (0.0, 0.3, "alpha must be positive and finite"),
+    (-1.0, 0.3, "alpha must be positive and finite"),
+    (math.nan, 0.3, "alpha must be positive and finite"),
+    (math.inf, 0.3, "alpha must be positive and finite"),
+    (1e-155, 0.3, "alpha 1e-155 is too small"),
+    (1.0, math.nan, "center must be finite"),
+    (1.0, math.inf, "center must be finite"),
+    (1.0, -math.inf, "center must be finite"),
+]
+
+
 class TestSample:
     def test_concentration_at_nearest_integer(self):
         rng = np.random.default_rng(0)
         p = Gaussian1DParams(0.05, 3.0)
-        assert all(dg.sample(p, rng) == 3 for _ in range(1000))
+        assert all(dg.sample(p.alpha, p.center, rng) == 3 for _ in range(1000))
 
     def test_deterministic_given_seed(self):
         p = Gaussian1DParams(2.0, 0.5)
-        a = [dg.sample(p, np.random.default_rng(42)) for _ in range(5)]
-        b = [dg.sample(p, np.random.default_rng(42)) for _ in range(5)]
+        a = [dg.sample(p.alpha, p.center, np.random.default_rng(42)) for _ in range(5)]
+        b = [dg.sample(p.alpha, p.center, np.random.default_rng(42)) for _ in range(5)]
         assert a == b
 
     def test_empirical_tv_against_pmf(self):
         # 1e5 draws; TV floor ~ 1/sqrt(N) x sum sqrt(p) ~ 0.003 here
         p = Gaussian1DParams(2.0, 0.5)
         rng = np.random.default_rng(1)
-        draws = np.array([dg.sample(p, rng) for _ in range(100_000)])
+        draws = np.array([dg.sample(p.alpha, p.center, rng) for _ in range(100_000)])
         ks, probs = dg.pmf_table(p)
         emp = np.array([(draws == k).mean() for k in ks])
         assert 0.5 * np.abs(emp - probs).sum() <= 0.005
+
+    def test_equals_table_inversion_with_the_same_uniform(self):
+        # alpha from 0.02 to 12 puts windows of 3 to 200 points on both sides
+        # of LOOP_MAX_POINTS; the loop may differ only within an ulp of a CDF
+        # boundary, which 1e5 uniforms do not hit
+        rng = np.random.default_rng(20260418)
+        alphas = np.exp(rng.uniform(math.log(0.02), math.log(12.0), 100_000))
+        centers = rng.uniform(-50.0, 50.0, 100_000)
+        uniforms = rng.random(100_000)
+        widths = []
+        for alpha, c, u in zip(alphas.tolist(), centers.tolist(), uniforms.tolist()):
+            ks, probs = dg.pmf_table(Gaussian1DParams(alpha, c))
+            expected = int(ks[np.searchsorted(np.cumsum(probs), u, side="left")])
+            assert dg.sample(alpha, c, FixedUniform(u)) == expected, (alpha, c, u)
+            widths.append(len(ks))
+        widths = np.array(widths)
+        assert (widths <= dg.LOOP_MAX_POINTS).mean() > 0.5
+        assert (widths > dg.LOOP_MAX_POINTS).sum() > 10_000
+
+    @pytest.mark.parametrize("alpha, center", [
+        (3.3217965297954906, 7.138101868638525),  # 55 points: the loop
+        (14.44, 0.28),  # 224 points: the table
+    ])
+    def test_uniform_above_last_cdf_entry_draws_last_point(self, alpha, center):
+        # both tables' last cumulative probability falls a few ulps short of 1
+        u = 1.0 - 2.0**-53
+        ks, probs = dg.pmf_table(Gaussian1DParams(alpha, center))
+        assert np.cumsum(probs)[-1] < u
+        assert dg.sample(alpha, center, FixedUniform(u)) == ks[-1]
+
+    @pytest.mark.parametrize("alpha, center, message", BAD_SCALARS)
+    def test_rejects_bad_inputs(self, alpha, center, message):
+        with pytest.raises(ValueError, match=message):
+            dg.sample(alpha, center, np.random.default_rng(0))
 
     def test_sample_rows_matches_pmf(self):
         # the vectorized batch sampler feeds the ensembles; same contract.
@@ -147,6 +203,12 @@ def test_pmf_rows_matches_scalar_pmf():
     for i in range(4):
         scalar = dg.pmf(Gaussian1DParams(alpha, centers[i]), int(values[i]))
         assert batch[i] == pytest.approx(scalar, abs=1e-12)
+
+
+def test_pmf_rows_far_value_at_tiny_alpha_is_zero_without_overflow():
+    # -(dv^2) / (2 alpha^2) overflows to -inf five steps from the center
+    assert dg.pmf_rows(1.06e-154, [0.3], [5]).tolist() == [0.0]
+    assert dg.pmf_rows(1.06e-154, [0.3], [0]).tolist() == [1.0]
 
 
 def reduced_peak_pmf_rows(alpha, centers, values):

@@ -69,6 +69,22 @@ class TestKleinSample:
         exact = oracle.DiscreteDistribution(box.support, kp / kp.sum())
         assert oracle.tv_distance(emp, exact) <= 0.015
 
+    def test_every_draw_goes_through_dgauss1d_sample(self, monkeypatch):
+        basis = make_random_basis(np.random.default_rng(2), 4)
+        sampler = KleinSampler(basis, GaussianParams(0.9, np.array([0.3, -1.2, 0.5, 2.0])))
+        expected = [klein_sample(sampler, np.random.default_rng(s)) for s in range(25)]
+        calls = []
+        draw = dg.sample
+
+        def counting(alpha, center, rng):
+            calls.append(alpha)
+            return draw(alpha, center, rng)
+
+        monkeypatch.setattr(dg, "sample", counting)
+        got = [klein_sample(sampler, np.random.default_rng(s)) for s in range(25)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert len(calls) == 25 * 4
+
     def test_sample_many_agrees_with_scalar_path(self, basis_2d):
         # distinct vectorization, same distribution
         s = KleinSampler(basis_2d, GaussianParams(1.0, np.array([0.2, 0.4])))

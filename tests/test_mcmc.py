@@ -278,6 +278,28 @@ class TestRunChain:
         with pytest.raises(ValueError):
             mcmc.run_chain("gibbs-klein", basis_2d, target_2d, (0, 0), 1, rng)
 
+    @pytest.mark.parametrize("kernel, block_size, draws_per_step", [
+        ("gibbs", None, 1), ("gibbs-klein", 1, 1), ("gibbs-klein", 3, 3),
+    ])
+    def test_every_draw_goes_through_dgauss1d_sample(self, monkeypatch, kernel, block_size,
+                                                     draws_per_step):
+        basis = make_random_basis(np.random.default_rng(5), 3)
+        target = GaussianParams(0.8, np.array([0.1, -0.4, 0.6]))
+        expected = mcmc.run_chain(kernel, basis, target, [0, 0, 0], 40,
+                                  np.random.default_rng(9), block_size=block_size)
+        calls = []
+        draw = dg.sample
+
+        def counting(alpha, center, rng):
+            calls.append(alpha)
+            return draw(alpha, center, rng)
+
+        monkeypatch.setattr(dg, "sample", counting)
+        got = mcmc.run_chain(kernel, basis, target, [0, 0, 0], 40,
+                             np.random.default_rng(9), block_size=block_size)
+        assert np.array_equal(got, expected)
+        assert len(calls) == 40 * draws_per_step
+
     def test_single_chain_converges_above_smoothing(self):
         # sigma just above the smoothing threshold; T = 2e4 keeps the
         # occupancy Monte Carlo floor safely under the 0.02 tolerance

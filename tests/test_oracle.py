@@ -140,6 +140,18 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError, match="one per prob"):
             DiscreteDistribution([[0], [1]], np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_non_finite_or_negative_probs_rejected(self, bad):
+        with pytest.raises(ValueError, match="probs must be finite and non-negative"):
+            DiscreteDistribution([[0], [1], [2]], np.array([0.5, bad, 0.5]))
+
+    @pytest.mark.parametrize("sigma, center", [(1e-160, (0.3, -0.2)), (1e-300, (0.0, 0.0))])
+    def test_enumeration_at_underflowing_sigma_rejected(self, sigma, center):
+        # 2 sigma^2 underflows, so every weight would be NaN
+        basis = LatticeBasis.from_matrix([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="probs must be finite and non-negative"):
+            oracle.enumerate_support(basis, GaussianParams(sigma, np.array(center)))
+
     def test_locate_returns_support_index(self):
         d = DiscreteDistribution([[5], [-2], [0]], np.array([0.25, 0.25, 0.5]))
         assert d.locate([[0], [5], [1], [-2]]).tolist() == [2, 0, -1, 1]
