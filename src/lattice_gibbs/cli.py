@@ -144,8 +144,9 @@ def cmd_sample(cfg: RunConfig) -> int:
             )
             t_first = 0  # row 0 is the start state
         skip = max(cfg.burn_in - t_first, 0)
-        for t, row in enumerate(rows[skip:].tolist(), start=t_first + skip):
-            lines.append(f"{chain_idx},{t}," + ",".join(map(str, row)))
+        row_format = f"{chain_idx},%d," + ",".join(["%d"] * n)
+        lines += [row_format % (t, *row)
+                  for t, row in enumerate(rows[skip:].tolist(), start=t_first + skip)]
     _write_output(cfg.output, "\n".join(lines) + "\n")
     return 0
 

@@ -7,8 +7,9 @@ than eps of the total, by the standard tail bound (the +1 absorbs the
 integer-rounding slack). The cut is one constant for every sampler and pmf in
 the package, as in the SampleZ routine of Gentry, Peikert & Vaikuntanathan
 (STOC 2008). All exponent sums subtract the max exponent first so small alpha
-cannot underflow to an all-zero table, and an alpha with 2 alpha^2 below the
-smallest normal float (alpha below about 1.055e-154) is rejected.
+cannot underflow to an all-zero table. An alpha with 2 alpha^2 below the
+smallest normal float (alpha below about 1.055e-154) is rejected, and so is a
+center with |c| >= 2**53 (MAX_CENTER).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TAIL_EPS = 1e-12
+MAX_CENTER = 2.0**53  # from here on floats skip integers, so windows would too
 # Widest window `sample` walks in a Python loop. The loop's cost grows with the
 # window and meets the numpy table's between about 64 and 96 points (alpha 4-6).
 LOOP_MAX_POINTS = 64
@@ -34,16 +36,18 @@ class Gaussian1DParams:
     center: float
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center}")
+        _check(self.alpha, self.center)
 
 
-def _check_alpha(alpha: float) -> None:
+def _check(alpha: float, center: float) -> None:
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if 2.0 * alpha * alpha < sys.float_info.min:  # the exponents would divide by zero
         raise ValueError(f"alpha {alpha} is too small: 2 alpha^2 underflows")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if abs(center) >= MAX_CENTER:
+        raise ValueError(f"center {center} is too large: |center| must be below 2**53")
 
 
 def truncation_halfwidth(alpha: float, tail_eps: float) -> float:
@@ -87,9 +91,7 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
     1e-16 per draw). A u above the table's last cumulative entry, which may
     fall short of 1 by a few ulps, draws the last window point.
     """
-    _check_alpha(alpha)
-    if not math.isfinite(center):
-        raise ValueError(f"center must be finite, got {center}")
+    _check(alpha, center)
     w = truncation_halfwidth(alpha, TAIL_EPS)
     lo = math.floor(center - w)
     hi = math.ceil(center + w)
@@ -112,21 +114,45 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
 
 
 # Vectorized row-wise helpers: one independent 1-D discrete Gaussian per row,
-# sharing a fixed alpha. Used by the batch Klein sampler, the chain ensembles,
-# and exact pmf evaluation over large point sets. The window is anchored at
-# round(center) per row, which shifts the truncation by < 1 point relative to
-# the scalar table; the resulting pmf difference is below TAIL_EPS. Inputs are
-# checked as `Gaussian1DParams` checks them, so a bad alpha or center raises
-# instead of casting NaN to an int64 or building an empty table.
+# sharing a fixed alpha, for the batch Klein sampler, the chain ensembles and
+# exact pmfs over large point sets. The window is round(center) +- half per
+# row, within one point of the scalar table's (a pmf difference below
+# TAIL_EPS). Rows are worked through in blocks of about BLOCK_ENTRIES window
+# entries in one reused buffer, so memory is O(rows) for any alpha. Inputs are
+# checked as the scalar draw checks them.
+BLOCK_ENTRIES = 8192  # 64 KiB of float64: below glibc's 128 KiB mmap threshold
 
 
 def _checked_centers(alpha: float, centers) -> np.ndarray:
     centers = np.asarray(centers, dtype=float)
-    _check_alpha(alpha)
-    finite = np.isfinite(centers)
-    if not finite.all():
-        raise ValueError(f"center must be finite, got {centers[~finite][0]}")
+    bad = ~(np.abs(centers) < MAX_CENTER)  # NaN compares false
+    _check(alpha, float(centers[bad][0]) if bad.any() else 0.0)
     return centers
+
+
+def _log_weight_blocks(alpha: float, centers: np.ndarray, half: int):
+    """Yield (rows, base = round(c), m, logw) per block: logw[r, j] is the
+    log-weight of base + j - half less the peak m = -frac^2 / (2 alpha^2).
+
+    frac = c - base is exact, so offs - frac is (base + offs) - c bit for bit,
+    and |frac| <= 1/2 puts the peak at offset 0: logw equals the full table's
+    `logw - logw.max()`. logw is a view of a buffer the next block overwrites.
+    """
+    offs = np.arange(-half, half + 1, dtype=float)
+    per = max(1, BLOCK_ENTRIES // offs.size)
+    den = -(2.0 * alpha * alpha)
+    buf = np.empty((min(per, centers.shape[0]), offs.size))
+    for start in range(0, centers.shape[0], per):
+        rows = slice(start, start + per)
+        base = np.round(centers[rows])
+        frac = centers[rows] - base
+        m = (frac * frac) / den
+        logw = buf[: base.shape[0]]
+        np.subtract(offs, frac[:, None], out=logw)
+        np.multiply(logw, logw, out=logw)
+        np.divide(logw, den, out=logw)
+        np.subtract(logw, m[:, None], out=logw)
+        yield rows, base, m, logw
 
 
 def pmf_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -134,42 +160,28 @@ def pmf_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarra
     centers = _checked_centers(alpha, centers)
     values = np.asarray(values)
     w = truncation_halfwidth(alpha, TAIL_EPS)
-    half = int(math.ceil(w))
-    # The window is round(c) + offs. frac = c - round(c) is exact, so offs - frac
-    # equals (round(c) + offs) - c bit for bit, and |frac| <= 1/2 puts the peak
-    # log-weight m at offset 0. The normaliser is built in one (S, W) buffer.
-    frac = centers - np.round(centers)
-    m = -(frac * frac) / (2.0 * alpha * alpha)
-    buf = np.subtract(np.arange(-half, half + 1), frac[:, None])
-    np.multiply(buf, buf, out=buf)
-    np.divide(buf, -(2.0 * alpha * alpha), out=buf)
-    np.subtract(buf, m[:, None], out=buf)
-    z = np.exp(buf, out=buf).sum(axis=1)
-    dv = values - centers
-    with np.errstate(over="ignore"):  # a value far outside a tiny-alpha window: weight 0
-        pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
-    return np.where(np.abs(dv) <= w + 0.5, pv, 0.0)
+    out = np.empty(centers.shape[0])
+    for rows, _, m, logw in _log_weight_blocks(alpha, centers, int(math.ceil(w))):
+        z = np.exp(logw, out=logw).sum(axis=1)
+        dv = values[rows] - centers[rows]
+        with np.errstate(over="ignore"):  # a value far outside a tiny-alpha window: weight 0
+            pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
+        out[rows] = np.where(np.abs(dv) <= w + 0.5, pv, 0.0)
+    return out
 
 
 def sample_rows(alpha: float, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One inversion draw per row from D_{Z, alpha, centers[i]}.
-
-    Processes rows in chunks so wide tables (large alpha) stay within a few
-    tens of MB; uniforms are drawn up front so chunking cannot change draws.
+    """One inversion draw per row from D_{Z, alpha, centers[i]}: the smallest
+    window point whose cumulative weight reaches u times the row's total. All
+    uniforms come from one rng.random(n), so blocking cannot change the draws.
     """
     centers = _checked_centers(alpha, centers)
-    n = centers.shape[0]
     half = int(math.ceil(truncation_halfwidth(alpha, TAIL_EPS)))
-    offs = np.arange(-half, half + 1)
-    u_all = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
-    chunk = max(1, int(4_000_000 / (2 * half + 1)))
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        base = np.round(centers[sl])
-        dev = base[:, None] + offs[None, :] - centers[sl, None]
-        logw = -(dev * dev) / (2.0 * alpha * alpha)
-        cum = np.cumsum(np.exp(logw - logw.max(axis=1, keepdims=True)), axis=1)
-        idx = np.sum(cum < (u_all[sl] * cum[:, -1])[:, None], axis=1)
-        out[sl] = (base + (idx - half)).astype(np.int64)
+    u_all = rng.random(centers.shape[0])
+    out = np.empty(centers.shape[0], dtype=np.int64)
+    for rows, base, _, cum in _log_weight_blocks(alpha, centers, half):
+        np.exp(cum, out=cum)
+        np.cumsum(cum, axis=1, out=cum)
+        idx = np.less(cum, (u_all[rows] * cum[:, -1])[:, None]).sum(axis=1)
+        out[rows] = base.astype(np.int64) + (idx - half)
     return out

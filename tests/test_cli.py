@@ -163,19 +163,36 @@ class TestGoldenChains:
         ("gibbs-klein", 1, 11): "9ad18a077bb43578498efe604b5596f78ed08d3890910472cb953e47a8f6f8bb",
         ("gibbs-klein", 2, 3): "edde572606df3ce3f897b8801c8bff7dbaa2f00802dcef07b5b9e079ffcd0a5c",
         ("gibbs-klein", 2, 11): "b299d26bfb0328e22e874e1fe3550c15fc3c7eecde3407aab9db7c6c7f185192",
+        # recorded before the row sampler worked in cache-sized blocks and the
+        # CSV rows were formatted with one template per chain
+        ("klein", None, 3): "4209a2c31a1fd29e239ec25775bc486bfcfdc47f47d77a92a71e663df0db46fc",
+        ("klein", None, 11): "4733eb3b5c9df36a86e85f5e1fa1df5d7a7b14b366cde8ea8bf60f651c4ba6ff",
     }
+    # `--burn-in 7` with seed 3: Klein skips draws t = 1..6, a chain t = 0..6
+    GOLDEN_BURN_IN = {
+        "klein": "0a07d56a4636e7e0cfef7ed32bba576e69d8e438a74dd5fa6284d8be48bfb284",
+        "gibbs": "b46c9db70f1bc49df5bdf64cc317ed90688a829afc7e9b241bf936acbc5eb3fe",
+    }
+
+    @staticmethod
+    def _digest(basis, tmp_path, algo, seed, extra):
+        out = str(tmp_path / "golden.csv")
+        argv = ["sample", "--basis", basis, "--algo", algo, "--sigma", "0.8",
+                "--center=0.3,-0.4", "--x0=3,-2", "--iters", "300", "--chains", "2",
+                "--seed", str(seed), "-o", out, *extra]
+        assert run_cli(argv) == 0
+        return hashlib.sha256(open(out, "rb").read()).hexdigest()
 
     @pytest.mark.parametrize("algo, m, seed", sorted(GOLDEN, key=str))
     def test_sample_csv_bytes(self, skew2_file, tmp_path, algo, m, seed):
-        out = str(tmp_path / "golden.csv")
-        argv = ["sample", "--basis", skew2_file, "--algo", algo, "--sigma", "0.8",
-                "--center=0.3,-0.4", "--x0=3,-2", "--iters", "300", "--chains", "2",
-                "--seed", str(seed), "-o", out]
-        if m is not None:
-            argv += ["--block-size", str(m)]
-        assert run_cli(argv) == 0
-        digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+        extra = [] if m is None else ["--block-size", str(m)]
+        digest = self._digest(skew2_file, tmp_path, algo, seed, extra)
         assert digest == self.GOLDEN[(algo, m, seed)]
+
+    @pytest.mark.parametrize("algo", sorted(GOLDEN_BURN_IN))
+    def test_burn_in_csv_bytes(self, skew2_file, tmp_path, algo):
+        digest = self._digest(skew2_file, tmp_path, algo, 3, ["--burn-in", "7"])
+        assert digest == self.GOLDEN_BURN_IN[algo]
 
 
 class TestGoldenDiagnose:
@@ -273,6 +290,20 @@ class TestBadInputs:
         assert code == 1
         assert not os.path.exists(out)
         assert "probs must be finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
+    def test_huge_center_rejected_without_output(self, tmp_path, capsys, algo):
+        # at 1e19 the 1-D centers are past 2**53, where floats skip integers:
+        # Klein wrote int64-min rows, Gibbs exited 0, Gibbs-Klein overflowed
+        path = tmp_path / "b2.txt"
+        path.write_text("2\n1 0.8\n0 0.6\n")
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["sample", "--basis", str(path), "--algo", algo, "--sigma", "1.0",
+                        "--center=1e19,0", "--iters", "2", "--block-size", "2",
+                        "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "is too large: |center| must be below 2**53" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_basis_rejected_without_output(self, tmp_path, capsys, entry):

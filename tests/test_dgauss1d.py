@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +81,8 @@ class TestPmf:
             Gaussian1DParams(0.0, 0.0)
         with pytest.raises(ValueError):
             Gaussian1DParams(1.0, math.inf)
+        with pytest.raises(ValueError, match="is too large"):
+            Gaussian1DParams(1.0, -(2.0**53))
 
 
 class FixedUniform:
@@ -100,6 +104,8 @@ BAD_SCALARS = [
     (1.0, math.nan, "center must be finite"),
     (1.0, math.inf, "center must be finite"),
     (1.0, -math.inf, "center must be finite"),
+    (1.0, 2.0**53, "center 9007199254740992.0 is too large"),
+    (1.0, -1e19, "center -1e[+]19 is too large"),
 ]
 
 
@@ -180,6 +186,8 @@ BAD_ROWS = [
     (1.0, [0.2, math.inf], "center must be finite"),
     (1.0, [-math.inf, 0.0], "center must be finite"),
     (1e-155, [0.3], "alpha 1e-155 is too small"),
+    (1.0, [0.2, 2.0**53], "center 9007199254740992.0 is too large"),
+    (1.0, [1e19, math.nan], "center 1e[+]19 is too large"),
 ]
 
 
@@ -234,3 +242,135 @@ def test_pmf_rows_bitwise_equals_reduced_peak_evaluation():
             values = np.round(centers) + shift
             got = dg.pmf_rows(alpha, centers, values)
             assert np.array_equal(got, reduced_peak_pmf_rows(alpha, centers, values)), alpha
+
+
+def test_center_just_below_two_to_53_accepted():
+    c = 2.0**53 - 1.0
+    assert dg.sample(0.05, c, np.random.default_rng(0)) == 2**53 - 1
+    assert dg.sample_rows(0.05, [c, -c], np.random.default_rng(0)).tolist() == [c, -c]
+    assert dg.pmf_rows(0.05, [c], [2**53 - 1]).tolist() == [1.0]
+
+
+def full_table_sample_rows(alpha, centers, rng):
+    """The straightforward evaluation: one (rows, window) table, peak found by a max."""
+    half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
+    u = rng.random(centers.shape[0])
+    base = np.round(centers)
+    dev = base[:, None] + np.arange(-half, half + 1)[None, :] - centers[:, None]
+    logw = -(dev * dev) / (2.0 * alpha * alpha)
+    cum = np.cumsum(np.exp(logw - logw.max(axis=1, keepdims=True)), axis=1)
+    idx = np.sum(cum < (u * cum[:, -1])[:, None], axis=1)
+    return (base + (idx - half)).astype(np.int64)
+
+
+def rows_per_block(alpha):
+    half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
+    return max(1, dg.BLOCK_ENTRIES // (2 * half + 1))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.7, 9.0, 40.0])
+def test_sample_rows_equals_full_table_evaluation(alpha):
+    # the same uniforms and bitwise the same weights, block by block, at row
+    # counts around the block boundaries; every third center is a half-integer
+    b = rows_per_block(alpha)
+    rng = np.random.default_rng(int(alpha * 100))
+    for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+        centers = rng.uniform(-30.0, 30.0, n)
+        centers[::3] = np.round(centers[::3]) + 0.5
+        got = dg.sample_rows(alpha, centers, np.random.default_rng(n))
+        want = full_table_sample_rows(alpha, centers, np.random.default_rng(n))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (alpha, n)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 9.0, 40.0])
+def test_pmf_rows_equals_reduced_peak_evaluation_across_blocks(alpha):
+    b = rows_per_block(alpha)
+    rng = np.random.default_rng(int(alpha * 100) + 1)
+    centers = rng.uniform(-30.0, 30.0, 3 * b + 7)
+    centers[::3] = np.round(centers[::3]) + 0.5
+    values = np.round(centers) + rng.integers(-int(4 * alpha) - 2, int(4 * alpha) + 3, centers.size)
+    got = dg.pmf_rows(alpha, centers, values)
+    assert np.array_equal(got, reduced_peak_pmf_rows(alpha, centers, values))
+
+
+@pytest.mark.parametrize("alpha", [0.4, 9.0])
+def test_row_helpers_memory_is_bounded_by_the_row_count(alpha):
+    # 330,000 rows: the (rows, window) tables would take 45-390 MB
+    rng = np.random.default_rng(4)
+    centers = rng.uniform(-100.0, 100.0, 330_000)
+    values = np.round(centers)
+    for call in (lambda: dg.sample_rows(alpha, centers, rng),
+                 lambda: dg.pmf_rows(alpha, centers, values)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, (alpha, peak)
+
+
+# alpha log-uniform from just above the underflow floor to 1e3; centers up to
+# and past the 2**53 bound, and non-finite
+extreme_alphas = st.floats(math.log(1.06e-154), math.log(1e3)).map(math.exp)
+extreme_centers = st.one_of(
+    st.floats(-(2.0**53), 2.0**53),
+    st.sampled_from([0.5, -0.5, 2.0**53 - 1, 1e19, math.nan, math.inf, -math.inf]),
+)
+
+
+def _rows_case(data):
+    """alpha, 0-3 blocks of rows cycling through up to 4 centers, and half."""
+    alpha = data.draw(extreme_alphas)
+    n = data.draw(st.integers(0, 3 * rows_per_block(alpha)))
+    pool = data.draw(st.lists(extreme_centers, min_size=1, max_size=4))
+    half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
+    return alpha, np.resize(np.array(pool), n), half
+
+
+def _no_runtime_warning(call, bad):
+    """call() under warnings-as-errors: ValueError iff bad, else its result."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if bad:
+            with pytest.raises(ValueError):
+                call()
+            return None
+        return call()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sample_rows_property(data):
+    alpha, centers, half = _rows_case(data)
+    bad = not (np.abs(centers) < 2.0**53).all()
+    draws = _no_runtime_warning(
+        lambda: dg.sample_rows(alpha, centers, np.random.default_rng(0)), bad)
+    if draws is not None:
+        assert draws.dtype == np.int64 and draws.shape == centers.shape
+        offsets = draws - np.round(centers).astype(np.int64)
+        assert np.all(np.abs(offsets) <= half)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_pmf_rows_property(data):
+    alpha, centers, half = _rows_case(data)
+    ok = np.abs(centers) < 2.0**53
+    shift = data.draw(st.integers(-half - 3, half + 3))
+    values = np.round(np.where(ok, centers, 0.0)).astype(np.int64) + shift
+    probs = _no_runtime_warning(lambda: dg.pmf_rows(alpha, centers, values), not ok.all())
+    if probs is not None:
+        assert probs.shape == centers.shape
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+
+@given(extreme_alphas, extreme_centers)
+@settings(max_examples=150, deadline=None)
+def test_sample_property(alpha, center):
+    bad = not abs(center) < 2.0**53
+    draw = _no_runtime_warning(lambda: dg.sample(alpha, center, np.random.default_rng(0)), bad)
+    if draw is not None:
+        half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
+        assert isinstance(draw, int) and abs(draw - round(center)) <= half + 1
