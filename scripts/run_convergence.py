@@ -13,7 +13,7 @@ import numpy as np
 
 from lattice_gibbs import mcmc, oracle
 from lattice_gibbs.cli import default_checkpoints
-from lattice_gibbs.klein import GaussianParams, KleinSampler, klein_sample_many
+from lattice_gibbs.klein import GaussianParams, GibbsKleinConfig, klein_sample_many
 from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms
 
 
@@ -35,7 +35,7 @@ def main() -> None:
 
     lines = ["kernel,block_size,t,tv_distance"]
     draws = klein_sample_many(
-        KleinSampler(basis, target), args.chains, np.random.default_rng(args.seed)
+        GibbsKleinConfig(basis, target, 3), args.chains, np.random.default_rng(args.seed)
     )
     tv0 = oracle.tv_distance(oracle.empirical_from_states(draws), exact)
     print(f"sigma = {sigma:.3f} (threshold would need "

@@ -6,9 +6,15 @@ decoding benchmark, all behind a deterministic seeded CLI.
 """
 
 from .dgauss1d import Gaussian1DParams
-from .klein import GaussianParams, KleinSampler, klein_pmf, klein_sample, klein_sigma_default
+from .klein import (
+    GaussianParams,
+    GibbsKleinConfig,
+    klein_pmf,
+    klein_sample_many,
+    klein_sigma_default,
+)
 from .linalg import LatticeBasis, load_basis
-from .mcmc import GibbsKleinConfig, run_chain
+from .mcmc import run_chain
 from .mimo import BerTable, MimoConfig, ber_experiment
 from .oracle import BalanceReport, DiscreteDistribution, enumerate_support, tv_distance
 
@@ -19,13 +25,12 @@ __all__ = [
     "Gaussian1DParams",
     "GaussianParams",
     "GibbsKleinConfig",
-    "KleinSampler",
     "LatticeBasis",
     "MimoConfig",
     "ber_experiment",
     "enumerate_support",
     "klein_pmf",
-    "klein_sample",
+    "klein_sample_many",
     "klein_sigma_default",
     "load_basis",
     "run_chain",

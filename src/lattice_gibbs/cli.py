@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mcmc, mimo, oracle
-from .klein import GaussianParams, KleinSampler, klein_sample_many
+from .klein import GaussianParams, GibbsKleinConfig, klein_sample_many
 from .linalg import LatticeBasis, load_basis
 
 SEED_ENV_VAR = "LATTICE_GIBBS_SEED"
@@ -134,8 +134,8 @@ def cmd_sample(cfg: RunConfig) -> int:
     rngs = _chain_streams(cfg.seed, cfg.chains)
     for chain_idx, rng in enumerate(rngs):
         if cfg.algorithm == "klein":
-            sampler = KleinSampler(cfg.basis, cfg.target)
-            rows = klein_sample_many(sampler, cfg.iterations, rng)
+            kcfg = GibbsKleinConfig(cfg.basis, cfg.target, n)
+            rows = klein_sample_many(kcfg, cfg.iterations, rng)
             t_first = 1  # independent draws t = 1..iters
         else:
             rows = mcmc.run_chain(
@@ -191,8 +191,8 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     if cfg.algorithm == "klein":
-        sampler = KleinSampler(cfg.basis, cfg.target)
-        snaps = {t: klein_sample_many(sampler, cfg.chains, rng) for t in checkpoints}
+        kcfg = GibbsKleinConfig(cfg.basis, cfg.target, cfg.basis.n)
+        snaps = {t: klein_sample_many(kcfg, cfg.chains, rng) for t in checkpoints}
     elif cfg.algorithm == "gibbs":
         snaps, _ = mcmc.gibbs_ensemble(
             cfg.basis,
@@ -215,7 +215,7 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
     if cfg.algorithm in ("gibbs", "gibbs-klein"):
         pairs = oracle.single_flip_pairs(exact, max_pairs=200)
         gibbs = cfg.algorithm == "gibbs"
-        kcfg = mcmc.GibbsKleinConfig(cfg.basis, cfg.target, 1 if gibbs else cfg.block_size)
+        kcfg = GibbsKleinConfig(cfg.basis, cfg.target, 1 if gibbs else cfg.block_size)
         kernel_prob = mcmc.gibbs_kernel_prob if gibbs else mcmc.gibbs_klein_kernel_prob
         report = oracle.detailed_balance_residual(
             lambda a, b: kernel_prob(kcfg, a, b), exact, pairs

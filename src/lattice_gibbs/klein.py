@@ -2,9 +2,10 @@
 block step every sampler in the package is built from.
 
 One pass works on an upper-triangular factor U with positive diagonal and
-centers c (B = QR gives U = R and c = Q^T c). Coordinates are drawn backward
-(i = m..1), each from a 1-D discrete Gaussian with step size
-alpha_i = sigma / u_ii and center equal to the nearest-plane residual
+centers c (over all n coordinates, U = chol(B^T B) is the sign-fixed R of
+B = QR and c = U^-T B^T c = Q^T c). Coordinates are drawn backward (i = m..1),
+each from a 1-D discrete Gaussian with step size alpha_i = sigma / u_ii and
+center equal to the nearest-plane residual
 
     x~_i = (c_i - sum_{j>i} u_ij x_j) / u_ii.
 
@@ -18,7 +19,7 @@ compares against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,15 +46,26 @@ class GaussianParams:
 
 
 @dataclass(frozen=True)
-class KleinSampler:
+class GibbsKleinConfig:
+    """A sampler's settings; G = B^T B and B^T c are derived once. Gibbs
+    ignores block_size, and Klein's block is always all n coordinates."""
+
     basis: LatticeBasis
-    params: GaussianParams
+    target: GaussianParams
+    block_size: int
+    gram: list = field(init=False, repr=False, compare=False)
+    bc: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.params.center.shape != (self.basis.n,):
+        if not 1 <= self.block_size <= self.basis.n:
             raise ValueError(
-                f"center has shape {self.params.center.shape}, expected ({self.basis.n},)"
+                f"block size must lie in [1, {self.basis.n}], got {self.block_size}"
             )
+        if self.target.center.shape != (self.basis.n,):
+            raise ValueError("target center dimension does not match basis")
+        b = self.basis.matrix
+        object.__setattr__(self, "gram", (b.T @ b).tolist())
+        object.__setattr__(self, "bc", (b.T @ self.target.center).tolist())
 
 
 def block_conditional(
@@ -153,35 +165,24 @@ def backward_pmf_many(
     return probs
 
 
-def klein_sample(s: KleinSampler, rng: np.random.Generator) -> np.ndarray:
-    """One full pass: integer coefficient vector x (lattice point is B @ x)."""
-    c_prime = (s.basis.q_factor.T @ s.params.center).tolist()
-    z = [0] * s.basis.n
-    backward_sample_into(s.basis.r_factor.tolist(), c_prime, s.params.sigma, z, rng, dg.sample)
-    return np.array(z, dtype=np.int64)
-
-
-def klein_sample_many(s: KleinSampler, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """n_draws independent passes, vectorized coordinate by coordinate."""
-    r = s.basis.r_factor
-    c_prime = s.basis.q_factor.T @ s.params.center
-    xs = np.zeros((n_draws, s.basis.n))
-    for i in range(s.basis.n - 1, -1, -1):
-        rii = r[i, i]
-        centers = (c_prime[i] - xs[:, i + 1 :] @ r[i, i + 1 :]) / rii
-        xs[:, i] = dg.sample_rows(s.params.sigma / abs(rii), centers, rng)
+def klein_sample_many(
+    cfg: GibbsKleinConfig, n_draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n_draws independent passes as (n_draws, n) int64 coefficient rows (lattice
+    points B @ x), vectorized coordinate by coordinate."""
+    u, c = block_conditional(cfg.gram, cfg.bc, [], range(cfg.basis.n), [])
+    xs = np.zeros((n_draws, cfg.basis.n))
+    for i in range(cfg.basis.n - 1, -1, -1):
+        uii = u[i][i]
+        centers = (c[i] - xs[:, i + 1 :] @ np.array(u[i][i + 1 :])) / uii
+        xs[:, i] = dg.sample_rows(cfg.target.sigma / uii, centers, rng)
     return xs.astype(np.int64)
 
 
-def klein_pmf(s: KleinSampler, x: np.ndarray) -> float:
-    """Exact probability that `klein_sample` outputs x."""
-    c_prime = s.basis.q_factor.T @ s.params.center
-    return backward_pmf(s.basis.r_factor, c_prime, s.params.sigma, x, s.basis.n)
-
-
-def klein_pmf_many(s: KleinSampler, xs: np.ndarray) -> np.ndarray:
-    c_prime = s.basis.q_factor.T @ s.params.center
-    return backward_pmf_many(s.basis.r_factor, c_prime, s.params.sigma, xs, s.basis.n)
+def klein_pmf(cfg: GibbsKleinConfig, xs: np.ndarray) -> np.ndarray:
+    """Exact probability that a Klein pass outputs each row of xs."""
+    u, c = block_conditional(cfg.gram, cfg.bc, [], range(cfg.basis.n), [])
+    return backward_pmf_many(np.array(u), c, cfg.target.sigma, xs, cfg.basis.n)
 
 
 def klein_sigma_default(basis: LatticeBasis) -> float:

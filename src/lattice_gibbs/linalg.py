@@ -55,22 +55,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Full-rank basis with cached QR factors. Immutable once built."""
+    """Full-rank basis and the R of the sign-fixed QR that validated it. Immutable."""
 
     n: int
     matrix: np.ndarray
-    q_factor: np.ndarray
     r_factor: np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "LatticeBasis":
-        q, r = qr_decompose(matrix)
-        return cls(
-            n=q.shape[0],
-            matrix=_readonly(matrix),
-            q_factor=_readonly(q),
-            r_factor=_readonly(r),
-        )
+        _, r = qr_decompose(matrix)
+        return cls(n=r.shape[0], matrix=_readonly(matrix), r_factor=_readonly(r))
 
     @classmethod
     def identity(cls, n: int) -> "LatticeBasis":

@@ -11,39 +11,22 @@ permutation, i.e. Klein's pass on the permuted basis's leading block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dgauss1d as dg
 from .dgauss1d import Gaussian1DParams
-from .klein import GaussianParams, backward_pmf, backward_sample_into, block_conditional
+from .klein import (
+    GaussianParams,
+    GibbsKleinConfig,
+    backward_pmf,
+    backward_sample_into,
+    block_conditional,
+)
 from .linalg import LatticeBasis
 from .oracle import DiscreteDistribution
 
 MAX_KERNEL_ENUM_DIM = 7
-
-
-@dataclass(frozen=True)
-class GibbsKleinConfig:
-    """A chain's settings; G = B^T B and B^T c are derived once. Gibbs ignores block_size."""
-
-    basis: LatticeBasis
-    target: GaussianParams
-    block_size: int
-    gram: list = field(init=False, repr=False, compare=False)
-    bc: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.block_size <= self.basis.n:
-            raise ValueError(
-                f"block size must lie in [1, {self.basis.n}], got {self.block_size}"
-            )
-        if self.target.center.shape != (self.basis.n,):
-            raise ValueError("target center dimension does not match basis")
-        b = self.basis.matrix
-        object.__setattr__(self, "gram", (b.T @ b).tolist())
-        object.__setattr__(self, "bc", (b.T @ self.target.center).tolist())
 
 
 def start_state(x0, n: int) -> np.ndarray:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import dgauss1d as dg
 from .dgauss1d import TAIL_EPS, Gaussian1DParams
-from .klein import GaussianParams
-from .linalg import LatticeBasis, permute_basis
+from .klein import GaussianParams, GibbsKleinConfig, block_conditional
+from .linalg import LatticeBasis
 
 MAX_ENUM_DIM = 6
 MAX_BLOCK_DIM = 4
@@ -92,9 +92,9 @@ def enumerate_support(
     """Exact target distribution over the enumeration box, rows in lexicographic order.
 
     The box (module docstring, widened by 1) omits mass negligible relative to
-    tail_eps. Raises ValueError, before allocating anything, when it holds
-    more than MAX_BOX_POINTS points, and after, when sigma is too small for
-    finite weights.
+    tail_eps. Raises ValueError, before allocating anything, when a bound is not
+    finite or reaches 2**53 or the box holds more than MAX_BOX_POINTS points,
+    and after, when sigma is too small for finite weights.
     """
     if basis.n > MAX_ENUM_DIM:
         raise ValueError(f"enumeration limited to n <= {MAX_ENUM_DIM}, got n = {basis.n}")
@@ -104,8 +104,10 @@ def enumerate_support(
     center_coeff = b_inv @ target.center
     radius = target.sigma * (math.sqrt(2.0 * math.log(4.0 / tail_eps)) + math.sqrt(basis.n))
     halfwidth = np.linalg.norm(b_inv, axis=1) * radius + 1.0
-    lo = np.floor(center_coeff - halfwidth).astype(np.int64)
-    hi = np.ceil(center_coeff + halfwidth).astype(np.int64)
+    lo, hi = np.floor(center_coeff - halfwidth), np.ceil(center_coeff + halfwidth)
+    if not (np.abs(np.concatenate([lo, hi])) < dg.MAX_CENTER).all():  # NaN compares false
+        raise ValueError(f"enumeration box [{lo}, {hi}] must be finite and below 2**53")
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     count = math.prod(int(h) - int(l) + 1 for l, h in zip(lo, hi))
     if count > MAX_BOX_POINTS:
         raise ValueError(
@@ -167,23 +169,23 @@ def block_conditional_exact(
 ) -> DiscreteDistribution:
     """Exact conditional of coordinates order[:m] given order[m:] = z_rest.
 
-    With B[:, order] = QR the residual splits row-wise, so conditioning on
-    z_rest leaves exp(-||r_bar z_block - c_bar||^2 / 2 sigma^2) over the
-    leading m x m block r_bar with shifted center
-    c_bar_i = c'_i - sum_{j>m} r_ij z_rest_j.
+    Given x[rest], ||Bx - c||^2 is ||U x[block] - c_bar||^2 plus a constant,
+    with U and c_bar the block factor and centers from `block_conditional`, so
+    the conditional is the lattice Gaussian of the m x m basis U at c_bar.
     """
     if m > MAX_BLOCK_DIM:
         raise ValueError(f"block enumeration limited to m <= {MAX_BLOCK_DIM}, got {m}")
-    if not 1 <= m <= basis.n:
-        raise ValueError(f"block size {m} out of range for n = {basis.n}")
+    cfg = GibbsKleinConfig(basis, target, m)  # checks 1 <= m <= n
+    order = [int(j) for j in order]
+    if sorted(order) != list(range(basis.n)):
+        raise ValueError(f"not a permutation of 0..{basis.n - 1}: {order}")
     z_rest = np.asarray(z_rest, dtype=float)
     if z_rest.shape != (basis.n - m,):
         raise ValueError(f"z_rest must have shape ({basis.n - m},)")
-    permuted = permute_basis(basis, order)
-    r = permuted.r_factor
-    c_prime = permuted.q_factor.T @ target.center
-    c_bar = c_prime[:m] - r[:m, m:] @ z_rest
-    sub_basis = LatticeBasis.from_matrix(r[:m, :m])
+    x = np.zeros(basis.n)
+    x[order[m:]] = z_rest
+    u, c_bar = block_conditional(cfg.gram, cfg.bc, x.tolist(), order[:m], order[m:])
+    sub_basis = LatticeBasis.from_matrix(u)
     return enumerate_support(sub_basis, GaussianParams(target.sigma, c_bar), tail_eps)
 
 

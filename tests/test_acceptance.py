@@ -15,14 +15,8 @@ from conftest import make_random_basis
 
 from lattice_gibbs import cli, mcmc, mimo, oracle
 from lattice_gibbs import dgauss1d as dg
-from lattice_gibbs.klein import (
-    GaussianParams,
-    KleinSampler,
-    backward_pmf_many,
-    klein_pmf,
-    klein_pmf_many,
-)
-from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms, permute_basis
+from lattice_gibbs.klein import GaussianParams, GibbsKleinConfig, backward_pmf_many, klein_pmf
+from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms, permute_basis, qr_decompose
 
 # one-sided z for a family of 9 comparisons at joint 95% (0.05/9 per test)
 Z_FAMILY_9 = 2.539
@@ -36,8 +30,8 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num}: {description}{suffix}"
 
 
-def exact_tv(sampler: KleinSampler, dist) -> float:
-    kp = klein_pmf_many(sampler, np.array(dist.support))
+def exact_tv(basis: LatticeBasis, target: GaussianParams, dist) -> float:
+    kp = klein_pmf(GibbsKleinConfig(basis, target, basis.n), np.array(dist.support))
     return 0.5 * np.abs(kp - dist.probs).sum() + 0.5 * abs(1.0 - kp.sum())
 
 
@@ -50,14 +44,14 @@ def test_criterion_1_klein_exactness_and_failure():
         sigma = 3.0 * gram_schmidt_norms(basis).max()
         target = GaussianParams(sigma, rng.uniform(-1.0, 1.0, 3))
         dist = oracle.enumerate_support(basis, target, 1e-4)
-        worst = max(worst, exact_tv(KleinSampler(basis, target), dist))
+        worst = max(worst, exact_tv(basis, target, dist))
     # skew basis, rows (1,0) and (10,1): Gram-Schmidt norms (sqrt(101),
     # 1/sqrt(101)); far below smoothing, a Klein pass lands on distant points
     skew = LatticeBasis.from_matrix([[1.0, 0.0], [10.0, 1.0]])
     sigma_low = 0.2 * gram_schmidt_norms(skew).min()
     target_low = GaussianParams(sigma_low, np.array([0.5, 0.5]))
     dist_low = oracle.enumerate_support(skew, target_low, 1e-9)
-    tv_low = exact_tv(KleinSampler(skew, target_low), dist_low)
+    tv_low = exact_tv(skew, target_low, dist_low)
     elapsed = time.time() - t0
     ok = worst <= 0.01 and tv_low >= 0.05 and elapsed < 10.0
     report(
@@ -158,16 +152,14 @@ def test_criterion_4_block_conditional_accuracy():
         order = rng.permutation(3)
         z_rest = np.array([int(rng.integers(-2, 3))])
         exact = oracle.block_conditional_exact(basis, target, order, 2, z_rest, 1e-6)
-        permuted = permute_basis(basis, order)
+        q, r = qr_decompose(basis.matrix[:, order])
         zs = np.hstack(
             [np.array(exact.support, float), np.tile(z_rest, (len(exact.support), 1))]
         )
-        bp = backward_pmf_many(
-            permuted.r_factor, permuted.q_factor.T @ target.center, sigma, zs, 2
-        )
+        bp = backward_pmf_many(r, q.T @ target.center, sigma, zs, 2)
         tv = 0.5 * np.abs(bp - exact.probs).sum() + 0.5 * abs(1.0 - bp.sum())
         worst_tv = max(worst_tv, tv)
-        r_block = np.abs(np.diag(permuted.r_factor))[:2]
+        r_block = np.abs(np.diag(r))[:2]
         shifts = rng.uniform(-0.5, 0.5, (100, 2)) * r_block
         lo, _ = oracle.smoothing_ratio_window(r_block, sigma, shifts)
         worst_ratio = min(worst_ratio, lo)
@@ -196,10 +188,11 @@ def test_criterion_5_kernel_reductions(basis_2d):
     cfg_mn = mcmc.GibbsKleinConfig(basis_2d, target, 2)
     worst_mn = 0.0
     for order in itertools.permutations(range(2)):
-        sampler = KleinSampler(permute_basis(basis_2d, order), target)
-        for z in states:
+        klein_cfg = GibbsKleinConfig(permute_basis(basis_2d, order), target, 2)
+        klein_probs = klein_pmf(klein_cfg, np.array(states))
+        for z, klein_p in zip(states, klein_probs):
             block = mcmc.gibbs_klein_block_pmf(cfg_mn, order, np.array(z)[np.argsort(order)])
-            worst_mn = max(worst_mn, abs(block - klein_pmf(sampler, np.array(z))))
+            worst_mn = max(worst_mn, abs(block - klein_p))
     elapsed = time.time() - t0
     ok = worst_m1 <= 1e-12 and worst_mn <= 1e-12 and elapsed < 5.0
     report(

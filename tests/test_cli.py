@@ -305,6 +305,22 @@ class TestBadInputs:
         assert not os.path.exists(out)
         assert "is too large: |center| must be below 2**53" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
+    def test_diagnose_huge_center_rejected_without_output_or_warning(self, tmp_path, capsys,
+                                                                     recwarn, algo):
+        # the enumeration box bounds of a 1e19 center were cast to int64
+        # unchecked, with a RuntimeWarning, before the 1-D center check
+        path = tmp_path / "b2.txt"
+        path.write_text("2\n1 0.8\n0 0.6\n")
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["diagnose", "--basis", str(path), "--algo", algo, "--sigma", "1.0",
+                        "--center=1e19,0", "--iters", "2", "--block-size", "2",
+                        "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "enumeration box" in capsys.readouterr().err
+        assert not recwarn.list
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_basis_rejected_without_output(self, tmp_path, capsys, entry):
         path = tmp_path / "bad.txt"
@@ -442,6 +458,15 @@ class TestMimoCommand:
         assert run_cli(args + ["--output", out1]) == 0
         assert run_cli(args + ["--output", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_default_table_csv_bytes(self, tmp_path):
+        # sha256 of `mimo --trials 5` at the default seed 0, recorded from the
+        # deleted scripts/run_mimo_benchmark.py, which wrote the same bytes
+        out = tmp_path / "mimo_ber.csv"
+        assert run_cli(["mimo", "--trials", "5", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f2ba172776967c581b8d174995e013b532ff098d05cdb70cfde5342c7409aadb"
+        )
 
     @pytest.mark.parametrize("ebn0", ["nan", "inf", "-inf"])
     def test_non_finite_ebn0_rejected_without_output(self, tmp_path, capsys, ebn0):

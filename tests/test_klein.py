@@ -9,50 +9,63 @@ from lattice_gibbs import oracle
 from lattice_gibbs.dgauss1d import Gaussian1DParams
 from lattice_gibbs.klein import (
     GaussianParams,
-    KleinSampler,
+    GibbsKleinConfig,
+    backward_pmf_many,
+    backward_sample_into,
+    block_conditional,
     klein_pmf,
-    klein_pmf_many,
-    klein_sample,
     klein_sample_many,
     klein_sigma_default,
     smoothing_threshold,
 )
-from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms
+from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms, qr_decompose
 
 from conftest import make_random_basis
 
 
-def exact_tv_vs_oracle(sampler, dist):
-    """TV between the sampler's exact pmf and an enumerated distribution."""
+def klein_cfg(basis, target):
+    return GibbsKleinConfig(basis, target, basis.n)
+
+
+def scalar_klein_pass(cfg, rng):
+    """One Klein pass through the scalar block step and `dg.sample`."""
+    u, c = block_conditional(cfg.gram, cfg.bc, [], range(cfg.basis.n), [])
+    z = [0] * cfg.basis.n
+    backward_sample_into(u, c, cfg.target.sigma, z, rng, dg.sample)
+    return z
+
+
+def exact_tv_vs_oracle(cfg, dist):
+    """TV between Klein's exact pmf and an enumerated distribution."""
     pts = np.array(dist.support)
-    kp = klein_pmf_many(sampler, pts)
+    kp = klein_pmf(cfg, pts)
     return 0.5 * np.abs(kp - dist.probs).sum() + 0.5 * abs(1.0 - kp.sum())
 
 
 class TestKleinSample:
     def test_tiny_sigma_concentrates(self):
-        s = KleinSampler(LatticeBasis.identity(2), GaussianParams(0.01, np.array([2.0, -3.0])))
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            assert np.array_equal(klein_sample(s, rng), [2, -3])
+        cfg = klein_cfg(LatticeBasis.identity(2), GaussianParams(0.01, np.array([2.0, -3.0])))
+        draws = klein_sample_many(cfg, 300, np.random.default_rng(0))
+        assert (draws == [2, -3]).all()
 
     def test_identity_basis_decouples(self):
         # R = I makes the pmf an exact product of 1-D pmfs
         c = np.array([0.3, -0.6])
-        s = KleinSampler(LatticeBasis.identity(2), GaussianParams(1.3, c))
-        for x in itertools.product(range(-3, 4), repeat=2):
+        cfg = klein_cfg(LatticeBasis.identity(2), GaussianParams(1.3, c))
+        xs = np.array(list(itertools.product(range(-3, 4), repeat=2)))
+        for x, got in zip(xs, klein_pmf(cfg, xs)):
             expected = dg.pmf(Gaussian1DParams(1.3, c[0]), x[0]) * dg.pmf(
                 Gaussian1DParams(1.3, c[1]), x[1]
             )
-            assert klein_pmf(s, np.array(x)) == pytest.approx(expected, abs=1e-14)
+            assert got == pytest.approx(expected, abs=1e-14)
 
     def test_empirical_matches_pmf(self, basis_2d):
         # 1e5 draws; Monte Carlo floor here is ~0.006
-        s = KleinSampler(basis_2d, GaussianParams(1.5, np.zeros(2)))
-        draws = klein_sample_many(s, 100_000, np.random.default_rng(5))
+        cfg = klein_cfg(basis_2d, GaussianParams(1.5, np.zeros(2)))
+        draws = klein_sample_many(cfg, 100_000, np.random.default_rng(5))
         emp = oracle.empirical_from_states(draws)
-        box = oracle.enumerate_support(basis_2d, s.params, 1e-9)
-        kp = klein_pmf_many(s, np.array(box.support))
+        box = oracle.enumerate_support(basis_2d, cfg.target, 1e-9)
+        kp = klein_pmf(cfg, np.array(box.support))
         exact = oracle.DiscreteDistribution(box.support, kp / kp.sum())
         assert oracle.tv_distance(emp, exact) <= 0.01
 
@@ -61,36 +74,20 @@ class TestKleinSample:
         # per axis) stays under the 0.015 tolerance
         rng = np.random.default_rng(31)
         basis = make_random_basis(rng, 3)
-        s = KleinSampler(basis, GaussianParams(0.8, rng.uniform(-1, 1, 3)))
-        draws = klein_sample_many(s, 100_000, np.random.default_rng(8))
+        cfg = klein_cfg(basis, GaussianParams(0.8, rng.uniform(-1, 1, 3)))
+        draws = klein_sample_many(cfg, 100_000, np.random.default_rng(8))
         emp = oracle.empirical_from_states(draws)
-        box = oracle.enumerate_support(basis, s.params, 1e-6)
-        kp = klein_pmf_many(s, np.array(box.support))
+        box = oracle.enumerate_support(basis, cfg.target, 1e-6)
+        kp = klein_pmf(cfg, np.array(box.support))
         exact = oracle.DiscreteDistribution(box.support, kp / kp.sum())
         assert oracle.tv_distance(emp, exact) <= 0.015
 
-    def test_every_draw_goes_through_dgauss1d_sample(self, monkeypatch):
-        basis = make_random_basis(np.random.default_rng(2), 4)
-        sampler = KleinSampler(basis, GaussianParams(0.9, np.array([0.3, -1.2, 0.5, 2.0])))
-        expected = [klein_sample(sampler, np.random.default_rng(s)) for s in range(25)]
-        calls = []
-        draw = dg.sample
-
-        def counting(alpha, center, rng):
-            calls.append(alpha)
-            return draw(alpha, center, rng)
-
-        monkeypatch.setattr(dg, "sample", counting)
-        got = [klein_sample(sampler, np.random.default_rng(s)) for s in range(25)]
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-        assert len(calls) == 25 * 4
-
     def test_sample_many_agrees_with_scalar_path(self, basis_2d):
         # distinct vectorization, same distribution
-        s = KleinSampler(basis_2d, GaussianParams(1.0, np.array([0.2, 0.4])))
-        bulk = klein_sample_many(s, 30_000, np.random.default_rng(1))
+        cfg = klein_cfg(basis_2d, GaussianParams(1.0, np.array([0.2, 0.4])))
+        bulk = klein_sample_many(cfg, 30_000, np.random.default_rng(1))
         rng = np.random.default_rng(2)
-        scalar = np.array([klein_sample(s, rng) for _ in range(30_000)])
+        scalar = np.array([scalar_klein_pass(cfg, rng) for _ in range(30_000)])
         tv = oracle.tv_distance(
             oracle.empirical_from_states(bulk), oracle.empirical_from_states(scalar)
         )
@@ -99,22 +96,21 @@ class TestKleinSample:
 
 class TestKleinPmf:
     def test_sums_to_one_over_box(self, basis_2d):
-        s = KleinSampler(basis_2d, GaussianParams(1.2, np.array([0.3, 0.7])))
-        box = oracle.enumerate_support(basis_2d, s.params, 1e-9)
-        total = klein_pmf_many(s, np.array(box.support)).sum()
+        cfg = klein_cfg(basis_2d, GaussianParams(1.2, np.array([0.3, 0.7])))
+        box = oracle.enumerate_support(basis_2d, cfg.target, 1e-9)
+        total = klein_pmf(cfg, np.array(box.support)).sum()
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_close_to_target_above_smoothing(self, basis_2d):
         target = GaussianParams(3.0 * gram_schmidt_norms(basis_2d).max(), np.zeros(2))
-        s = KleinSampler(basis_2d, target)
         exact = oracle.enumerate_support(basis_2d, target, 1e-6)
-        assert exact_tv_vs_oracle(s, exact) <= 0.01
+        assert exact_tv_vs_oracle(klein_cfg(basis_2d, target), exact) <= 0.01
 
     def test_exact_on_diagonal_bases(self):
         basis = LatticeBasis.from_matrix(np.diag([2.0, 0.5, 1.25]))
         target = GaussianParams(0.8, np.array([0.3, -0.4, 0.9]))
         exact = oracle.enumerate_support(basis, target, 1e-12)
-        kp = klein_pmf_many(KleinSampler(basis, target), np.array(exact.support))
+        kp = klein_pmf(klein_cfg(basis, target), np.array(exact.support))
         assert np.abs(kp - exact.probs).max() <= 1e-10
 
     def test_tv_non_increasing_in_sigma(self):
@@ -128,10 +124,28 @@ class TestKleinPmf:
             for mult in (0.5, 1.0, 2.0, 4.0):
                 target = GaussianParams(mult * scale, center)
                 exact = oracle.enumerate_support(basis, target, 1e-5)
-                tvs.append(exact_tv_vs_oracle(KleinSampler(basis, target), exact))
+                tvs.append(exact_tv_vs_oracle(klein_cfg(basis, target), exact))
             for lo, hi in zip(tvs[1:], tvs[:-1]):
                 assert lo <= hi + 1e-3
             assert tvs[-1] <= 0.01
+
+    @pytest.mark.parametrize("case", ["skew", "n3-0.5", "n3-3.0", "n4-0.5", "n4-3.0"])
+    def test_block_step_factor_matches_sign_fixed_qr_reference(self, case):
+        # Klein's pmf on chol(B^T B) against the same pass on the sign-fixed
+        # QR, over the distinct rows of Klein's own draws, where its mass sits
+        if case == "skew":  # criterion 1's basis and sigma
+            basis = LatticeBasis.from_matrix([[1.0, 0.0], [10.0, 1.0]])
+            target = GaussianParams(0.2 * gram_schmidt_norms(basis).min(), np.array([0.5, 0.5]))
+        else:
+            n, mult = int(case[1]), float(case[3:])
+            rng = np.random.default_rng(60 + n)
+            basis = make_random_basis(rng, n)
+            target = GaussianParams(mult * gram_schmidt_norms(basis).min(), rng.uniform(-1, 1, n))
+        cfg = klein_cfg(basis, target)
+        pts = np.unique(klein_sample_many(cfg, 20_000, np.random.default_rng(3)), axis=0)
+        q, r = qr_decompose(basis.matrix)
+        ref = backward_pmf_many(r, q.T @ target.center, target.sigma, pts, basis.n)
+        assert 0.5 * np.abs(klein_pmf(cfg, pts) - ref).sum() <= 1e-12
 
 
 class TestSigmaChoices:

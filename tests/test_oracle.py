@@ -9,7 +9,7 @@ from lattice_gibbs import dgauss1d as dg
 from lattice_gibbs import mcmc, oracle
 from lattice_gibbs.dgauss1d import Gaussian1DParams
 from lattice_gibbs.klein import GaussianParams, backward_pmf_many
-from lattice_gibbs.linalg import LatticeBasis, permute_basis
+from lattice_gibbs.linalg import LatticeBasis, permute_basis, qr_decompose
 from lattice_gibbs.oracle import DiscreteDistribution
 
 from conftest import make_random_basis
@@ -262,7 +262,7 @@ class TestBlockConditional:
         z_rest = np.array([1])
         center = np.array([0.45, 0.55, 0.35])
         r_max = np.abs(np.diag(basis.r_factor)).max()
-        permuted = permute_basis(basis, order)
+        q, r = qr_decompose(basis.matrix[:, order])
 
         def block_tv(sigma):
             target = GaussianParams(sigma, center)
@@ -270,9 +270,7 @@ class TestBlockConditional:
             zs = np.hstack(
                 [np.array(exact.support, float), np.tile(z_rest, (len(exact.support), 1))]
             )
-            bp = backward_pmf_many(
-                permuted.r_factor, permuted.q_factor.T @ center, sigma, zs, 2
-            )
+            bp = backward_pmf_many(r, q.T @ center, sigma, zs, 2)
             return 0.5 * np.abs(bp - exact.probs).sum() + 0.5 * abs(1.0 - bp.sum())
 
         assert block_tv(3.0 * r_max) <= 0.01
@@ -284,6 +282,13 @@ class TestBlockConditional:
             oracle.block_conditional_exact(
                 basis_2d, target, range(2), 5, np.array([])
             )
+
+    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1, 3), (1, 2), (0, 1, 2, 3)])
+    def test_order_must_permute_all_coordinates(self, order):
+        basis = LatticeBasis.identity(3)
+        target = GaussianParams(1.0, np.zeros(3))
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            oracle.block_conditional_exact(basis, target, order, 2, np.array([0]))
 
 
 class TestSmoothingRatioWindow:

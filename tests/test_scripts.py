@@ -1,4 +1,4 @@
-"""Golden output of the two scripts under scripts/, run as subprocesses.
+"""Golden output of the script under scripts/, run as a subprocess.
 
 The digests were recorded before chains became int64 arrays, so they pin the
 scripts' random streams and CSV bytes draw for draw.
@@ -18,10 +18,6 @@ GOLDEN = {
     "run_convergence.py": (
         ["--chains", "50", "--steps", "8"],
         "70108de25c7280df60a6429fa963c2dd03f9316eac6a0b29f25fabed8a63a513",
-    ),
-    "run_mimo_benchmark.py": (
-        ["--trials", "5"],
-        "f2ba172776967c581b8d174995e013b532ff098d05cdb70cfde5342c7409aadb",
     ),
 }
 
