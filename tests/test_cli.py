@@ -211,6 +211,11 @@ class TestGoldenDiagnose:
         ("gibbs-klein", 2): (
             "9b8b660f630ce54d04b8338a54974c2a49f7fb51bcdb2965a6bf6ef078879342",
             "detailed_balance max_abs=7.101820e-04 max_rel=6.395919e-02 pairs=200\n"),
+        # recorded before the balance report was batched over pair rows; the
+        # only entry whose block pass has a length-2 dot (m = n = 3)
+        ("gibbs-klein", 3): (
+            "ee7e525d3080b238c2863f2e2cb956abd171785b67305f297e2f1b24a256c013",
+            "detailed_balance max_abs=8.797576e-04 max_rel=6.175817e-02 pairs=200\n"),
     }
 
     @pytest.mark.parametrize("algo, m", sorted(GOLDEN, key=str))
