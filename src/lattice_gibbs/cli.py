@@ -214,11 +214,10 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
 
     if cfg.algorithm in ("gibbs", "gibbs-klein"):
         pairs = oracle.single_flip_pairs(exact, max_pairs=200)
-        gibbs = cfg.algorithm == "gibbs"
-        kcfg = GibbsKleinConfig(cfg.basis, cfg.target, 1 if gibbs else cfg.block_size)
-        kernel_prob = mcmc.gibbs_kernel_prob if gibbs else mcmc.gibbs_klein_kernel_prob
+        m = 1 if cfg.algorithm == "gibbs" else cfg.block_size
+        kcfg = GibbsKleinConfig(cfg.basis, cfg.target, m)
         report = oracle.detailed_balance_residual(
-            lambda a, b: kernel_prob(kcfg, a, b), exact, pairs
+            lambda a, b: mcmc.kernel_probs(kcfg, a, b), exact, pairs
         )
         print(
             f"detailed_balance max_abs={report.max_abs_residual:.6e} "

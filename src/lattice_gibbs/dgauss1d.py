@@ -8,8 +8,9 @@ integer-rounding slack). The cut is one constant for every sampler and pmf in
 the package, as in the SampleZ routine of Gentry, Peikert & Vaikuntanathan
 (STOC 2008). All exponent sums subtract the max exponent first so small alpha
 cannot underflow to an all-zero table. An alpha with 2 alpha^2 below the
-smallest normal float (alpha below about 1.055e-154) is rejected, and so is a
-center with |c| >= 2**53 (MAX_CENTER).
+smallest normal float (alpha below about 1.055e-154) is rejected, as are a
+center with |c| >= 2**53 (MAX_CENTER) and an alpha whose window would hold
+more than MAX_WINDOW_POINTS points.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ MAX_CENTER = 2.0**53  # from here on floats skip integers, so windows would too
 # Widest window `sample` walks in a Python loop. The loop's cost grows with the
 # window and meets the numpy table's between about 64 and 96 points (alpha 4-6).
 LOOP_MAX_POINTS = 64
+# Widest 1-D window any table or row kernel builds: 128 MiB of float64 (alpha
+# about 1.1e6). A wider one is refused before it is allocated.
+MAX_WINDOW_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,14 @@ def truncation_halfwidth(alpha: float, tail_eps: float) -> float:
     return alpha * math.sqrt(2.0 * math.log(4.0 / tail_eps)) + 1.0
 
 
+def _check_window(alpha: float, points) -> None:
+    if points > MAX_WINDOW_POINTS:
+        raise ValueError(
+            f"alpha {alpha} needs a window of {int(points)} points, "
+            f"more than the {MAX_WINDOW_POINTS} allowed"
+        )
+
+
 def pmf_table(p: Gaussian1DParams) -> tuple[np.ndarray, np.ndarray]:
     """Support points and normalized probabilities over the window
     [floor(c - w), ceil(c + w)], whose omitted mass is below TAIL_EPS."""
@@ -62,10 +74,19 @@ def pmf_table(p: Gaussian1DParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _window_table(alpha: float, center: float) -> tuple[np.ndarray, np.ndarray]:
     w = truncation_halfwidth(alpha, TAIL_EPS)
-    ks = np.arange(math.floor(center - w), math.ceil(center + w) + 1)
-    logw = -((ks - center) ** 2) / (2.0 * alpha * alpha)
-    w = np.exp(logw - logw.max())
-    return ks, w / w.sum()
+    lo, hi = math.floor(center - w), math.ceil(center + w)
+    _check_window(alpha, hi - lo + 1)
+    ks = np.arange(lo, hi + 1)
+    return ks, _table_rows(alpha, np.array([center]), ks[None, :])[0]
+
+
+def _table_rows(alpha: float, centers: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Normalized weights of the window points ks[r] about centers[r], one row
+    each: the table arithmetic of `pmf_table` and `pmf_table_rows`. Each row
+    rounds as a lone 1-D table would."""
+    logw = -((ks - centers[:, None]) ** 2) / (2.0 * alpha * alpha)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def pmf(p: Gaussian1DParams, k: int) -> float:
@@ -117,9 +138,10 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
 # sharing a fixed alpha, for the batch Klein sampler, the chain ensembles and
 # exact pmfs over large point sets. The window is round(center) +- half per
 # row, within one point of the scalar table's (a pmf difference below
-# TAIL_EPS). Rows are worked through in blocks of about BLOCK_ENTRIES window
-# entries in one reused buffer, so memory is O(rows) for any alpha. Inputs are
-# checked as the scalar draw checks them.
+# TAIL_EPS); `pmf_table_rows` keeps the table's window and arithmetic for
+# callers that need `pmf`'s exact bits. Rows are worked through in blocks of
+# about BLOCK_ENTRIES window entries, so memory is O(rows) for any alpha.
+# Inputs are checked as the scalar draw checks them.
 BLOCK_ENTRIES = 8192  # 64 KiB of float64: below glibc's 128 KiB mmap threshold
 
 
@@ -138,6 +160,7 @@ def _log_weight_blocks(alpha: float, centers: np.ndarray, half: int):
     and |frac| <= 1/2 puts the peak at offset 0: logw equals the full table's
     `logw - logw.max()`. logw is a view of a buffer the next block overwrites.
     """
+    _check_window(alpha, 2 * half + 1)
     offs = np.arange(-half, half + 1, dtype=float)
     per = max(1, BLOCK_ENTRIES // offs.size)
     den = -(2.0 * alpha * alpha)
@@ -153,6 +176,33 @@ def _log_weight_blocks(alpha: float, centers: np.ndarray, half: int):
         np.divide(logw, den, out=logw)
         np.subtract(logw, m[:, None], out=logw)
         yield rows, base, m, logw
+
+
+def pmf_table_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row form of `pmf`: entry i is pmf(Gaussian1DParams(alpha, centers[i]),
+    values[i]) bit for bit, on the same window. Rows are grouped by window
+    length and worked through in blocks of about BLOCK_ENTRIES entries.
+    """
+    centers = _checked_centers(alpha, centers)
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(centers.shape[0])
+    if out.size == 0:
+        return out
+    w = truncation_halfwidth(alpha, TAIL_EPS)
+    lo = np.floor(centers - w)
+    points = np.ceil(centers + w) - lo + 1
+    _check_window(alpha, points.max())
+    for size in range(int(points.min()), int(points.max()) + 1):  # two or three lengths
+        group = np.nonzero(points == size)[0]
+        offs = np.arange(size, dtype=float)
+        per = max(1, BLOCK_ENTRIES // offs.size)
+        for start in range(0, group.size, per):
+            rows = group[start : start + per]
+            probs = _table_rows(alpha, centers[rows], lo[rows, None] + offs)
+            j = values[rows] - lo[rows]
+            inside = np.nonzero((j >= 0) & (j < size))[0]
+            out[rows[inside]] = probs[inside, j[inside].astype(np.intp)]
+    return out
 
 
 def pmf_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ permutation, i.e. Klein's pass on the permuted basis's leading block.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -74,21 +75,15 @@ def gibbs_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) 
 
 
 def gibbs_kernel_prob(cfg: GibbsKleinConfig, s_i, s_j) -> float:
-    """One-step transition probability of random-scan Gibbs from s_i to s_j.
+    """One-step transition probability of random-scan Gibbs from s_i to s_j:
+    one pair of `kernel_probs` with block size 1, whatever cfg.block_size.
 
     Zero beyond single-coordinate moves; the diagonal aggregates the
     resample-to-same-value mass of every coordinate.
     """
-    a = np.asarray(s_i, dtype=np.int64)
-    b = np.asarray(s_j, dtype=np.int64)
-    diff = np.nonzero(a != b)[0]
-    n = cfg.basis.n
-    if diff.size >= 2:
-        return 0.0
-    if diff.size == 1:
-        k = int(diff[0])
-        return dg.pmf(gibbs_conditional(cfg, a, k), int(b[k])) / n
-    return sum(dg.pmf(gibbs_conditional(cfg, a, k), int(a[k])) for k in range(n)) / n
+    if cfg.block_size != 1:
+        cfg = dataclasses.replace(cfg, block_size=1)
+    return float(kernel_probs(cfg, [s_i], [s_j])[0])
 
 
 def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
@@ -112,21 +107,67 @@ def gibbs_klein_block_pmf(cfg: GibbsKleinConfig, block, x) -> float:
 
 
 def gibbs_klein_kernel_prob(cfg: GibbsKleinConfig, s_i, s_j) -> float:
-    """One-step Gibbs-Klein transition probability, averaged over ordered blocks.
+    """One-step Gibbs-Klein transition probability from s_i to s_j: one pair of
+    `kernel_probs`."""
+    return float(kernel_probs(cfg, [s_i], [s_j])[0])
+
+
+def kernel_probs(cfg: GibbsKleinConfig, from_rows, to_rows) -> np.ndarray:
+    """One-step probability of the Gibbs-Klein kernel with cfg.block_size from
+    each row of from_rows to the same row of to_rows, as a (P,) array.
 
     A uniform permutation's first m entries are a uniform ordered block, and
-    the block pmf does not depend on the order of the rest, so the average
-    runs over the n!/(n-m)! ordered blocks. Exact enumeration, intended for
-    kernel-level verification at small n.
+    the block pmf does not depend on the order of the rest, so the kernel is
+    the average over the n!/(n-m)! ordered blocks of the pass's pmf, counted
+    where the rows agree outside the block. Block size 1 is random-scan Gibbs.
+    Each block's factor U is built once and shared by all rows; the centers
+    and the 1-D tables are formed column by column over the rows, in the
+    scalar `block_conditional` and `backward_pmf` order, so every entry
+    equals the per-pair sum of `gibbs_klein_block_pmf` bit for bit. Exact
+    enumeration, intended for kernel-level verification at small n.
     """
-    n = cfg.basis.n
-    if n > MAX_KERNEL_ENUM_DIM:
+    n, m = cfg.basis.n, cfg.block_size
+    if m > 1 and n > MAX_KERNEL_ENUM_DIM:
         raise ValueError(f"kernel enumeration limited to n <= {MAX_KERNEL_ENUM_DIM}")
-    b = np.asarray(s_j, dtype=np.int64)
-    moved = set(np.nonzero(np.asarray(s_i, dtype=np.int64) != b)[0].tolist())
-    blocks = list(itertools.permutations(range(n), cfg.block_size))
-    total = sum(gibbs_klein_block_pmf(cfg, block, b) for block in blocks if moved.issubset(block))
+    a = np.asarray(from_rows, dtype=np.int64)
+    b = np.asarray(to_rows, dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != n or b.shape != a.shape:
+        raise ValueError(f"need two (P, {n}) arrays of state rows, got {a.shape} and {b.shape}")
+    x = b.astype(float)
+    moved = a != b
+    blocks = list(itertools.permutations(range(n), m))
+    total = np.zeros(len(x))
+    for block in blocks:
+        rest = [j for j in range(n) if j not in block]
+        u, _ = block_conditional(cfg.gram, cfg.bc, [0.0] * n, block, rest)
+        rows = np.nonzero(~moved[:, rest].any(axis=1))[0]
+        if rows.size:
+            total[rows] += _block_pmfs(cfg, u, block, rest, x[rows])
     return total / len(blocks)
+
+
+def _block_pmfs(cfg: GibbsKleinConfig, u, block, rest, x: np.ndarray) -> np.ndarray:
+    """Probability that the block pass with factor u outputs x[r, block] given
+    x[r, rest], for each row r: `gibbs_klein_block_pmf` over rows."""
+    c = []
+    for i, bi in enumerate(block):  # block_conditional's centers, one column at a time
+        gb = cfg.gram[bi]
+        acc = np.full(len(x), cfg.bc[bi])
+        for j in rest:
+            acc = acc - gb[j] * x[:, j]
+        for p in range(i):
+            acc = acc - u[p][i] * c[p]
+        c.append(acc / u[i][i])
+    z = x[:, block]
+    prob = np.ones(len(x))
+    for i in range(len(block) - 1, -1, -1):  # backward_pmf's pass
+        rii = u[i][i]
+        # one (1, k) @ (k, 1) product per row: the scalar pass's dot, which
+        # rounds unlike a (P, k) @ (k,) matrix-vector product
+        dot = (z[:, None, i + 1 :] @ np.array(u[i][i + 1 :])[:, None])[:, 0, 0]
+        center = (c[i] - dot) / rii
+        prob = prob * dg.pmf_table_rows(cfg.target.sigma / rii, center, z[:, i])
+    return prob
 
 
 def run_chain(

@@ -141,22 +141,28 @@ def empirical_from_states(states: np.ndarray) -> DiscreteDistribution:
 
 
 def detailed_balance_residual(
-    kernel_prob: Callable,
+    kernel_probs: Callable,
     target: DiscreteDistribution,
     pair_set: "np.ndarray | Sequence[tuple]",
 ) -> BalanceReport:
-    """Worst-case |D(s_i)P(s_i;s_j) - D(s_j)P(s_j;s_i)| over the given row pairs."""
-    d = target.probs_of(np.reshape(pair_set, (-1, target.support.shape[1]))).tolist()
-    max_abs = max_rel = 0.0
-    for (s_i, s_j), p_i, p_j in zip(pair_set, d[0::2], d[1::2]):
-        flow_ij = p_i * kernel_prob(s_i, s_j)
-        flow_ji = p_j * kernel_prob(s_j, s_i)
-        residual = abs(flow_ij - flow_ji)
-        max_abs = max(max_abs, residual)
-        scale = max(flow_ij, flow_ji)
-        if scale > 0.0:
-            max_rel = max(max_rel, residual / scale)
-    return BalanceReport(max_abs, max_rel, len(pair_set))
+    """Worst-case |D(s_i)P(s_i;s_j) - D(s_j)P(s_j;s_i)| over the given row pairs.
+
+    kernel_probs(from_rows, to_rows) gives the one-step probability for each
+    row of two (P, n) arrays; it is called once, on both directions stacked.
+    """
+    n = target.support.shape[1]
+    pairs = np.asarray(pair_set, dtype=np.int64).reshape(-1, 2, n)
+    d = target.probs_of(pairs.reshape(-1, n))
+    stacked = np.concatenate([pairs, pairs[:, ::-1]])
+    k = kernel_probs(stacked[:, 0], stacked[:, 1])
+    flow_ij = d[0::2] * k[: len(pairs)]
+    flow_ji = d[1::2] * k[len(pairs) :]
+    residual = np.abs(flow_ij - flow_ji)
+    scale = np.maximum(flow_ij, flow_ji)
+    rel = np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return BalanceReport(
+        float(residual.max(initial=0.0)), float(rel.max(initial=0.0)), len(pairs)
+    )
 
 
 def block_conditional_exact(
@@ -203,19 +209,23 @@ def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None
     """(P, 2, n) int64 pairs (p, q), p < q, of support rows differing in one coordinate.
 
     Sorted by joint probability (descending), then p and q, so a capped prefix
-    covers the most relevant transitions first. Partners come from `locate` on
-    the support shifted by +1, +2, ... in one coordinate; a cap keeps a running
-    top max_pairs, so memory is O(S + max_pairs).
+    covers the most relevant transitions first. For each coordinate i the
+    support is sorted by (the other coordinates, x_i), so each row's partners
+    are the rows 1, 2, ... places after it with the same other coordinates; a
+    cap keeps a running top max_pairs, so memory is O(S + max_pairs).
     """
     pts = dist.support
     found = [np.empty((0, 2), dtype=np.intp)]  # support indices of (p, q)
     for i in range(pts.shape[1]):
-        shifted = pts.copy()
-        for _ in range(np.ptp(pts[:, i])):
-            shifted[:, i] += 1
-            partner = dist.locate(shifted)
-            hit = np.nonzero(partner >= 0)[0]
-            found.append(np.stack([hit, partner[hit]], axis=1))
+        others = np.delete(pts, i, axis=1)
+        order = np.lexsort([pts[:, i], *others[:, ::-1].T])
+        others = others[order]
+        group = np.concatenate([[0], np.any(others[1:] != others[:-1], axis=1).cumsum()])
+        for s in range(1, len(order)):
+            hit = np.nonzero(group[s:] == group[:-s])[0]
+            if hit.size == 0:  # every group is shorter than s + 1 rows
+                break
+            found.append(np.stack([order[hit], order[hit + s]], axis=1))
             if max_pairs is not None:
                 found = [_best_pairs(dist, np.concatenate(found), max_pairs)]
     return pts[_best_pairs(dist, np.concatenate(found), max_pairs)]

@@ -17,6 +17,18 @@ def make_random_basis(rng: np.random.Generator, n: int = 3) -> LatticeBasis:
     return LatticeBasis.from_matrix(q @ np.diag(diag) @ shear)
 
 
+def per_pair(kernel):
+    """The batched form kernel_probs(from_rows, to_rows) that
+    `oracle.detailed_balance_residual` takes, of a one-pair kernel(a, b) on
+    tuples of ints."""
+
+    def kernel_probs(from_rows, to_rows):
+        rows = zip(np.asarray(from_rows).tolist(), np.asarray(to_rows).tolist())
+        return np.array([kernel(tuple(a), tuple(b)) for a, b in rows], dtype=float)
+
+    return kernel_probs
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

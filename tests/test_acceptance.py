@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import make_random_basis
+from conftest import make_random_basis, per_pair
 
 from lattice_gibbs import cli, mcmc, mimo, oracle
 from lattice_gibbs import dgauss1d as dg
@@ -108,7 +108,7 @@ def test_criterion_2_gibbs_stationarity_and_balance(basis_2d):
         for a, b in (map(tuple, pair) for pair in oracle.single_flip_pairs(exact).tolist())
         if kernel(a, b) > 0.0 and kernel(b, a) > 0.0
     ]
-    balance = oracle.detailed_balance_residual(kernel, exact, pairs)
+    balance = oracle.detailed_balance_residual(per_pair(kernel), exact, pairs)
     elapsed = time.time() - t0
     ok = inv_residual <= 1e-8 and balance.max_rel_residual <= 1e-10 and elapsed < 5.0
     report(

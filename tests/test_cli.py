@@ -285,6 +285,19 @@ class TestBadInputs:
         assert "is too small: 2 alpha^2 underflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
+    def test_window_past_cap_rejected_without_output(self, tmp_path, capsys, algo):
+        # a Gram-Schmidt norm of 1e-6 at sigma 1.2: alpha 1.2e6, whose 1-D
+        # window holds about 1.8e7 points, just past MAX_WINDOW_POINTS (2**24)
+        basis = tmp_path / "thin.txt"
+        basis.write_text("2\n1 0\n0 1e-6\n")
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["sample", "--basis", str(basis), "--algo", algo, "--sigma", "1.2",
+                        "--iters", "50", "--block-size", "1", "--seed", "1", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "points, more than the 16777216 allowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
     def test_diagnose_underflowing_sigma_rejected_without_output(self, skew2_file, tmp_path,
                                                                  capsys, algo):
         # the oracle's weights divide by 2 sigma^2, which underflows: all NaN

@@ -203,6 +203,56 @@ def test_pmf_rows_rejects_bad_inputs(alpha, centers, message):
         dg.pmf_rows(alpha, np.array(centers), np.zeros(len(centers)))
 
 
+@pytest.mark.parametrize("alpha, centers, message", BAD_ROWS)
+def test_pmf_table_rows_rejects_bad_inputs(alpha, centers, message):
+    with pytest.raises(ValueError, match=message):
+        dg.pmf_table_rows(alpha, np.array(centers), np.zeros(len(centers)))
+
+
+def test_pmf_table_rows_bitwise_equals_scalar_pmf():
+    # every window length, values inside and outside the window, and (at the
+    # wider alphas) more rows than one block of BLOCK_ENTRIES holds
+    rng = np.random.default_rng(8)
+    for alpha in (0.05, 0.3, 1.0, 2.7, 9.0, 40.0):
+        centers = rng.uniform(-20.0, 20.0, 1200)
+        half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
+        values = np.round(centers) + rng.integers(-half - 3, half + 4, centers.size)
+        got = dg.pmf_table_rows(alpha, centers, values)
+        expected = [dg.pmf(Gaussian1DParams(alpha, c), int(v)) for c, v in zip(centers, values)]
+        assert got.tolist() == expected, alpha
+        assert (got == 0.0).any() and (got > 0.0).any()
+    assert dg.pmf_table_rows(1.0, [], []).shape == (0,)
+
+
+# The alpha whose window about 0 is a few points wider than MAX_WINDOW_POINTS:
+# a missing guard would allocate about the cap's 128 MiB per array.
+WIDE_ALPHA = dg.MAX_WINDOW_POINTS / 2 / math.sqrt(2.0 * math.log(4.0 / dg.TAIL_EPS))
+
+
+def test_window_past_the_cap_is_refused_before_allocation():
+    w = dg.truncation_halfwidth(WIDE_ALPHA, dg.TAIL_EPS)
+    points = math.ceil(w) - math.floor(-w) + 1
+    assert dg.MAX_WINDOW_POINTS < points <= dg.MAX_WINDOW_POINTS + 4
+    rng = np.random.default_rng(0)
+    calls = [
+        lambda: dg.pmf(Gaussian1DParams(WIDE_ALPHA, 0.0), 0),
+        lambda: dg.sample(WIDE_ALPHA, 0.0, rng),
+        lambda: dg.pmf_table_rows(WIDE_ALPHA, [0.0], [0]),
+        lambda: dg.pmf_rows(WIDE_ALPHA, [0.0], [0]),
+        lambda: dg.sample_rows(WIDE_ALPHA, [0.0], rng),
+    ]
+    message = f"alpha .* needs a window of {points} points, more than the {dg.MAX_WINDOW_POINTS}"
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_pmf_rows_matches_scalar_pmf():
     alpha = 1.3
     centers = np.array([0.0, 0.45, -2.2, 7.9])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -251,6 +252,141 @@ class TestGibbsKlein:
                 assert prob > 0.0
             else:
                 assert prob == 0.0
+
+
+def scalar_kernel_prob(cfg, s_i, s_j):
+    """The per-pair enumeration `kernel_probs` replaced: the ordered-block
+    average of `gibbs_klein_block_pmf`, summed in block order."""
+    b = np.asarray(s_j, dtype=np.int64)
+    moved = set(np.nonzero(np.asarray(s_i, dtype=np.int64) != b)[0].tolist())
+    blocks = list(itertools.permutations(range(cfg.basis.n), cfg.block_size))
+    total = sum(mcmc.gibbs_klein_block_pmf(cfg, block, b) for block in blocks if moved.issubset(block))
+    return total / len(blocks)
+
+
+def scalar_gibbs_prob(cfg, s_i, s_j):
+    """Random-scan Gibbs from its 1-D conditionals, one `dg.pmf` per coordinate."""
+    a, b = np.asarray(s_i), np.asarray(s_j)
+    diff = np.nonzero(a != b)[0]
+    n = cfg.basis.n
+    if diff.size >= 2:
+        return 0.0
+    if diff.size == 1:
+        k = int(diff[0])
+        return dg.pmf(mcmc.gibbs_conditional(cfg, a, k), int(b[k])) / n
+    return sum(dg.pmf(mcmc.gibbs_conditional(cfg, a, k), int(a[k])) for k in range(n)) / n
+
+
+GOLDEN_DIAGNOSE_BASIS = [[1.0, 0.4, 0.4], [0.0, 1.3, 0.4], [0.0, 0.0, 1.6]]
+
+
+def balance_rows(basis, target):
+    """Both directions of the top single-flip pairs, plus diagonal rows, moves
+    of every size and rows whose target lies outside a 1-D window."""
+    exact = oracle.enumerate_support(basis, target)
+    pairs = oracle.single_flip_pairs(exact, max_pairs=200)
+    a = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    b = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    rng = np.random.default_rng(9)
+    extra = exact.support[rng.choice(len(exact.support), 60)]
+    moved = extra + rng.integers(-2, 3, extra.shape) * (rng.random(extra.shape) < 0.6)
+    far = extra[:10].copy()
+    far[:, 0] += 40  # outside every 1-D window of the first coordinate
+    return np.concatenate([a, extra, extra, extra[:10]]), np.concatenate([b, extra, moved, far])
+
+
+class TestKernelProbs:
+    @pytest.mark.parametrize("case", ["golden-diagnose", "criterion-2"])
+    def test_bitwise_equals_per_pair_sum_for_small_blocks(self, basis_2d, case):
+        if case == "golden-diagnose":
+            basis = LatticeBasis.from_matrix(GOLDEN_DIAGNOSE_BASIS)
+            target = GaussianParams(0.7, np.array([0.3, -0.2, 0.45]))
+        else:
+            basis, target = basis_2d, GaussianParams(1.0, np.array([0.3, 0.7]))
+        a, b = balance_rows(basis, target)
+        for m in (1, 2):
+            cfg = mcmc.GibbsKleinConfig(basis, target, m)
+            got = mcmc.kernel_probs(cfg, a, b)
+            assert got.tolist() == [scalar_kernel_prob(cfg, x, y) for x, y in zip(a, b)]
+            diagonal = (a == b).all(axis=1)
+            assert (got[diagonal] > 0.0).any()
+            assert (got[-10:] == 0.0).all()  # the rows moved 40 points away
+            if m == 1:
+                assert got.tolist() == [scalar_gibbs_prob(cfg, x, y) for x, y in zip(a, b)]
+                assert got.tolist() == [mcmc.gibbs_kernel_prob(cfg, x, y) for x, y in zip(a, b)]
+
+    def test_larger_blocks_match_per_pair_sum(self):
+        rng = np.random.default_rng(31)
+        basis = make_random_basis(rng, 4)
+        target = GaussianParams(0.8, rng.uniform(-1, 1, 4))
+        a, b = balance_rows(basis, target)
+        for m in (3, 4):
+            cfg = mcmc.GibbsKleinConfig(basis, target, m)
+            got = mcmc.kernel_probs(cfg, a, b)
+            ref = np.array([scalar_kernel_prob(cfg, x, y) for x, y in zip(a, b)])
+            assert np.array_equal(got > 0.0, ref > 0.0)
+            assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    def test_gibbs_kernel_prob_ignores_block_size(self, basis_2d, target_2d):
+        cfg1 = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
+        cfg2 = mcmc.GibbsKleinConfig(basis_2d, target_2d, 2)
+        for a, b in (((0, 0), (0, 0)), ((0, 0), (2, 0)), ((1, -1), (1, 3))):
+            assert mcmc.gibbs_kernel_prob(cfg2, a, b) == mcmc.gibbs_kernel_prob(cfg1, a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_factor_per_ordered_block_per_report(self, monkeypatch, m):
+        basis = LatticeBasis.from_matrix(GOLDEN_DIAGNOSE_BASIS)
+        target = GaussianParams(0.7, np.array([0.3, -0.2, 0.45]))
+        exact = oracle.enumerate_support(basis, target)
+        pairs = oracle.single_flip_pairs(exact, max_pairs=200)
+        cfg = mcmc.GibbsKleinConfig(basis, target, m)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return block_conditional(*args)
+
+        monkeypatch.setattr(mcmc, "block_conditional", counting)
+        for count in (1, 20, 200):
+            calls.clear()
+            oracle.detailed_balance_residual(
+                lambda x, y: mcmc.kernel_probs(cfg, x, y), exact, pairs[:count]
+            )
+            assert len(calls) == math.perm(3, m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_balance_report_equals_per_pair_loop(self, m):
+        basis = LatticeBasis.from_matrix(GOLDEN_DIAGNOSE_BASIS)
+        target = GaussianParams(0.7, np.array([0.3, -0.2, 0.45]))
+        exact = oracle.enumerate_support(basis, target)
+        pairs = oracle.single_flip_pairs(exact, max_pairs=200)
+        cfg = mcmc.GibbsKleinConfig(basis, target, m)
+        max_abs = max_rel = 0.0
+        for s_i, s_j in pairs:
+            flow_ij = exact.prob(s_i) * scalar_kernel_prob(cfg, s_i, s_j)
+            flow_ji = exact.prob(s_j) * scalar_kernel_prob(cfg, s_j, s_i)
+            max_abs = max(max_abs, abs(flow_ij - flow_ji))
+            if max(flow_ij, flow_ji) > 0.0:
+                max_rel = max(max_rel, abs(flow_ij - flow_ji) / max(flow_ij, flow_ji))
+        report = oracle.detailed_balance_residual(
+            lambda x, y: mcmc.kernel_probs(cfg, x, y), exact, pairs
+        )
+        assert report == oracle.BalanceReport(max_abs, max_rel, len(pairs))
+        assert max_rel > 0.0
+
+    def test_rejects_mismatched_rows_and_large_enumerations(self, basis_2d, target_2d):
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 2)
+        with pytest.raises(ValueError, match="state rows"):
+            mcmc.kernel_probs(cfg, [[0, 0]], [[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="state rows"):
+            mcmc.kernel_probs(cfg, [[0, 0, 0]], [[0, 0, 0]])
+        assert mcmc.kernel_probs(cfg, np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+        big = LatticeBasis.identity(mcmc.MAX_KERNEL_ENUM_DIM + 1)
+        target = GaussianParams(1.0, np.zeros(big.n))
+        with pytest.raises(ValueError, match="kernel enumeration limited"):
+            mcmc.kernel_probs(mcmc.GibbsKleinConfig(big, target, 2), [[0] * big.n], [[0] * big.n])
+        gibbs = mcmc.GibbsKleinConfig(big, target, 1)  # n ordered blocks: no limit
+        assert mcmc.gibbs_kernel_prob(gibbs, [0] * big.n, [1] + [0] * (big.n - 1)) > 0.0
 
 
 class TestRunChain:

@@ -12,7 +12,7 @@ from lattice_gibbs.klein import GaussianParams, backward_pmf_many
 from lattice_gibbs.linalg import LatticeBasis, permute_basis, qr_decompose
 from lattice_gibbs.oracle import DiscreteDistribution
 
-from conftest import make_random_basis
+from conftest import make_random_basis, per_pair
 
 
 class TestEnumerateSupport:
@@ -188,7 +188,7 @@ class TestDetailedBalance:
         exact = oracle.enumerate_support(basis_2d, target, 1e-9)
         kernel = lambda a, b: exact.prob(b)  # noqa: E731
         pairs = oracle.single_flip_pairs(exact, max_pairs=300)
-        report = oracle.detailed_balance_residual(kernel, exact, pairs)
+        report = oracle.detailed_balance_residual(per_pair(kernel), exact, pairs)
         assert report.max_rel_residual <= 1e-12
 
     def test_gibbs_balances_exactly(self, basis_2d):
@@ -197,7 +197,7 @@ class TestDetailedBalance:
         cfg = mcmc.GibbsKleinConfig(basis_2d, target, 1)
         kernel = lambda a, b: mcmc.gibbs_kernel_prob(cfg, a, b)  # noqa: E731
         pairs = oracle.single_flip_pairs(exact, max_pairs=400)
-        report = oracle.detailed_balance_residual(kernel, exact, pairs)
+        report = oracle.detailed_balance_residual(per_pair(kernel), exact, pairs)
         assert report.max_rel_residual <= 1e-10
         assert report.pairs_checked == 400
 
@@ -218,7 +218,7 @@ class TestDetailedBalance:
             return mcmc.gibbs_klein_block_pmf(cfg, order[:m], x)
 
         pairs = oracle.single_flip_pairs(exact_block, max_pairs=200)
-        report = oracle.detailed_balance_residual(kernel, exact_block, pairs)
+        report = oracle.detailed_balance_residual(per_pair(kernel), exact_block, pairs)
         assert report.max_rel_residual <= 0.01
         # epsilon window propagated through the balance relation
         r_norms = np.abs(np.diag(permute_basis(basis, order).r_factor))[:m]
