@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from lattice_gibbs import mcmc, oracle
-from lattice_gibbs.cli import default_checkpoints
+from lattice_gibbs.cli import _gibbs_klein_snapshots, default_checkpoints
 from lattice_gibbs.klein import GaussianParams, GibbsKleinConfig, klein_sample_many
 from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms
 
@@ -51,14 +51,12 @@ def main() -> None:
     curves = {"gibbs": {t: oracle.tv_distance(oracle.empirical_from_states(s), exact)
                         for t, s in snaps.items()}}
     for m in (2, 3):
-        rows = np.array([  # (chains, checkpoints, n): only the checkpoint rows of each chain
-            mcmc.run_chain("gibbs-klein", basis, target, (0, 0, 0), args.steps,
-                           np.random.default_rng(ss), block_size=m)[marks]
-            for ss in np.random.SeedSequence(args.seed + 10 + m).spawn(args.chains)
-        ])
+        snaps = _gibbs_klein_snapshots(
+            basis, target, (0, 0, 0), m, args.chains, args.seed + 10 + m, marks
+        )
         curves[f"gibbs-klein(m={m})"] = {
-            t: oracle.tv_distance(oracle.empirical_from_states(rows[:, k]), exact)
-            for k, t in enumerate(marks)
+            t: oracle.tv_distance(oracle.empirical_from_states(s), exact)
+            for t, s in snaps.items()
         }
         print(f" {f'gk m={m}':>10}", end="")
     print()

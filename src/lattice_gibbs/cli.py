@@ -105,7 +105,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--iters must be >= 0")
     if args.chains < 1:
         raise ValueError("--chains must be >= 1")
-    if args.burn_in < 0:
+    burn_in = getattr(args, "burn_in", 0)  # only `sample` has --burn-in
+    if burn_in < 0:
         raise ValueError("--burn-in must be >= 0")
     target = GaussianParams(args.sigma, _parse_vector(args.center, n, "--center"))
     return RunConfig(
@@ -116,7 +117,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         block_size=args.block_size,
         iterations=args.iters,
         chains=args.chains,
-        burn_in=args.burn_in,
+        burn_in=burn_in,
         seed=_resolve_seed(args.seed),
         output=args.output,
     )
@@ -163,13 +164,20 @@ def default_checkpoints(t_max: int) -> list[int]:
 
 
 def _gibbs_klein_snapshots(
-    cfg: RunConfig, checkpoints: list[int]
+    basis: LatticeBasis,
+    target: GaussianParams,
+    x0,
+    block_size: int,
+    chains: int,
+    seed: int,
+    checkpoints: "list[int]",
 ) -> dict[int, np.ndarray]:
-    snaps = {t: np.empty((cfg.chains, cfg.basis.n), dtype=np.int64) for t in checkpoints}
-    for chain_idx, rng in enumerate(_chain_streams(cfg.seed, cfg.chains)):
+    """The (chains, n) states of independent Gibbs-Klein chains at each
+    checkpoint, chain i on the i-th stream spawned from seed."""
+    snaps = {t: np.empty((chains, basis.n), dtype=np.int64) for t in checkpoints}
+    for chain_idx, rng in enumerate(_chain_streams(seed, chains)):
         states = mcmc.run_chain(
-            "gibbs-klein", cfg.basis, cfg.target, cfg.x0, max(checkpoints), rng,
-            block_size=cfg.block_size,
+            "gibbs-klein", basis, target, x0, max(checkpoints), rng, block_size=block_size
         )
         for t in checkpoints:
             snaps[t][chain_idx] = states[t]
@@ -204,7 +212,9 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
             record_at=tuple(checkpoints),
         )
     else:
-        snaps = _gibbs_klein_snapshots(cfg, checkpoints)
+        snaps = _gibbs_klein_snapshots(
+            cfg.basis, cfg.target, cfg.x0, cfg.block_size, cfg.chains, cfg.seed, checkpoints
+        )
 
     lines = ["t,tv_distance"]
     for t in checkpoints:
@@ -253,7 +263,6 @@ def _add_common_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block-size", type=int, default=None)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", "-o", default="-", help="CSV path ('-' for stdout)")
 
@@ -267,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw samples / run chains, CSV per state")
     _add_common_sampling_flags(p_sample)
+    p_sample.add_argument("--burn-in", type=int, default=0)
 
     p_diag = sub.add_parser("diagnose", help="TV convergence vs the exact oracle")
     _add_common_sampling_flags(p_diag)

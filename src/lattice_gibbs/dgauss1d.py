@@ -136,12 +136,9 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
 
 # Vectorized row-wise helpers: one independent 1-D discrete Gaussian per row,
 # sharing a fixed alpha, for the batch Klein sampler, the chain ensembles and
-# exact pmfs over large point sets. The window is round(center) +- half per
-# row, within one point of the scalar table's (a pmf difference below
-# TAIL_EPS); `pmf_table_rows` keeps the table's window and arithmetic for
-# callers that need `pmf`'s exact bits. Rows are worked through in blocks of
-# about BLOCK_ENTRIES window entries, so memory is O(rows) for any alpha.
-# Inputs are checked as the scalar draw checks them.
+# exact pmfs over large point sets. Rows are worked through in blocks of about
+# BLOCK_ENTRIES window entries, so memory is O(rows) for any alpha. Inputs are
+# checked as the scalar draw checks them.
 BLOCK_ENTRIES = 8192  # 64 KiB of float64: below glibc's 128 KiB mmap threshold
 
 
@@ -150,32 +147,6 @@ def _checked_centers(alpha: float, centers) -> np.ndarray:
     bad = ~(np.abs(centers) < MAX_CENTER)  # NaN compares false
     _check(alpha, float(centers[bad][0]) if bad.any() else 0.0)
     return centers
-
-
-def _log_weight_blocks(alpha: float, centers: np.ndarray, half: int):
-    """Yield (rows, base = round(c), m, logw) per block: logw[r, j] is the
-    log-weight of base + j - half less the peak m = -frac^2 / (2 alpha^2).
-
-    frac = c - base is exact, so offs - frac is (base + offs) - c bit for bit,
-    and |frac| <= 1/2 puts the peak at offset 0: logw equals the full table's
-    `logw - logw.max()`. logw is a view of a buffer the next block overwrites.
-    """
-    _check_window(alpha, 2 * half + 1)
-    offs = np.arange(-half, half + 1, dtype=float)
-    per = max(1, BLOCK_ENTRIES // offs.size)
-    den = -(2.0 * alpha * alpha)
-    buf = np.empty((min(per, centers.shape[0]), offs.size))
-    for start in range(0, centers.shape[0], per):
-        rows = slice(start, start + per)
-        base = np.round(centers[rows])
-        frac = centers[rows] - base
-        m = (frac * frac) / den
-        logw = buf[: base.shape[0]]
-        np.subtract(offs, frac[:, None], out=logw)
-        np.multiply(logw, logw, out=logw)
-        np.divide(logw, den, out=logw)
-        np.subtract(logw, m[:, None], out=logw)
-        yield rows, base, m, logw
 
 
 def pmf_table_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -205,31 +176,35 @@ def pmf_table_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.
     return out
 
 
-def pmf_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Normalized pmf of values[i] under D_{Z, alpha, centers[i]} for each row i."""
-    centers = _checked_centers(alpha, centers)
-    values = np.asarray(values)
-    w = truncation_halfwidth(alpha, TAIL_EPS)
-    out = np.empty(centers.shape[0])
-    for rows, _, m, logw in _log_weight_blocks(alpha, centers, int(math.ceil(w))):
-        z = np.exp(logw, out=logw).sum(axis=1)
-        dv = values[rows] - centers[rows]
-        with np.errstate(over="ignore"):  # a value far outside a tiny-alpha window: weight 0
-            pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
-        out[rows] = np.where(np.abs(dv) <= w + 0.5, pv, 0.0)
-    return out
-
-
 def sample_rows(alpha: float, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One inversion draw per row from D_{Z, alpha, centers[i]}: the smallest
     window point whose cumulative weight reaches u times the row's total. All
     uniforms come from one rng.random(n), so blocking cannot change the draws.
+
+    The window is round(c) +- half, within one point of `sample`'s (a pmf
+    difference below TAIL_EPS). frac = c - round(c) is exact, so offs - frac
+    is (round(c) + offs) - c bit for bit, and |frac| <= 1/2 puts the peak
+    exponent -frac^2 / (2 alpha^2) at offset 0: the weights are the table's,
+    each relative to the peak one.
     """
     centers = _checked_centers(alpha, centers)
     half = int(math.ceil(truncation_halfwidth(alpha, TAIL_EPS)))
+    _check_window(alpha, 2 * half + 1)
+    offs = np.arange(-half, half + 1, dtype=float)
+    per = max(1, BLOCK_ENTRIES // offs.size)
+    den = -(2.0 * alpha * alpha)
     u_all = rng.random(centers.shape[0])
     out = np.empty(centers.shape[0], dtype=np.int64)
-    for rows, base, _, cum in _log_weight_blocks(alpha, centers, half):
+    buf = np.empty((min(per, centers.shape[0]), offs.size))
+    for start in range(0, centers.shape[0], per):
+        rows = slice(start, start + per)
+        base = np.round(centers[rows])
+        frac = centers[rows] - base
+        cum = buf[: base.shape[0]]
+        np.subtract(offs, frac[:, None], out=cum)
+        np.multiply(cum, cum, out=cum)
+        np.divide(cum, den, out=cum)
+        np.subtract(cum, ((frac * frac) / den)[:, None], out=cum)
         np.exp(cum, out=cum)
         np.cumsum(cum, axis=1, out=cum)
         idx = np.less(cum, (u_all[rows] * cum[:, -1])[:, None]).sum(axis=1)

@@ -82,6 +82,11 @@ def block_conditional(
     c = U^-T (B^T c[S] - G[S,R] x[R]) is the matching block of Q^T c minus
     the pull of the fixed coordinates. Costs O(m^3 + m (n - m)) scalar work.
     Rounding error relative to that QR grows like eps * cond(B_S)^2.
+
+    x is read only as x[j]. Its entries may be numbers or equal-length (P,)
+    arrays, such as the columns x[rows].T of a batch of state rows; then each
+    center is a (P,) array whose entries equal the per-row calls bit for bit,
+    as numpy's elementwise float64 arithmetic rounds as Python floats do.
     """
     m = len(block)
     u: list[list[float]] = []
@@ -150,18 +155,22 @@ def backward_pmf(
 
 def backward_pmf_many(
     r: np.ndarray,
-    c_prime: np.ndarray,
+    c_prime,
     sigma: float,
     zs: np.ndarray,
     m: int,
 ) -> np.ndarray:
-    """Vectorized `backward_pmf` over the rows of zs."""
+    """`backward_pmf` over the rows of zs, bit for bit. Each c_prime[i] is one
+    center for every row or a (P,) array of per-row centers."""
     zs = np.asarray(zs, dtype=float)
     probs = np.ones(zs.shape[0])
     for i in range(m - 1, -1, -1):
         rii = r[i, i]
-        centers = (c_prime[i] - zs[:, i + 1 :] @ r[i, i + 1 :]) / rii
-        probs *= dg.pmf_rows(sigma / abs(rii), centers, zs[:, i])
+        # one (1, k) @ (k, 1) product per row: the scalar pass's dot, which
+        # rounds unlike a (P, k) @ (k,) matrix-vector product
+        dot = (zs[:, None, i + 1 :] @ r[i, i + 1 :, None])[:, 0, 0]
+        center = (c_prime[i] - dot) / rii
+        probs *= dg.pmf_table_rows(sigma / abs(rii), center, zs[:, i])
     return probs
 
 

@@ -21,6 +21,7 @@ from .klein import (
     GaussianParams,
     GibbsKleinConfig,
     backward_pmf,
+    backward_pmf_many,
     backward_sample_into,
     block_conditional,
 )
@@ -120,11 +121,11 @@ def kernel_probs(cfg: GibbsKleinConfig, from_rows, to_rows) -> np.ndarray:
     the block pmf does not depend on the order of the rest, so the kernel is
     the average over the n!/(n-m)! ordered blocks of the pass's pmf, counted
     where the rows agree outside the block. Block size 1 is random-scan Gibbs.
-    Each block's factor U is built once and shared by all rows; the centers
-    and the 1-D tables are formed column by column over the rows, in the
-    scalar `block_conditional` and `backward_pmf` order, so every entry
-    equals the per-pair sum of `gibbs_klein_block_pmf` bit for bit. Exact
-    enumeration, intended for kernel-level verification at small n.
+    Each block's factor and centers come from one `block_conditional` call on
+    the columns of the rows that agree outside it, and its pmf from one
+    `backward_pmf_many` pass, so every entry equals the per-pair sum of
+    `gibbs_klein_block_pmf` bit for bit. Exact enumeration, intended for
+    kernel-level verification at small n.
     """
     n, m = cfg.basis.n, cfg.block_size
     if m > 1 and n > MAX_KERNEL_ENUM_DIM:
@@ -139,35 +140,11 @@ def kernel_probs(cfg: GibbsKleinConfig, from_rows, to_rows) -> np.ndarray:
     total = np.zeros(len(x))
     for block in blocks:
         rest = [j for j in range(n) if j not in block]
-        u, _ = block_conditional(cfg.gram, cfg.bc, [0.0] * n, block, rest)
         rows = np.nonzero(~moved[:, rest].any(axis=1))[0]
-        if rows.size:
-            total[rows] += _block_pmfs(cfg, u, block, rest, x[rows])
+        xr = x[rows]
+        u, c = block_conditional(cfg.gram, cfg.bc, xr.T, block, rest)
+        total[rows] += backward_pmf_many(np.array(u), c, cfg.target.sigma, xr[:, block], m)
     return total / len(blocks)
-
-
-def _block_pmfs(cfg: GibbsKleinConfig, u, block, rest, x: np.ndarray) -> np.ndarray:
-    """Probability that the block pass with factor u outputs x[r, block] given
-    x[r, rest], for each row r: `gibbs_klein_block_pmf` over rows."""
-    c = []
-    for i, bi in enumerate(block):  # block_conditional's centers, one column at a time
-        gb = cfg.gram[bi]
-        acc = np.full(len(x), cfg.bc[bi])
-        for j in rest:
-            acc = acc - gb[j] * x[:, j]
-        for p in range(i):
-            acc = acc - u[p][i] * c[p]
-        c.append(acc / u[i][i])
-    z = x[:, block]
-    prob = np.ones(len(x))
-    for i in range(len(block) - 1, -1, -1):  # backward_pmf's pass
-        rii = u[i][i]
-        # one (1, k) @ (k, 1) product per row: the scalar pass's dot, which
-        # rounds unlike a (P, k) @ (k,) matrix-vector product
-        dot = (z[:, None, i + 1 :] @ np.array(u[i][i + 1 :])[:, None])[:, 0, 0]
-        center = (c[i] - dot) / rii
-        prob = prob * dg.pmf_table_rows(cfg.target.sigma / rii, center, z[:, i])
-    return prob
 
 
 def run_chain(

@@ -435,6 +435,16 @@ class TestDiagnoseCommand:
         assert not os.path.exists(out)
         assert "enumeration box has 244140625 points" in capsys.readouterr().err
 
+    def test_burn_in_is_refused(self, skew2_file, tmp_path, capsys):
+        # diagnose records fixed checkpoints: --burn-in is a sample flag only
+        out = str(tmp_path / "x.csv")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["diagnose", "--basis", skew2_file, "--algo", "gibbs", "--sigma", "1.0",
+                     "--iters", "4", "--burn-in", "5", "--output", out])
+        assert exc.value.code != 0
+        assert not os.path.exists(out)
+        assert "--burn-in" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--iters", "0"], ["--iters", "4", "--checkpoints=0"]])
     def test_bad_checkpoints_rejected_before_enumeration(self, skew2_file, tmp_path, capsys,
                                                          monkeypatch, flags):

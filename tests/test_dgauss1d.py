@@ -198,12 +198,6 @@ def test_sample_rows_rejects_bad_inputs(alpha, centers, message):
 
 
 @pytest.mark.parametrize("alpha, centers, message", BAD_ROWS)
-def test_pmf_rows_rejects_bad_inputs(alpha, centers, message):
-    with pytest.raises(ValueError, match=message):
-        dg.pmf_rows(alpha, np.array(centers), np.zeros(len(centers)))
-
-
-@pytest.mark.parametrize("alpha, centers, message", BAD_ROWS)
 def test_pmf_table_rows_rejects_bad_inputs(alpha, centers, message):
     with pytest.raises(ValueError, match=message):
         dg.pmf_table_rows(alpha, np.array(centers), np.zeros(len(centers)))
@@ -238,7 +232,6 @@ def test_window_past_the_cap_is_refused_before_allocation():
         lambda: dg.pmf(Gaussian1DParams(WIDE_ALPHA, 0.0), 0),
         lambda: dg.sample(WIDE_ALPHA, 0.0, rng),
         lambda: dg.pmf_table_rows(WIDE_ALPHA, [0.0], [0]),
-        lambda: dg.pmf_rows(WIDE_ALPHA, [0.0], [0]),
         lambda: dg.sample_rows(WIDE_ALPHA, [0.0], rng),
     ]
     message = f"alpha .* needs a window of {points} points, more than the {dg.MAX_WINDOW_POINTS}"
@@ -253,52 +246,17 @@ def test_window_past_the_cap_is_refused_before_allocation():
     assert peak < 1_000_000
 
 
-def test_pmf_rows_matches_scalar_pmf():
-    alpha = 1.3
-    centers = np.array([0.0, 0.45, -2.2, 7.9])
-    values = np.array([0, 1, -3, 8])
-    batch = dg.pmf_rows(alpha, centers, values)
-    for i in range(4):
-        scalar = dg.pmf(Gaussian1DParams(alpha, centers[i]), int(values[i]))
-        assert batch[i] == pytest.approx(scalar, abs=1e-12)
-
-
-def test_pmf_rows_far_value_at_tiny_alpha_is_zero_without_overflow():
+def test_pmf_table_rows_far_value_at_tiny_alpha_is_zero_without_overflow():
     # -(dv^2) / (2 alpha^2) overflows to -inf five steps from the center
-    assert dg.pmf_rows(1.06e-154, [0.3], [5]).tolist() == [0.0]
-    assert dg.pmf_rows(1.06e-154, [0.3], [0]).tolist() == [1.0]
-
-
-def reduced_peak_pmf_rows(alpha, centers, values):
-    """The straightforward evaluation: full window table, peak found by a max."""
-    w = dg.truncation_halfwidth(alpha, dg.TAIL_EPS)
-    half = int(math.ceil(w))
-    ks = np.round(centers)[:, None] + np.arange(-half, half + 1)[None, :]
-    dev = ks - centers[:, None]
-    logw = -(dev * dev) / (2.0 * alpha * alpha)
-    m = logw.max(axis=1)
-    z = np.exp(logw - m[:, None]).sum(axis=1)
-    dv = values - centers
-    pv = np.exp(-(dv * dv) / (2.0 * alpha * alpha) - m) / z
-    return np.where(np.abs(dv) <= w + 0.5, pv, 0.0)
-
-
-def test_pmf_rows_bitwise_equals_reduced_peak_evaluation():
-    # the in-place normaliser and the offset-0 peak change no output bit,
-    # including half-integer centers where two window points tie for the peak
-    centers = np.concatenate([np.linspace(-7.5, 7.5, 61), [0.5, -0.5, 2.5, 1e-17, 1e6 + 0.3]])
-    for alpha in (0.05, 0.3, 1.0, 2.7, 9.0, 40.0):
-        for shift in range(-int(4 * alpha) - 2, int(4 * alpha) + 3):
-            values = np.round(centers) + shift
-            got = dg.pmf_rows(alpha, centers, values)
-            assert np.array_equal(got, reduced_peak_pmf_rows(alpha, centers, values)), alpha
+    assert dg.pmf_table_rows(1.06e-154, [0.3], [5]).tolist() == [0.0]
+    assert dg.pmf_table_rows(1.06e-154, [0.3], [0]).tolist() == [1.0]
 
 
 def test_center_just_below_two_to_53_accepted():
     c = 2.0**53 - 1.0
     assert dg.sample(0.05, c, np.random.default_rng(0)) == 2**53 - 1
     assert dg.sample_rows(0.05, [c, -c], np.random.default_rng(0)).tolist() == [c, -c]
-    assert dg.pmf_rows(0.05, [c], [2**53 - 1]).tolist() == [1.0]
+    assert dg.pmf_table_rows(0.05, [c], [2**53 - 1]).tolist() == [1.0]
 
 
 def full_table_sample_rows(alpha, centers, rng):
@@ -333,17 +291,6 @@ def test_sample_rows_equals_full_table_evaluation(alpha):
         assert np.array_equal(got, want), (alpha, n)
 
 
-@pytest.mark.parametrize("alpha", [0.05, 1.0, 9.0, 40.0])
-def test_pmf_rows_equals_reduced_peak_evaluation_across_blocks(alpha):
-    b = rows_per_block(alpha)
-    rng = np.random.default_rng(int(alpha * 100) + 1)
-    centers = rng.uniform(-30.0, 30.0, 3 * b + 7)
-    centers[::3] = np.round(centers[::3]) + 0.5
-    values = np.round(centers) + rng.integers(-int(4 * alpha) - 2, int(4 * alpha) + 3, centers.size)
-    got = dg.pmf_rows(alpha, centers, values)
-    assert np.array_equal(got, reduced_peak_pmf_rows(alpha, centers, values))
-
-
 @pytest.mark.parametrize("alpha", [0.4, 9.0])
 def test_row_helpers_memory_is_bounded_by_the_row_count(alpha):
     # 330,000 rows: the (rows, window) tables would take 45-390 MB
@@ -351,7 +298,7 @@ def test_row_helpers_memory_is_bounded_by_the_row_count(alpha):
     centers = rng.uniform(-100.0, 100.0, 330_000)
     values = np.round(centers)
     for call in (lambda: dg.sample_rows(alpha, centers, rng),
-                 lambda: dg.pmf_rows(alpha, centers, values)):
+                 lambda: dg.pmf_table_rows(alpha, centers, values)):
         tracemalloc.start()
         try:
             call()
@@ -405,12 +352,13 @@ def test_sample_rows_property(data):
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_pmf_rows_property(data):
+def test_pmf_table_rows_property(data):
     alpha, centers, half = _rows_case(data)
     ok = np.abs(centers) < 2.0**53
     shift = data.draw(st.integers(-half - 3, half + 3))
     values = np.round(np.where(ok, centers, 0.0)).astype(np.int64) + shift
-    probs = _no_runtime_warning(lambda: dg.pmf_rows(alpha, centers, values), not ok.all())
+    probs = _no_runtime_warning(
+        lambda: dg.pmf_table_rows(alpha, centers, values), not ok.all())
     if probs is not None:
         assert probs.shape == centers.shape
         assert np.all((probs >= 0.0) & (probs <= 1.0))

@@ -10,6 +10,7 @@ from lattice_gibbs.dgauss1d import Gaussian1DParams
 from lattice_gibbs.klein import (
     GaussianParams,
     GibbsKleinConfig,
+    backward_pmf,
     backward_pmf_many,
     backward_sample_into,
     block_conditional,
@@ -146,6 +147,29 @@ class TestKleinPmf:
         q, r = qr_decompose(basis.matrix)
         ref = backward_pmf_many(r, q.T @ target.center, target.sigma, pts, basis.n)
         assert 0.5 * np.abs(klein_pmf(cfg, pts) - ref).sum() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_row_pass_equals_scalar_pass_bitwise(self, n):
+        # Klein's draws and rows one or two steps off them, so that low and
+        # zero probabilities are covered too
+        rng = np.random.default_rng(70 + n)
+        basis = make_random_basis(rng, n)
+        target = GaussianParams(0.6 * gram_schmidt_norms(basis).min(), rng.uniform(-1, 1, n))
+        cfg = klein_cfg(basis, target)
+        draws = klein_sample_many(cfg, 3000, np.random.default_rng(5))
+        xs = np.concatenate([draws, draws[:600] + rng.integers(-2, 3, (600, n))])
+        u, c = block_conditional(cfg.gram, cfg.bc, [], range(n), [])
+        scalar = [backward_pmf(np.array(u), np.array(c), target.sigma, x, n) for x in xs]
+        assert klein_pmf(cfg, xs).tolist() == scalar
+        # block_conditional on the columns of many state rows, against one call per row
+        x = xs.astype(float)
+        for m in range(1, n):
+            order = rng.permutation(n).tolist()
+            block, rest = order[:m], order[m:]
+            u, c = block_conditional(cfg.gram, cfg.bc, x.T, block, rest)
+            for r, row in enumerate(x.tolist()):
+                assert block_conditional(cfg.gram, cfg.bc, row, block, rest) == (
+                    u, [ci[r] for ci in c])
 
 
 class TestSigmaChoices:

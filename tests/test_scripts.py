@@ -28,7 +28,10 @@ def test_script_csv_bytes(script, tmp_path):
     out = tmp_path / "out.csv"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--output", str(out)],
+        # the suite's warning policy (pyproject's error::RuntimeWarning) does
+        # not reach a subprocess, so pass it on
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script),
+         *args, "--output", str(out)],
         cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
     )
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
