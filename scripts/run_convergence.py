@@ -8,6 +8,7 @@ for Gibbs-Klein at several block sizes.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -26,6 +27,12 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--output", default="convergence.csv")
     args = ap.parse_args()
+    if args.chains < 1:
+        ap.error("--chains must be >= 1")
+    if args.steps < 1:
+        ap.error("--steps must be >= 1")
+    if not 0.0 < args.sigma_factor < math.inf:
+        ap.error("--sigma-factor must be positive and finite")
 
     basis = LatticeBasis.from_matrix([[1.0, 0.6, 0.3], [0.0, 0.8, 0.5], [0.0, 0.0, 0.9]])
     sigma = args.sigma_factor * gram_schmidt_norms(basis).min()

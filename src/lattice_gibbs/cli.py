@@ -174,14 +174,9 @@ def _gibbs_klein_snapshots(
 ) -> dict[int, np.ndarray]:
     """The (chains, n) states of independent Gibbs-Klein chains at each
     checkpoint, chain i on the i-th stream spawned from seed."""
-    snaps = {t: np.empty((chains, basis.n), dtype=np.int64) for t in checkpoints}
-    for chain_idx, rng in enumerate(_chain_streams(seed, chains)):
-        states = mcmc.run_chain(
-            "gibbs-klein", basis, target, x0, max(checkpoints), rng, block_size=block_size
-        )
-        for t in checkpoints:
-            snaps[t][chain_idx] = states[t]
-    return snaps
+    return mcmc.gibbs_klein_ensemble(
+        basis, target, x0, block_size, _chain_streams(seed, chains), checkpoints
+    )
 
 
 def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:

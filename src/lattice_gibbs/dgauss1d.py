@@ -134,6 +134,62 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
     return lo + bisect_left(cum, rng.random() * acc)
 
 
+class _GivenUniform:
+    """Stands in for the rng of one `sample` call: its one random() is u."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+# Where numpy's exp and math.exp round a weight apart, a row's running sums,
+# and u times their total, move by at most an ulp of the total per window
+# point and per addition: about 128 ulps (3e-14 of the total) over the loop
+# path's 64 points, far below this fraction.
+_EXP_SLACK = 1e-12
+
+
+def sample_from_uniforms(alphas, centers, us) -> np.ndarray:
+    """Row form of `sample` on given uniforms: entry r is the draw that
+    sample(alphas[r], centers[r], rng) makes when its rng.random() returns
+    us[r], bit for bit, as an int64 array.
+
+    Loop-path rows are inverted together: the same window, the same exponents
+    relative to the one at round(c), a running sum and the count of entries
+    below u times the total. numpy's exp may differ from math.exp in the last
+    bit, so a row whose u times the total lies within _EXP_SLACK of a
+    cumulative boundary is handed to `sample`, as are table-path rows and
+    invalid ones; the first invalid row raises `sample`'s error.
+    """
+    alphas, centers, us = (np.asarray(v, dtype=float) for v in (alphas, centers, us))
+    out = np.empty(alphas.shape[0], dtype=np.int64)
+    # every row is worked as a loop-path row; the arithmetic of the others,
+    # which `sample` redoes, may overflow or be NaN
+    with np.errstate(all="ignore"):
+        w = truncation_halfwidth(alphas, TAIL_EPS)
+        lo, hi = np.floor(centers - w), np.ceil(centers + w)
+        den = 2.0 * alphas * alphas
+        fast = (alphas > 0.0) & (den >= sys.float_info.min) & (np.abs(centers) < MAX_CENTER)
+        fast &= hi - lo < LOOP_MAX_POINTS
+        if fast.any():
+            c, den, lo, hi = centers[:, None], den[:, None], lo[:, None], hi[:, None]
+            top = np.round(c) - c
+            top = -(top * top) / den
+            ks = lo + np.arange(int((hi - lo)[fast].max()) + 1)
+            d = ks - c
+            logw = -(d * d) / den - top  # exp(-inf) = 0 far past a tiny alpha's window
+            logw[ks > hi] = -np.inf  # past the row's own window
+            cum = np.cumsum(np.exp(logw), axis=1)
+            below = cum - us[:, None] * cum[:, -1:]  # negative exactly where cum < u * total
+            out[:] = lo[:, 0].astype(np.int64) + (below < 0.0).sum(axis=1)
+            fast &= ~(np.abs(below) <= _EXP_SLACK * cum[:, -1:]).any(axis=1)
+    for r in np.nonzero(~fast)[0]:
+        out[r] = sample(float(alphas[r]), float(centers[r]), _GivenUniform(float(us[r])))
+    return out
+
+
 # Vectorized row-wise helpers: one independent 1-D discrete Gaussian per row,
 # sharing a fixed alpha, for the batch Klein sampler, the chain ensembles and
 # exact pmfs over large point sets. Rows are worked through in blocks of about

@@ -82,11 +82,6 @@ def block_conditional(
     c = U^-T (B^T c[S] - G[S,R] x[R]) is the matching block of Q^T c minus
     the pull of the fixed coordinates. Costs O(m^3 + m (n - m)) scalar work.
     Rounding error relative to that QR grows like eps * cond(B_S)^2.
-
-    x is read only as x[j]. Its entries may be numbers or equal-length (P,)
-    arrays, such as the columns x[rows].T of a batch of state rows; then each
-    center is a (P,) array whose entries equal the per-row calls bit for bit,
-    as numpy's elementwise float64 arithmetic rounds as Python floats do.
     """
     m = len(block)
     u: list[list[float]] = []
@@ -110,6 +105,50 @@ def block_conditional(
         rii = math.sqrt(row[i])
         u.append([0.0] * i + [rii] + [v / rii for v in row[i + 1 :]])
         c.append(acc / rii)
+    return u, c
+
+
+def block_conditional_rows(
+    gram: "list[list[float]]",
+    bc: "list[float]",
+    x: np.ndarray,
+    blocks: np.ndarray,
+    rests: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row form of `block_conditional`: the (k, m, m) factors and (k, m)
+    centers of the passes over blocks[r] given x[r, rests[r]], for each row r
+    of the (k, n) state array x.
+
+    Every row goes through the scalar call's float operations in its order,
+    elementwise, and numpy's float64 arithmetic rounds as Python floats do, so
+    row r equals block_conditional(gram, bc, x[r], blocks[r], rests[r]) bit for
+    bit. The first row with a non-positive pivot raises that call's error.
+    """
+    g, bc = np.asarray(gram), np.asarray(bc)
+    k, m = blocks.shape
+    gss = g[blocks[:, :, None], blocks[:, None, :]]  # each row's G[S,S]
+    pull = g[blocks[:, :, None], rests[:, None, :]] * x[np.arange(k)[:, None], rests][:, None, :]
+    acc = bc[blocks]
+    for j in range(rests.shape[1]):  # the scalar loop's order over rest
+        acc = acc - pull[:, :, j]
+    u = np.zeros((k, m, m))
+    c = np.empty((k, m))
+    for i in range(m):
+        row = gss[:, i]
+        for p in range(i):
+            f = u[:, p, i]
+            row[:, i:] -= f[:, None] * u[:, p, i:]
+            acc[:, i] = acc[:, i] - f * c[:, p]
+        bad = np.nonzero(~(row[:, i] > 0.0))[0]
+        if bad.size:
+            r = bad[0]
+            raise SingularBasisError(
+                f"block {blocks[r].tolist()} is singular in floating point: "
+                f"Cholesky pivot {row[r, i]:.3e}"
+            )
+        u[:, i, i] = np.sqrt(row[:, i])
+        u[:, i, i + 1 :] = row[:, i + 1 :] / u[:, i, i, None]
+        c[:, i] = acc[:, i] / u[:, i, i]
     return u, c
 
 

@@ -24,6 +24,7 @@ from .klein import (
     backward_pmf_many,
     backward_sample_into,
     block_conditional,
+    block_conditional_rows,
 )
 from .linalg import LatticeBasis
 from .oracle import DiscreteDistribution
@@ -121,8 +122,8 @@ def kernel_probs(cfg: GibbsKleinConfig, from_rows, to_rows) -> np.ndarray:
     the block pmf does not depend on the order of the rest, so the kernel is
     the average over the n!/(n-m)! ordered blocks of the pass's pmf, counted
     where the rows agree outside the block. Block size 1 is random-scan Gibbs.
-    Each block's factor and centers come from one `block_conditional` call on
-    the columns of the rows that agree outside it, and its pmf from one
+    Each block's factor and centers come from one `block_conditional_rows`
+    call on the rows that agree outside it, and its pmf from one
     `backward_pmf_many` pass, so every entry equals the per-pair sum of
     `gibbs_klein_block_pmf` bit for bit. Exact enumeration, intended for
     kernel-level verification at small n.
@@ -142,8 +143,11 @@ def kernel_probs(cfg: GibbsKleinConfig, from_rows, to_rows) -> np.ndarray:
         rest = [j for j in range(n) if j not in block]
         rows = np.nonzero(~moved[:, rest].any(axis=1))[0]
         xr = x[rows]
-        u, c = block_conditional(cfg.gram, cfg.bc, xr.T, block, rest)
-        total[rows] += backward_pmf_many(np.array(u), c, cfg.target.sigma, xr[:, block], m)
+        block_cols = np.broadcast_to(np.array(block, dtype=np.intp), (len(rows), m))
+        rest_cols = np.broadcast_to(np.array(rest, dtype=np.intp), (len(rows), n - m))
+        u, c = block_conditional_rows(cfg.gram, cfg.bc, xr, block_cols, rest_cols)
+        if rows.size:  # every row on this block shares its factor u[0]
+            total[rows] += backward_pmf_many(u[0], c.T, cfg.target.sigma, xr[:, block], m)
     return total / len(blocks)
 
 
@@ -228,3 +232,52 @@ def gibbs_ensemble(
     rows, inverse = np.unique(np.concatenate([u for u, _ in pool]), axis=0, return_inverse=True)
     counts = np.bincount(inverse.ravel(), weights=np.concatenate([c for _, c in pool]))
     return snapshots, DiscreteDistribution(rows, counts / counts.sum())
+
+
+def gibbs_klein_ensemble(
+    basis: LatticeBasis,
+    target: GaussianParams,
+    x0,
+    block_size: int,
+    rngs: "list[np.random.Generator]",
+    checkpoints,
+) -> dict[int, np.ndarray]:
+    """Independent Gibbs-Klein chains from x0 in lockstep, chain i on its own
+    stream rngs[i]: the (chains, n) int64 states at each checkpoint t >= 0.
+
+    Each step, every chain takes from its stream what `gibbs_klein_step` and
+    its 1-D draws take, a permutation of n and then block_size uniforms, and
+    its row goes through `block_conditional_rows`, the backward pass and
+    `dg.sample_from_uniforms`, each equal to the scalar step bit for bit. So
+    chain i's states are `run_chain`'s on rngs[i], whatever the number of
+    chains.
+    """
+    cfg = GibbsKleinConfig(basis, target, block_size)
+    if not rngs:
+        raise ValueError("need at least one chain")
+    marks = set(checkpoints)
+    if not marks or min(marks) < 0:
+        raise ValueError(f"need at least one checkpoint, each t >= 0, got {checkpoints}")
+    n, m = basis.n, block_size
+    x = np.tile(start_state(x0, n), (len(rngs), 1))
+    at = np.arange(len(rngs))[:, None]
+    snaps = {0: x.copy()} if 0 in marks else {}
+    for t in range(1, max(marks) + 1):
+        perm, us = np.tile(np.arange(n), (len(rngs), 1)), np.empty((len(rngs), m))
+        for row, row_us, rng in zip(perm, us, rngs):
+            rng.shuffle(row)  # what rng.permutation(n) does to arange(n)
+            rng.random(out=row_us)
+        # overflow gives inf silently, as in Python floats; the 1-D draw rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, c = block_conditional_rows(cfg.gram, cfg.bc, x, perm[:, :m], perm[:, m:])
+            z = np.empty((len(rngs), m), dtype=np.int64)
+            for i in range(m - 1, -1, -1):  # `backward_sample_into`, one uniform per draw
+                acc = c[:, i]
+                for j in range(i + 1, m):
+                    acc = acc - u[:, i, j] * z[:, j]
+                rii = u[:, i, i]
+                z[:, i] = dg.sample_from_uniforms(target.sigma / rii, acc / rii, us[:, m - 1 - i])
+        x[at, perm[:, :m]] = z
+        if t in marks:
+            snaps[t] = x.copy()
+    return snaps

@@ -195,14 +195,29 @@ def block_conditional_exact(
     return enumerate_support(sub_basis, GaussianParams(target.sigma, c_bar), tail_eps)
 
 
+def _top_pairs(dist: DiscreteDistribution, pairs: np.ndarray, max_pairs: int) -> np.ndarray:
+    """The (P, 2) support-index pairs whose joint P(p) P(q) is at or above the
+    max_pairs-th largest, ties at the cut included, in their given order."""
+    if len(pairs) <= max_pairs:
+        return pairs
+    joint = dist.probs[pairs[:, 0]] * dist.probs[pairs[:, 1]]
+    return pairs[joint >= np.partition(joint, -max_pairs)[-max_pairs]]
+
+
 def _best_pairs(dist: DiscreteDistribution, pairs: np.ndarray, max_pairs) -> np.ndarray:
     """(P, 2) support-index pairs sorted by (-P(p) P(q), p, q), cut to max_pairs."""
+    if max_pairs is not None:
+        pairs = _top_pairs(dist, pairs, max_pairs)
     joint = dist.probs[pairs[:, 0]] * dist.probs[pairs[:, 1]]
-    if max_pairs is not None and len(pairs) > max_pairs:  # the top joints, ties at the cut too
-        keep = joint >= np.partition(joint, -max_pairs)[-max_pairs]
-        pairs, joint = pairs[keep], joint[keep]
     rows = dist.support[pairs]
     return pairs[np.lexsort([*rows[:, 1, ::-1].T, *rows[:, 0, ::-1].T, -joint])[:max_pairs]]
+
+
+def _keep_top(dist: DiscreteDistribution, pairs: np.ndarray, max_pairs: int) -> np.ndarray:
+    """The pairs that can still be among the top max_pairs: `_top_pairs`,
+    unsorted, or the sorted top max_pairs when ties keep more than twice that."""
+    kept = _top_pairs(dist, pairs, max_pairs)
+    return kept if len(kept) <= 2 * max_pairs else _best_pairs(dist, kept, max_pairs)
 
 
 def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None) -> np.ndarray:
@@ -211,8 +226,9 @@ def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None
     Sorted by joint probability (descending), then p and q, so a capped prefix
     covers the most relevant transitions first. For each coordinate i the
     support is sorted by (the other coordinates, x_i), so each row's partners
-    are the rows 1, 2, ... places after it with the same other coordinates; a
-    cap keeps a running top max_pairs, so memory is O(S + max_pairs).
+    are the rows 1, 2, ... places after it with the same other coordinates. A
+    cap keeps a running `_keep_top` of at most 2 max_pairs pairs, so memory is
+    O(S + max_pairs), and sorts once at the end.
     """
     pts = dist.support
     found = [np.empty((0, 2), dtype=np.intp)]  # support indices of (p, q)
@@ -227,7 +243,7 @@ def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None
                 break
             found.append(np.stack([order[hit], order[hit + s]], axis=1))
             if max_pairs is not None:
-                found = [_best_pairs(dist, np.concatenate(found), max_pairs)]
+                found = [_keep_top(dist, np.concatenate(found), max_pairs)]
     return pts[_best_pairs(dist, np.concatenate(found), max_pairs)]
 
 

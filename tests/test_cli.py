@@ -309,6 +309,24 @@ class TestBadInputs:
         assert not os.path.exists(out)
         assert "probs must be finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_diagnose_gibbs_klein_underflowing_alpha_rejected_without_output(
+            self, tmp_path, capsys, m):
+        # at sigma 1e-300 the oracle's own weights are NaN first (the test
+        # above); on a basis scaled by 1e10 at sigma 1e-150 the oracle is a
+        # point mass, and the chains' alpha 1e-150 / 1e10 underflows
+        path = tmp_path / "big.txt"
+        path.write_text("2\n1e10 5e9\n0 1e10\n")
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["diagnose", "--basis", str(path), "--algo", "gibbs-klein",
+                        "--block-size", str(m), "--sigma", "1e-150", "--iters", "2",
+                        "--chains", "5", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha ") and err.endswith(
+            " is too small: 2 alpha^2 underflows\n")
+
     @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
     def test_huge_center_rejected_without_output(self, tmp_path, capsys, algo):
         # at 1e19 the 1-D centers are past 2**53, where floats skip integers:

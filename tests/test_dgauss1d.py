@@ -164,6 +164,19 @@ class TestSample:
         with pytest.raises(ValueError, match=message):
             dg.sample(alpha, center, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("alpha, center, message", BAD_SCALARS + [
+        (2e6, 0.3, "points, more than the 16777216 allowed"),
+    ])
+    def test_row_form_rejects_the_first_bad_row_as_sample_does(self, alpha, center, message):
+        # good rows on both paths before the bad one, a differently bad one after
+        alphas = np.array([0.7, 9.0, alpha, 1e-300])
+        centers = np.array([0.2, -3.5, center, 0.1])
+        with pytest.raises(ValueError) as scalar:
+            dg.sample(alpha, center, FixedUniform(0.5))
+        with pytest.raises(ValueError, match=message) as rows:
+            dg.sample_from_uniforms(alphas, centers, np.full(4, 0.5))
+        assert str(rows.value) == str(scalar.value)
+
     def test_sample_rows_matches_pmf(self):
         # the vectorized batch sampler feeds the ensembles; same contract.
         # The Monte Carlo floor of TV grows like sqrt(alpha/N), hence the
@@ -189,6 +202,72 @@ BAD_ROWS = [
     (1.0, [0.2, 2.0**53], "center 9007199254740992.0 is too large"),
     (1.0, [1e19, math.nan], "center 1e[+]19 is too large"),
 ]
+
+
+class TestSampleFromUniforms:
+    def test_equals_sample_row_by_row(self):
+        # 120,000 triples: alpha from 0.02 to 12 (windows of 3 to 200 points,
+        # so both of sample's paths), a block of alphas in [4, 12] (the
+        # table), half-integer centers and centers near +-1e6
+        rng = np.random.default_rng(20261019)
+        size = 120_000
+        alphas = np.exp(rng.uniform(math.log(0.02), math.log(12.0), size))
+        alphas[:20_000] = rng.uniform(4.0, 12.0, 20_000)
+        centers = rng.uniform(-50.0, 50.0, size)
+        centers[20_000:40_000] = rng.integers(-50, 50, 20_000) + 0.5
+        centers[40_000:60_000] = (rng.choice([-1e6, 1e6], 20_000)
+                                  + rng.uniform(-5.0, 5.0, 20_000))
+        uniforms = rng.random(size)
+        got = dg.sample_from_uniforms(alphas, centers, uniforms)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            dg.sample(a, c, FixedUniform(u))
+            for a, c, u in zip(alphas.tolist(), centers.tolist(), uniforms.tolist())
+        ]
+
+    def test_uniforms_on_cdf_boundaries_go_through_sample(self, monkeypatch):
+        # Uniforms within a few ulps of a cumulative boundary of the scalar
+        # loop's weights, on windows where numpy's exp and math.exp round
+        # some weight apart. There some uniforms draw differently under
+        # numpy's weights ("flips"); such rows are handed to the scalar draw,
+        # while random uniforms far from every boundary stay batched.
+        rng = np.random.default_rng(8)
+        alphas, centers, uniforms, flips = [], [], [], 0
+        for alpha, center in zip(rng.uniform(0.3, 3.5, 400).tolist(),
+                                 rng.uniform(-5.0, 5.0, 400).tolist()):
+            w = dg.truncation_halfwidth(alpha, dg.TAIL_EPS)
+            d = np.arange(math.floor(center - w), math.ceil(center + w) + 1) - center
+            den = 2.0 * alpha * alpha
+            top = round(center) - center
+            logw = -(d * d) / den - (-(top * top) / den)
+            by_numpy = np.cumsum(np.exp(logw))
+            by_math = np.cumsum([math.exp(v) for v in logw.tolist()])
+            edges = by_math[np.nonzero(by_numpy != by_math)[0][:-1]] / by_math[-1]
+            near = (edges[:, None] + np.arange(-3, 4) * np.spacing(edges)[:, None]).ravel()
+            near = near[near < 1.0]  # rng.random() is below 1
+            for u in [*near.tolist(), *rng.random(3).tolist()]:
+                alphas.append(alpha)
+                centers.append(center)
+                uniforms.append(u)
+                flips += int((by_numpy < u * by_numpy[-1]).sum()
+                             != (by_math < u * by_math[-1]).sum())
+        expected = [dg.sample(a, c, FixedUniform(u)) for a, c, u in zip(alphas, centers, uniforms)]
+        calls = []
+        scalar = dg.sample
+
+        def counting(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(dg, "sample", counting)
+        assert dg.sample_from_uniforms(alphas, centers, uniforms).tolist() == expected
+        assert flips <= len(calls) < len(expected)
+        if not flips:
+            pytest.skip("numpy's exp rounds as math.exp does here: nothing to hand over")
+
+    def test_no_rows(self):
+        got = dg.sample_from_uniforms(np.empty(0), np.empty(0), np.empty(0))
+        assert got.shape == (0,) and got.dtype == np.int64
 
 
 @pytest.mark.parametrize("alpha, centers, message", BAD_ROWS)

@@ -14,6 +14,7 @@ from lattice_gibbs.klein import (
     backward_pmf_many,
     backward_sample_into,
     block_conditional,
+    block_conditional_rows,
     klein_pmf,
     klein_sample_many,
     klein_sigma_default,
@@ -161,15 +162,14 @@ class TestKleinPmf:
         u, c = block_conditional(cfg.gram, cfg.bc, [], range(n), [])
         scalar = [backward_pmf(np.array(u), np.array(c), target.sigma, x, n) for x in xs]
         assert klein_pmf(cfg, xs).tolist() == scalar
-        # block_conditional on the columns of many state rows, against one call per row
-        x = xs.astype(float)
-        for m in range(1, n):
-            order = rng.permutation(n).tolist()
-            block, rest = order[:m], order[m:]
-            u, c = block_conditional(cfg.gram, cfg.bc, x.T, block, rest)
-            for r, row in enumerate(x.tolist()):
-                assert block_conditional(cfg.gram, cfg.bc, row, block, rest) == (
-                    u, [ci[r] for ci in c])
+        # block_conditional_rows, each row on its own ordered block, against
+        # one scalar call per row
+        for m in range(1, n + 1):
+            order = np.array([rng.permutation(n) for _ in xs])
+            u, c = block_conditional_rows(cfg.gram, cfg.bc, xs, order[:, :m], order[:, m:])
+            for r, (row, perm) in enumerate(zip(xs.tolist(), order.tolist())):
+                assert block_conditional(cfg.gram, cfg.bc, row, perm[:m], perm[m:]) == (
+                    u[r].tolist(), c[r].tolist())
 
 
 class TestSigmaChoices:

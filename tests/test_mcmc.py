@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lattice_gibbs.klein import (
     GaussianParams,
     backward_pmf,
     block_conditional,
+    block_conditional_rows,
     klein_pmf,
     smoothing_threshold,
 )
@@ -233,8 +235,12 @@ class TestGibbsKlein:
         basis = LatticeBasis.from_matrix([[1.0, 1.0], [0.0, 1e-9]])
         cfg = mcmc.GibbsKleinConfig(basis, GaussianParams(1.0, np.zeros(2)), 2)
         for block in ([0, 1], [1, 0]):
-            with pytest.raises(SingularBasisError):
+            with pytest.raises(SingularBasisError) as scalar:
                 block_conditional(cfg.gram, cfg.bc, [0, 0], block, [])
+            with pytest.raises(SingularBasisError) as rows:
+                block_conditional_rows(cfg.gram, cfg.bc, np.zeros((1, 2)), np.array([block]),
+                                       np.empty((1, 0), dtype=int))
+            assert str(rows.value) == str(scalar.value)
         with pytest.raises(SingularBasisError):
             mcmc.gibbs_klein_step(cfg, [0, 0], np.random.default_rng(0))
 
@@ -344,9 +350,9 @@ class TestKernelProbs:
 
         def counting(*args):
             calls.append(args[3])
-            return block_conditional(*args)
+            return block_conditional_rows(*args)
 
-        monkeypatch.setattr(mcmc, "block_conditional", counting)
+        monkeypatch.setattr(mcmc, "block_conditional_rows", counting)
         for count in (1, 20, 200):
             calls.clear()
             oracle.detailed_balance_residual(
@@ -516,6 +522,114 @@ class TestGibbsEnsemble:
     def test_pool_from_must_leave_a_step(self, basis_2d, target_2d, rng):
         with pytest.raises(ValueError, match="pool_from"):
             mcmc.gibbs_ensemble(basis_2d, target_2d, (0, 0), 10, 5, rng, pool_from=5)
+
+
+def chain_streams(seed, chains):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
+
+
+def loop_snapshots(basis, target, x0, m, rngs, checkpoints):
+    """The per-chain loop `gibbs_klein_ensemble` replaced: each chain through
+    `run_chain` on its own stream, one after another."""
+    snaps = {t: np.empty((len(rngs), basis.n), dtype=np.int64) for t in checkpoints}
+    for i, rng in enumerate(rngs):
+        states = mcmc.run_chain("gibbs-klein", basis, target, x0, max(checkpoints), rng,
+                                block_size=m)
+        for t in checkpoints:
+            snaps[t][i] = states[t]
+    return snaps
+
+
+def ensemble_target(case):
+    if case == "golden-3d":
+        basis = LatticeBasis.from_matrix(GOLDEN_DIAGNOSE_BASIS)
+        return basis, GaussianParams(0.7, np.array([0.3, -0.2, 0.45])), (2, -1, 1)
+    rng = np.random.default_rng(41)
+    basis = make_random_basis(rng, 4)
+    target = GaussianParams(0.5 * min(np.abs(np.diag(qr_decompose(basis.matrix)[1]))),
+                            rng.uniform(-1, 1, 4))
+    return basis, target, (3, -2, 1, 0)
+
+
+class TestGibbsKleinEnsemble:
+    MARKS = [0, 1, 2, 4, 8, 16]
+
+    @pytest.mark.parametrize("case", ["golden-3d", "random-4d"])
+    @pytest.mark.parametrize("chains", [1, 5, 40])
+    def test_equals_per_chain_loop(self, case, chains):
+        basis, target, x0 = ensemble_target(case)
+        for m in range(1, basis.n + 1):
+            for seed in (0, 1, 2):
+                got = mcmc.gibbs_klein_ensemble(
+                    basis, target, x0, m, chain_streams(seed, chains), self.MARKS)
+                ref = loop_snapshots(basis, target, x0, m, chain_streams(seed, chains), self.MARKS)
+                assert sorted(got) == self.MARKS
+                for t in self.MARKS:
+                    assert got[t].dtype == np.int64
+                    assert np.array_equal(got[t], ref[t]), (m, seed, t)
+
+    @pytest.mark.parametrize("case", ["golden-3d", "random-4d"])
+    def test_chain_rows_do_not_depend_on_chain_count(self, case):
+        basis, target, x0 = ensemble_target(case)
+        for m in range(1, basis.n + 1):
+            few = mcmc.gibbs_klein_ensemble(basis, target, x0, m, chain_streams(7, 40)[:5],
+                                            self.MARKS)
+            many = mcmc.gibbs_klein_ensemble(basis, target, x0, m, chain_streams(7, 40),
+                                             self.MARKS)
+            for t in self.MARKS:
+                assert np.array_equal(few[t], many[t][:5])
+            assert len(np.unique(many[16], axis=0)) > 5
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_wide_windows_equal_per_chain_loop(self, basis_2d, m):
+        # sigma 6: every alpha is above 4, so every 1-D draw inverts the table
+        target = GaussianParams(6.0, np.array([0.3, 0.7]))
+        cfg = mcmc.GibbsKleinConfig(basis_2d, target, 2)
+        u, _ = block_conditional(cfg.gram, cfg.bc, [], [1, 0], [])
+        assert 6.0 / max(u[0][0], u[1][1], math.sqrt(cfg.gram[0][0])) > 4.0
+        got = mcmc.gibbs_klein_ensemble(basis_2d, target, (0, 0), m, chain_streams(3, 30),
+                                        self.MARKS)
+        ref = loop_snapshots(basis_2d, target, (0, 0), m, chain_streams(3, 30), self.MARKS)
+        for t in self.MARKS:
+            assert np.array_equal(got[t], ref[t])
+
+    def test_rejects_no_chains_or_checkpoints(self, basis_2d, target_2d):
+        with pytest.raises(ValueError, match="at least one chain"):
+            mcmc.gibbs_klein_ensemble(basis_2d, target_2d, (0, 0), 1, [], [1])
+        for marks in ([], [-1, 2]):
+            with pytest.raises(ValueError, match="at least one checkpoint"):
+                mcmc.gibbs_klein_ensemble(basis_2d, target_2d, (0, 0), 1, chain_streams(0, 2),
+                                          marks)
+
+    @pytest.mark.parametrize("case, m, message", [
+        # alpha = 1e-150 / 1e10: 2 alpha^2 underflows
+        ("underflowing-alpha", 1, "is too small: 2 alpha^2 underflows"),
+        ("underflowing-alpha", 2, "is too small: 2 alpha^2 underflows"),
+        ("huge-center", 2, "is too large: |center| must be below 2**53"),
+        # G[0][1] x[1] = 1e300 * 4e18 overflows to inf, as does G[1][0] x[0]
+        ("infinite-center", 1, "center must be finite, got -inf"),
+        ("singular-block", 2, "is singular in floating point"),
+    ])
+    def test_fails_as_per_chain_loop_does(self, case, m, message):
+        x0 = (0, 0)
+        if case == "underflowing-alpha":
+            basis = LatticeBasis.from_matrix([[1e10, 5e9], [0.0, 1e10]])
+            target = GaussianParams(1e-150, np.zeros(2))
+        elif case == "huge-center":
+            basis = LatticeBasis.from_matrix([[1.0, 0.5], [0.0, 1.0]])
+            target = GaussianParams(1.0, np.array([1e19, 0.0]))
+        elif case == "infinite-center":
+            basis = LatticeBasis.from_matrix([[1e150, 1e150], [0.0, 1e150]])
+            target, x0 = GaussianParams(1.0, np.zeros(2)), (4 * 10**18, 4 * 10**18)
+        else:
+            basis = LatticeBasis.from_matrix([[1.0, 1.0], [0.0, 1e-9]])
+            target = GaussianParams(1.0, np.zeros(2))
+        errors = []
+        for run in (mcmc.gibbs_klein_ensemble, loop_snapshots):
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                run(basis, target, x0, m, chain_streams(4, 6), [1, 2, 4])
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
 
 class TestStartState:

@@ -365,6 +365,35 @@ def test_single_flip_pairs_equal_brute_force(seed):
         assert got.tolist() == expected[:cap]
 
 
+@pytest.mark.parametrize("n, sigma", [(2, 0.9), (3, 0.9), (3, math.inf)])
+def test_single_flip_pairs_with_exact_ties(monkeypatch, n, sigma):
+    # Z^n at center 0 on a box: rows equal up to signs and order have equal
+    # probabilities, so many joints tie exactly; at infinite sigma all do
+    box = np.array(list(itertools.product(range(-3, 4) if n == 2 else range(-2, 3), repeat=n)))
+    weights = np.exp(-(box * box).sum(axis=1) / (2 * sigma**2))
+    dist = DiscreteDistribution(box, weights / weights.sum())
+    expected = brute_force_flip_pairs(dist)
+    cuts, kept = [], []
+    top_pairs, keep_top = oracle._top_pairs, oracle._keep_top
+
+    def recording_cut(dist, pairs, max_pairs):
+        cuts.append(len(top_pairs(dist, pairs, max_pairs)) / max_pairs)
+        return top_pairs(dist, pairs, max_pairs)
+
+    def recording_keep(dist, pairs, max_pairs):
+        kept.append(len(keep_top(dist, pairs, max_pairs)) / max_pairs)
+        return keep_top(dist, pairs, max_pairs)
+
+    monkeypatch.setattr(oracle, "_top_pairs", recording_cut)
+    monkeypatch.setattr(oracle, "_keep_top", recording_keep)
+    for cap in (1, 7, 50):
+        kept.clear()
+        assert oracle.single_flip_pairs(dist, max_pairs=cap).tolist() == expected[:cap]
+        assert kept and max(kept) <= 2
+    assert max(cuts) > 2  # ties overflowed a cut, which then sorted
+    assert oracle.single_flip_pairs(dist).tolist() == expected
+
+
 def test_single_flip_pairs_capped_memory_is_bounded():
     # 3,364 support rows hold about 2e5 single-flip pairs; keeping only the
     # running top 200 needs O(S + max_pairs) memory

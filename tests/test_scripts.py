@@ -35,3 +35,23 @@ def test_script_csv_bytes(script, tmp_path):
         cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
     )
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--chains", "0"], "--chains must be >= 1"),
+    (["--steps", "0"], "--steps must be >= 1"),
+    (["--sigma-factor", "-1"], "--sigma-factor must be positive and finite"),
+    (["--sigma-factor", "nan"], "--sigma-factor must be positive and finite"),
+])
+def test_run_convergence_rejects_bad_sizes(args, message, tmp_path):
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_convergence.py"), *args,
+         "--output", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1] == f"run_convergence.py: error: {message}"
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert not out.exists()
