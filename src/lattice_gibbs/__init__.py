@@ -5,7 +5,6 @@ MCMC kernels, an exact enumeration oracle for validation, and an uncoded MIMO
 decoding benchmark, all behind a deterministic seeded CLI.
 """
 
-from .dgauss1d import Gaussian1DParams
 from .klein import (
     GaussianParams,
     GibbsKleinConfig,
@@ -22,7 +21,6 @@ __all__ = [
     "BalanceReport",
     "BerTable",
     "DiscreteDistribution",
-    "Gaussian1DParams",
     "GaussianParams",
     "GibbsKleinConfig",
     "LatticeBasis",

@@ -42,10 +42,13 @@ class RunConfig:
 
 
 def _resolve_seed(arg_seed: "int | None") -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    """--seed, else LATTICE_GIBBS_SEED, else 0; an empty variable counts as unset."""
+    source, text = "--seed", str(arg_seed)
+    if arg_seed is None:
+        source, text = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR) or "0"
+    if not text.isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_vector(text: "str | None", n: int, what: str) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +29,6 @@ LOOP_MAX_POINTS = 64
 # Widest 1-D window any table or row kernel builds: 128 MiB of float64 (alpha
 # about 1.1e6). A wider one is refused before it is allocated.
 MAX_WINDOW_POINTS = 2**24
-
-
-@dataclass(frozen=True)
-class Gaussian1DParams:
-    """Standard deviation and center of a discrete Gaussian on Z."""
-
-    alpha: float
-    center: float
-
-    def __post_init__(self) -> None:
-        _check(self.alpha, self.center)
 
 
 def _check(alpha: float, center: float) -> None:
@@ -66,13 +54,10 @@ def _check_window(alpha: float, points) -> None:
         )
 
 
-def pmf_table(p: Gaussian1DParams) -> tuple[np.ndarray, np.ndarray]:
-    """Support points and normalized probabilities over the window
-    [floor(c - w), ceil(c + w)], whose omitted mass is below TAIL_EPS."""
-    return _window_table(p.alpha, p.center)
-
-
-def _window_table(alpha: float, center: float) -> tuple[np.ndarray, np.ndarray]:
+def pmf_table(alpha: float, center: float) -> tuple[np.ndarray, np.ndarray]:
+    """Support points and normalized probabilities of D_{Z, alpha, center} over
+    the window [floor(c - w), ceil(c + w)], whose omitted mass is below TAIL_EPS."""
+    _check(alpha, center)
     w = truncation_halfwidth(alpha, TAIL_EPS)
     lo, hi = math.floor(center - w), math.ceil(center + w)
     _check_window(alpha, hi - lo + 1)
@@ -89,9 +74,10 @@ def _table_rows(alpha: float, centers: np.ndarray, ks: np.ndarray) -> np.ndarray
     return w / w.sum(axis=1, keepdims=True)
 
 
-def pmf(p: Gaussian1DParams, k: int) -> float:
-    """Probability of integer k; zero outside the truncated support."""
-    ks, probs = pmf_table(p)
+def pmf(alpha: float, center: float, k: int) -> float:
+    """Probability of integer k under D_{Z, alpha, center}; zero outside the
+    truncated support."""
+    ks, probs = pmf_table(alpha, center)
     if k < ks[0] or k > ks[-1]:
         return 0.0
     return float(probs[k - ks[0]])
@@ -117,7 +103,7 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
     lo = math.floor(center - w)
     hi = math.ceil(center + w)
     if hi - lo >= LOOP_MAX_POINTS:
-        ks, probs = _window_table(alpha, center)
+        ks, probs = pmf_table(alpha, center)
         i = np.searchsorted(np.cumsum(probs), rng.random(), side="left")
         return int(ks[min(i, len(ks) - 1)])
     den = 2.0 * alpha * alpha
@@ -206,9 +192,9 @@ def _checked_centers(alpha: float, centers) -> np.ndarray:
 
 
 def pmf_table_rows(alpha: float, centers: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row form of `pmf`: entry i is pmf(Gaussian1DParams(alpha, centers[i]),
-    values[i]) bit for bit, on the same window. Rows are grouped by window
-    length and worked through in blocks of about BLOCK_ENTRIES entries.
+    """Row form of `pmf`: entry i is pmf(alpha, centers[i], values[i]) bit for
+    bit, on the same window. Rows are grouped by window length and worked
+    through in blocks of about BLOCK_ENTRIES entries.
     """
     centers = _checked_centers(alpha, centers)
     values = np.asarray(values, dtype=float)

@@ -13,7 +13,8 @@ center equal to the nearest-plane residual
 Gibbs is a 1-coordinate block, Gibbs-Klein an m-coordinate one, Klein all n.
 The same recursion evaluated instead of sampled gives the exact probability
 that the pass outputs a given x, which is what the enumeration oracle
-compares against.
+compares against. Every pass subtracts the terms u_ij x_j one at a time, so a
+draw's centers and those its evaluation recomputes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dgauss1d as dg
-from .dgauss1d import Gaussian1DParams
 from .linalg import LatticeBasis, SingularBasisError, gram_schmidt_norms
 
 
@@ -175,41 +175,45 @@ def backward_sample_into(
         z[i] = draw(sigma / rii, acc / rii, rng)
 
 
-def backward_pmf(
-    r: np.ndarray,
-    c_prime: np.ndarray,
-    sigma: float,
-    z: np.ndarray,
-    m: int,
-) -> float:
-    """Probability that backward sampling of z[:m] outputs exactly z[:m]."""
-    z = np.asarray(z, dtype=float)
+def backward_rows(u, c, z: np.ndarray):
+    """The backward pass over the k rows of z, (k, w): for i = m-1, ..., 0,
+    yield i, u_ii and the centers (c_i - u_i,i+1 z[:, i+1] - ... - u_i,w-1
+    z[:, w-1]) / u_ii, subtracting one term at a time as `backward_sample_into`
+    does. The caller fills z[:, i] (sampling) or has filled it (evaluating).
+    `u` is one (m, w) factor or (k, m, w) per-row ones; `c` is (m,) or (k, m).
+    """
+    u, c = np.asarray(u, dtype=float), np.asarray(c, dtype=float)
+    k, w = z.shape
+    for i in range(u.shape[-2] - 1, -1, -1):
+        acc = np.broadcast_to(c[..., i], (k,))
+        for j in range(i + 1, w):
+            acc = acc - u[..., i, j] * z[:, j]
+        rii = u[..., i, i]
+        yield i, rii, acc / rii
+
+
+def backward_pmf(r: np.ndarray, c_prime, sigma: float, z, m: int) -> float:
+    """Probability that backward sampling of z[:m] outputs exactly z[:m], given
+    z[m:]. r is upper triangular with positive diagonal, over all of z."""
+    r, c_prime, z = (np.asarray(v, dtype=float).tolist() for v in (r, c_prime, z))
     prob = 1.0
     for i in range(m - 1, -1, -1):
-        rii = r[i, i]
-        center = (c_prime[i] - r[i, i + 1 :] @ z[i + 1 :]) / rii
-        prob *= dg.pmf(Gaussian1DParams(sigma / abs(rii), center), int(round(z[i])))
+        row = r[i]
+        acc = c_prime[i]
+        for j in range(i + 1, len(row)):
+            acc -= row[j] * z[j]
+        rii = row[i]
+        prob *= dg.pmf(sigma / rii, acc / rii, int(round(z[i])))
     return prob
 
 
-def backward_pmf_many(
-    r: np.ndarray,
-    c_prime,
-    sigma: float,
-    zs: np.ndarray,
-    m: int,
-) -> np.ndarray:
-    """`backward_pmf` over the rows of zs, bit for bit. Each c_prime[i] is one
-    center for every row or a (P,) array of per-row centers."""
+def backward_pmf_many(r: np.ndarray, c_prime, sigma: float, zs, m: int) -> np.ndarray:
+    """`backward_pmf` over the rows of zs, bit for bit. c_prime holds one
+    center per coordinate, for every row, or a (P, w) array of per-row ones."""
     zs = np.asarray(zs, dtype=float)
     probs = np.ones(zs.shape[0])
-    for i in range(m - 1, -1, -1):
-        rii = r[i, i]
-        # one (1, k) @ (k, 1) product per row: the scalar pass's dot, which
-        # rounds unlike a (P, k) @ (k,) matrix-vector product
-        dot = (zs[:, None, i + 1 :] @ r[i, i + 1 :, None])[:, 0, 0]
-        center = (c_prime[i] - dot) / rii
-        probs *= dg.pmf_table_rows(sigma / abs(rii), center, zs[:, i])
+    for i, rii, centers in backward_rows(np.asarray(r)[:m], np.asarray(c_prime)[..., :m], zs):
+        probs *= dg.pmf_table_rows(sigma / rii, centers, zs[:, i])
     return probs
 
 
@@ -219,12 +223,10 @@ def klein_sample_many(
     """n_draws independent passes as (n_draws, n) int64 coefficient rows (lattice
     points B @ x), vectorized coordinate by coordinate."""
     u, c = block_conditional(cfg.gram, cfg.bc, [], range(cfg.basis.n), [])
-    xs = np.zeros((n_draws, cfg.basis.n))
-    for i in range(cfg.basis.n - 1, -1, -1):
-        uii = u[i][i]
-        centers = (c[i] - xs[:, i + 1 :] @ np.array(u[i][i + 1 :])) / uii
+    xs = np.empty((n_draws, cfg.basis.n), dtype=np.int64)
+    for i, uii, centers in backward_rows(u, c, xs):
         xs[:, i] = dg.sample_rows(cfg.target.sigma / uii, centers, rng)
-    return xs.astype(np.int64)
+    return xs
 
 
 def klein_pmf(cfg: GibbsKleinConfig, xs: np.ndarray) -> np.ndarray:

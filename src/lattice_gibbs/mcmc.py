@@ -16,12 +16,12 @@ import itertools
 import numpy as np
 
 from . import dgauss1d as dg
-from .dgauss1d import Gaussian1DParams
 from .klein import (
     GaussianParams,
     GibbsKleinConfig,
     backward_pmf,
     backward_pmf_many,
+    backward_rows,
     backward_sample_into,
     block_conditional,
     block_conditional_rows,
@@ -47,11 +47,12 @@ def start_state(x0, n: int) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def gibbs_conditional(cfg: GibbsKleinConfig, x, i: int) -> Gaussian1DParams:
-    """P(x_i | x_[-i]): a 1-D discrete Gaussian, evaluated by `dg.pmf`."""
+def gibbs_conditional(cfg: GibbsKleinConfig, x, i: int) -> tuple[float, float]:
+    """P(x_i | x_[-i]): the (alpha, center) of a 1-D discrete Gaussian, as
+    `dg.pmf` and `dg.pmf_table` take them."""
     rest = [j for j in range(cfg.basis.n) if j != i]
     (u,), (c,) = block_conditional(cfg.gram, cfg.bc, np.asarray(x, float).tolist(), [i], rest)
-    return Gaussian1DParams(cfg.target.sigma / u[0], c / u[0])
+    return cfg.target.sigma / u[0], c / u[0]
 
 
 def _block_step(
@@ -147,7 +148,7 @@ def kernel_probs(cfg: GibbsKleinConfig, from_rows, to_rows) -> np.ndarray:
         rest_cols = np.broadcast_to(np.array(rest, dtype=np.intp), (len(rows), n - m))
         u, c = block_conditional_rows(cfg.gram, cfg.bc, xr, block_cols, rest_cols)
         if rows.size:  # every row on this block shares its factor u[0]
-            total[rows] += backward_pmf_many(u[0], c.T, cfg.target.sigma, xr[:, block], m)
+            total[rows] += backward_pmf_many(u[0], c, cfg.target.sigma, xr[:, block], m)
     return total / len(blocks)
 
 
@@ -247,7 +248,7 @@ def gibbs_klein_ensemble(
 
     Each step, every chain takes from its stream what `gibbs_klein_step` and
     its 1-D draws take, a permutation of n and then block_size uniforms, and
-    its row goes through `block_conditional_rows`, the backward pass and
+    its row goes through `block_conditional_rows`, `backward_rows` and
     `dg.sample_from_uniforms`, each equal to the scalar step bit for bit. So
     chain i's states are `run_chain`'s on rngs[i], whatever the number of
     chains.
@@ -271,12 +272,8 @@ def gibbs_klein_ensemble(
         with np.errstate(over="ignore", invalid="ignore"):
             u, c = block_conditional_rows(cfg.gram, cfg.bc, x, perm[:, :m], perm[:, m:])
             z = np.empty((len(rngs), m), dtype=np.int64)
-            for i in range(m - 1, -1, -1):  # `backward_sample_into`, one uniform per draw
-                acc = c[:, i]
-                for j in range(i + 1, m):
-                    acc = acc - u[:, i, j] * z[:, j]
-                rii = u[:, i, i]
-                z[:, i] = dg.sample_from_uniforms(target.sigma / rii, acc / rii, us[:, m - 1 - i])
+            for i, rii, centers in backward_rows(u, c, z):  # one uniform per draw
+                z[:, i] = dg.sample_from_uniforms(target.sigma / rii, centers, us[:, m - 1 - i])
         x[at, perm[:, :m]] = z
         if t in marks:
             snaps[t] = x.copy()

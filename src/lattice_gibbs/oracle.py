@@ -11,13 +11,14 @@ negligible relative to eps, which the self-consistency tests confirm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import dgauss1d as dg
-from .dgauss1d import TAIL_EPS, Gaussian1DParams
+from .dgauss1d import TAIL_EPS
 from .klein import GaussianParams, GibbsKleinConfig, block_conditional
 from .linalg import LatticeBasis
 
@@ -92,12 +93,14 @@ def enumerate_support(
     """Exact target distribution over the enumeration box, rows in lexicographic order.
 
     The box (module docstring, widened by 1) omits mass negligible relative to
-    tail_eps. Raises ValueError, before allocating anything, when a bound is not
-    finite or reaches 2**53 or the box holds more than MAX_BOX_POINTS points,
-    and after, when sigma is too small for finite weights.
+    tail_eps. Raises ValueError, before allocating anything, when 2 sigma^2
+    underflows, a bound is not finite or reaches 2**53 or the box holds more
+    than MAX_BOX_POINTS points, and after, when no weight is finite.
     """
     if basis.n > MAX_ENUM_DIM:
         raise ValueError(f"enumeration limited to n <= {MAX_ENUM_DIM}, got n = {basis.n}")
+    if 2.0 * target.sigma * target.sigma < sys.float_info.min:  # the weights would be NaN
+        raise ValueError(f"sigma {target.sigma} is too small: 2 sigma^2 underflows")
     if not (0.0 < tail_eps < 1.0):
         raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
     b_inv = np.linalg.inv(basis.matrix)
@@ -117,7 +120,7 @@ def enumerate_support(
     grid = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grid], axis=1)
     resid = points @ basis.matrix.T - target.center
-    # A sigma so small that 2 sigma^2 underflows gives NaN weights, which
+    # Where every exponent overflows to -inf the weights are NaN, which
     # DiscreteDistribution rejects with ValueError.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logw = -np.einsum("ij,ij->i", resid, resid) / (2.0 * target.sigma**2)
@@ -250,10 +253,11 @@ def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None
 def _log_theta(r: float, sigma: float, shift: float) -> float:
     """log of rho_sigma(r Z + shift) = log sum_k exp(-(r k + shift)^2 / 2 sigma^2),
     summed over a window that omits less than 1e-16 of the mass."""
-    p = Gaussian1DParams(sigma / abs(r), -shift / r)
-    w = dg.truncation_halfwidth(p.alpha, 1e-16)
-    ks = np.arange(math.floor(p.center - w), math.ceil(p.center + w) + 1)
-    logw = -((ks - p.center) ** 2) / (2.0 * p.alpha * p.alpha)
+    alpha, center = sigma / abs(r), -shift / r
+    dg._check(alpha, center)
+    w = dg.truncation_halfwidth(alpha, 1e-16)
+    ks = np.arange(math.floor(center - w), math.ceil(center + w) + 1)
+    logw = -((ks - center) ** 2) / (2.0 * alpha * alpha)
     m = logw.max()
     return float(m + np.log(np.exp(logw - m).sum()))
 

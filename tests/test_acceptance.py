@@ -75,7 +75,7 @@ def test_criterion_2_gibbs_stationarity_and_balance(basis_2d):
     def cond(x, i):
         key = (i, x[:i], x[i + 1 :])
         if key not in conds:
-            ks, ps = dg.pmf_table(mcmc.gibbs_conditional(cfg, np.array(x), i))
+            ks, ps = dg.pmf_table(*mcmc.gibbs_conditional(cfg, np.array(x), i))
             conds[key] = dict(zip(ks.tolist(), ps.tolist()))
         return conds[key]
 

@@ -95,6 +95,12 @@ class TestSampleCommand:
         run_cli(base + ["--seed", "124", "--output", out3])
         assert open(out1, "rb").read() == open(out2, "rb").read()
         assert open(out1, "rb").read() != open(out3, "rb").read()
+        # an empty variable means seed 0
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "")
+        run_cli(base + ["--output", out1])
+        monkeypatch.delenv(cli.SEED_ENV_VAR)
+        run_cli(base + ["--seed", "0", "--output", out2])
+        assert open(out1, "rb").read() == open(out2, "rb").read()
 
     def test_gibbs_klein_m1_statistically_matches_gibbs(self, skew2_file, tmp_path):
         # kernel equality at m=1 seen end-to-end: pooled post-burn-in draws
@@ -284,6 +290,32 @@ class TestBadInputs:
         assert not os.path.exists(out)
         assert "is too small: 2 alpha^2 underflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample", "diagnose", "mimo"])
+    @pytest.mark.parametrize("flag, env, source", [
+        ("-1", None, "--seed"),
+        (None, "abc", "LATTICE_GIBBS_SEED"),
+        (None, "-1", "LATTICE_GIBBS_SEED"),
+        (None, "1.5", "LATTICE_GIBBS_SEED"),
+    ])
+    def test_bad_seed_rejected_without_output(self, skew2_file, tmp_path, capsys, monkeypatch,
+                                              command, flag, env, source):
+        out = str(tmp_path / "never.csv")
+        if command == "mimo":
+            argv = ["mimo", "--trials", "2", "--decoders", "zf"]
+        else:
+            argv = [command, "--basis", skew2_file, "--algo", "klein", "--sigma", "1.0",
+                    "--iters", "2"]
+        if flag is not None:
+            argv += ["--seed", flag]
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        if env is not None:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        assert run_cli(argv + ["--output", out]) == 1
+        assert not os.path.exists(out)
+        shown = flag if flag is not None else env
+        assert capsys.readouterr().err == (
+            f"error: {source} must be a non-negative integer, got {shown!r}\n")
+
     @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
     def test_window_past_cap_rejected_without_output(self, tmp_path, capsys, algo):
         # a Gram-Schmidt norm of 1e-6 at sigma 1.2: alpha 1.2e6, whose 1-D
@@ -300,21 +332,22 @@ class TestBadInputs:
     @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
     def test_diagnose_underflowing_sigma_rejected_without_output(self, skew2_file, tmp_path,
                                                                  capsys, algo):
-        # the oracle's weights divide by 2 sigma^2, which underflows: all NaN
+        # the oracle's weights would divide by 2 sigma^2, which underflows
         out = str(tmp_path / "never.csv")
         code = run_cli(["diagnose", "--basis", skew2_file, "--algo", algo, "--sigma", "1e-160",
                         "--center=0.3,-0.2", "--iters", "2", "--block-size", "1",
                         "--output", out])
         assert code == 1
         assert not os.path.exists(out)
-        assert "probs must be finite and non-negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: sigma 1e-160 is too small: 2 sigma^2 underflows\n"
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_diagnose_gibbs_klein_underflowing_alpha_rejected_without_output(
             self, tmp_path, capsys, m):
-        # at sigma 1e-300 the oracle's own weights are NaN first (the test
-        # above); on a basis scaled by 1e10 at sigma 1e-150 the oracle is a
-        # point mass, and the chains' alpha 1e-150 / 1e10 underflows
+        # at sigma 1e-300 the oracle rejects sigma first (the test above); on
+        # a basis scaled by 1e10 at sigma 1e-150 the oracle is a point mass,
+        # and the chains' alpha 1e-150 / 1e10 underflows
         path = tmp_path / "big.txt"
         path.write_text("2\n1e10 5e9\n0 1e10\n")
         out = str(tmp_path / "never.csv")

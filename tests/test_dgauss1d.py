@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_gibbs import dgauss1d as dg
-from lattice_gibbs.dgauss1d import Gaussian1DParams
 
 alphas = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 centers = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -24,7 +23,7 @@ def brute_force_pmf(alpha, center, k, width=60):
 
 class TestSupportBounds:
     def test_contains_standard_interval(self):
-        ks, _ = dg.pmf_table(Gaussian1DParams(1.0, 0.0))
+        ks, _ = dg.pmf_table(1.0, 0.0)
         # w = sqrt(2 ln(4e12)) + 1 ~ 8.6, so [-8, 8] must be covered
         assert ks[0] <= -8 and ks[-1] >= 8
         w = dg.truncation_halfwidth(1.0, 1e-12)
@@ -33,8 +32,8 @@ class TestSupportBounds:
     @given(alphas, centers, st.integers(min_value=-100, max_value=100))
     @settings(max_examples=50, deadline=None)
     def test_translation_equivariance(self, alpha, c, k):
-        base, _ = dg.pmf_table(Gaussian1DParams(alpha, c))
-        shifted, _ = dg.pmf_table(Gaussian1DParams(alpha, c + k))
+        base, _ = dg.pmf_table(alpha, c)
+        shifted, _ = dg.pmf_table(alpha, c + k)
         assert shifted[0] == base[0] + k and shifted[-1] == base[-1] + k
 
     def test_smaller_eps_gives_superset(self):
@@ -44,45 +43,48 @@ class TestSupportBounds:
 class TestPmf:
     def test_standard_value(self):
         # normalizer sum exp(-k^2/2) over |k| <= 40 ~ 2.5066283
-        got = dg.pmf(Gaussian1DParams(1.0, 0.0), 0)
+        got = dg.pmf(1.0, 0.0, 0)
         assert got == pytest.approx(brute_force_pmf(1.0, 0.0, 0), abs=1e-12)
         assert got == pytest.approx(0.398942, abs=1e-6)
 
     def test_symmetry_at_integer_center(self):
-        p = Gaussian1DParams(1.0, 0.0)
-        assert dg.pmf(p, 1) == pytest.approx(dg.pmf(p, -1), abs=1e-15)
+        assert dg.pmf(1.0, 0.0, 1) == pytest.approx(dg.pmf(1.0, 0.0, -1), abs=1e-15)
 
     def test_outside_support_is_zero(self):
-        assert dg.pmf(Gaussian1DParams(0.3, 0.0), 50) == 0.0
+        assert dg.pmf(0.3, 0.0, 50) == 0.0
 
     @given(alphas, centers)
     @settings(max_examples=100, deadline=None)
     def test_normalization(self, alpha, c):
-        _, probs = dg.pmf_table(Gaussian1DParams(alpha, c))
+        _, probs = dg.pmf_table(alpha, c)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
     @given(alphas, centers, st.integers(min_value=-5, max_value=5))
     @settings(max_examples=50, deadline=None)
     def test_shift_equivariance(self, alpha, c, k):
-        p0 = dg.pmf(Gaussian1DParams(alpha, c), k)
-        p1 = dg.pmf(Gaussian1DParams(alpha, c + 1.0), k + 1)
+        p0 = dg.pmf(alpha, c, k)
+        p1 = dg.pmf(alpha, c + 1.0, k + 1)
         assert p1 == pytest.approx(p0, abs=1e-12)
 
     def test_tiny_alpha_no_underflow(self):
         # log-domain max subtraction must keep the peak finite
-        p = Gaussian1DParams(0.01, 7.3)
-        ks, probs = dg.pmf_table(p)
+        ks, probs = dg.pmf_table(0.01, 7.3)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert probs[np.argmax(probs)] > 0.99
         assert ks[np.argmax(probs)] == 7
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            Gaussian1DParams(0.0, 0.0)
+            dg.pmf_table(0.0, 0.0)
         with pytest.raises(ValueError):
-            Gaussian1DParams(1.0, math.inf)
+            dg.pmf(1.0, math.inf, 0)
         with pytest.raises(ValueError, match="is too large"):
-            Gaussian1DParams(1.0, -(2.0**53))
+            dg.pmf_table(1.0, -(2.0**53))
+        # the table and the pmf reject every bad scalar with `sample`'s message
+        for alpha, center, message in BAD_SCALARS:
+            for call in (lambda: dg.pmf_table(alpha, center), lambda: dg.pmf(alpha, center, 0)):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 class FixedUniform:
@@ -112,21 +114,18 @@ BAD_SCALARS = [
 class TestSample:
     def test_concentration_at_nearest_integer(self):
         rng = np.random.default_rng(0)
-        p = Gaussian1DParams(0.05, 3.0)
-        assert all(dg.sample(p.alpha, p.center, rng) == 3 for _ in range(1000))
+        assert all(dg.sample(0.05, 3.0, rng) == 3 for _ in range(1000))
 
     def test_deterministic_given_seed(self):
-        p = Gaussian1DParams(2.0, 0.5)
-        a = [dg.sample(p.alpha, p.center, np.random.default_rng(42)) for _ in range(5)]
-        b = [dg.sample(p.alpha, p.center, np.random.default_rng(42)) for _ in range(5)]
+        a = [dg.sample(2.0, 0.5, np.random.default_rng(42)) for _ in range(5)]
+        b = [dg.sample(2.0, 0.5, np.random.default_rng(42)) for _ in range(5)]
         assert a == b
 
     def test_empirical_tv_against_pmf(self):
         # 1e5 draws; TV floor ~ 1/sqrt(N) x sum sqrt(p) ~ 0.003 here
-        p = Gaussian1DParams(2.0, 0.5)
         rng = np.random.default_rng(1)
-        draws = np.array([dg.sample(p.alpha, p.center, rng) for _ in range(100_000)])
-        ks, probs = dg.pmf_table(p)
+        draws = np.array([dg.sample(2.0, 0.5, rng) for _ in range(100_000)])
+        ks, probs = dg.pmf_table(2.0, 0.5)
         emp = np.array([(draws == k).mean() for k in ks])
         assert 0.5 * np.abs(emp - probs).sum() <= 0.005
 
@@ -140,7 +139,7 @@ class TestSample:
         uniforms = rng.random(100_000)
         widths = []
         for alpha, c, u in zip(alphas.tolist(), centers.tolist(), uniforms.tolist()):
-            ks, probs = dg.pmf_table(Gaussian1DParams(alpha, c))
+            ks, probs = dg.pmf_table(alpha, c)
             expected = int(ks[np.searchsorted(np.cumsum(probs), u, side="left")])
             assert dg.sample(alpha, c, FixedUniform(u)) == expected, (alpha, c, u)
             widths.append(len(ks))
@@ -155,7 +154,7 @@ class TestSample:
     def test_uniform_above_last_cdf_entry_draws_last_point(self, alpha, center):
         # both tables' last cumulative probability falls a few ulps short of 1
         u = 1.0 - 2.0**-53
-        ks, probs = dg.pmf_table(Gaussian1DParams(alpha, center))
+        ks, probs = dg.pmf_table(alpha, center)
         assert np.cumsum(probs)[-1] < u
         assert dg.sample(alpha, center, FixedUniform(u)) == ks[-1]
 
@@ -184,7 +183,7 @@ class TestSample:
         rng = np.random.default_rng(3)
         for alpha, c, tol in [(0.7, 0.2, 0.01), (1.5, -3.3, 0.01), (5.0, 0.9, 0.01), (25.0, 4.2, 0.02)]:
             draws = dg.sample_rows(alpha, np.full(100_000, c), rng)
-            ks, probs = dg.pmf_table(Gaussian1DParams(alpha, c))
+            ks, probs = dg.pmf_table(alpha, c)
             emp = np.array([(draws == k).mean() for k in ks])
             tv = 0.5 * np.abs(emp - probs).sum() + 0.5 * (1 - emp.sum())
             assert tv <= tol
@@ -291,7 +290,7 @@ def test_pmf_table_rows_bitwise_equals_scalar_pmf():
         half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
         values = np.round(centers) + rng.integers(-half - 3, half + 4, centers.size)
         got = dg.pmf_table_rows(alpha, centers, values)
-        expected = [dg.pmf(Gaussian1DParams(alpha, c), int(v)) for c, v in zip(centers, values)]
+        expected = [dg.pmf(alpha, c, int(v)) for c, v in zip(centers, values)]
         assert got.tolist() == expected, alpha
         assert (got == 0.0).any() and (got > 0.0).any()
     assert dg.pmf_table_rows(1.0, [], []).shape == (0,)
@@ -308,7 +307,7 @@ def test_window_past_the_cap_is_refused_before_allocation():
     assert dg.MAX_WINDOW_POINTS < points <= dg.MAX_WINDOW_POINTS + 4
     rng = np.random.default_rng(0)
     calls = [
-        lambda: dg.pmf(Gaussian1DParams(WIDE_ALPHA, 0.0), 0),
+        lambda: dg.pmf(WIDE_ALPHA, 0.0, 0),
         lambda: dg.sample(WIDE_ALPHA, 0.0, rng),
         lambda: dg.pmf_table_rows(WIDE_ALPHA, [0.0], [0]),
         lambda: dg.sample_rows(WIDE_ALPHA, [0.0], rng),

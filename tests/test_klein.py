@@ -6,12 +6,12 @@ import pytest
 
 from lattice_gibbs import dgauss1d as dg
 from lattice_gibbs import oracle
-from lattice_gibbs.dgauss1d import Gaussian1DParams
 from lattice_gibbs.klein import (
     GaussianParams,
     GibbsKleinConfig,
     backward_pmf,
     backward_pmf_many,
+    backward_rows,
     backward_sample_into,
     block_conditional,
     block_conditional_rows,
@@ -56,9 +56,7 @@ class TestKleinSample:
         cfg = klein_cfg(LatticeBasis.identity(2), GaussianParams(1.3, c))
         xs = np.array(list(itertools.product(range(-3, 4), repeat=2)))
         for x, got in zip(xs, klein_pmf(cfg, xs)):
-            expected = dg.pmf(Gaussian1DParams(1.3, c[0]), x[0]) * dg.pmf(
-                Gaussian1DParams(1.3, c[1]), x[1]
-            )
+            expected = dg.pmf(1.3, c[0], x[0]) * dg.pmf(1.3, c[1], x[1])
             assert got == pytest.approx(expected, abs=1e-14)
 
     def test_empirical_matches_pmf(self, basis_2d):
@@ -170,6 +168,77 @@ class TestKleinPmf:
             for r, (row, perm) in enumerate(zip(xs.tolist(), order.tolist())):
                 assert block_conditional(cfg.gram, cfg.bc, row, perm[:m], perm[m:]) == (
                     u[r].tolist(), c[r].tolist())
+
+
+def recorded_pass(u, c, sigma, z):
+    """The (alpha, center) of each 1-D draw, in draw order (i = m-1, ..., 0),
+    of a `backward_sample_into` pass made to output the block state z."""
+    calls, out = [], iter(reversed(z))
+
+    def draw(alpha, center, rng):
+        calls.append((alpha, center))
+        return next(out)
+
+    backward_sample_into(u, c, sigma, [0] * len(z), None, draw)
+    return calls
+
+
+def pmf_at(calls, z):
+    """The product of the 1-D pmfs at the recorded centers, in the passes' order."""
+    prob = 1.0
+    for (alpha, center), k in zip(calls, reversed(z)):
+        prob *= dg.pmf(alpha, center, k)
+    return prob
+
+
+class TestSamplingAndEvaluationShareCenters:
+    """The centers a draw is made from, recorded from the scalar sampling
+    pass, against those every row pass and every pmf recomputes, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_block_passes(self, n):
+        # 25 states near Klein's draws for each block size m = 1..n
+        rng = np.random.default_rng(90 + n)
+        basis = make_random_basis(rng, n)
+        target = GaussianParams(0.6 * gram_schmidt_norms(basis).min(), rng.uniform(-1, 1, n))
+        sigma, cfg = target.sigma, klein_cfg(basis, target)
+        xs = klein_sample_many(cfg, 25, rng) + rng.integers(-1, 2, (25, n))
+        for m in range(1, n + 1):
+            order = np.tile(rng.permutation(n), (len(xs), 1))
+            u, c = block_conditional_rows(cfg.gram, cfg.bc, xs, order[:, :m], order[:, m:])
+            zs = np.take_along_axis(xs, order[:, :m], axis=1)
+            calls = [recorded_pass(ur.tolist(), cr.tolist(), sigma, z)
+                     for ur, cr, z in zip(u, c, zs.tolist())]
+            for factor in (u, u[0]):  # per-row factors and the rows' shared one
+                for i, rii, centers in backward_rows(factor, c, zs):
+                    assert (sigma / np.broadcast_to(rii, len(xs))).tolist() == [
+                        rec[m - 1 - i][0] for rec in calls]
+                    assert centers.tolist() == [rec[m - 1 - i][1] for rec in calls]
+            expected = [pmf_at(rec, z) for rec, z in zip(calls, zs.tolist())]
+            assert [backward_pmf(ur, cr, sigma, z, m) for ur, cr, z in zip(u, c, zs)] == expected
+            assert backward_pmf_many(u[0], c, sigma, zs, m).tolist() == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_klein_batch_and_pmf(self, n, monkeypatch):
+        rng = np.random.default_rng(95 + n)
+        basis = make_random_basis(rng, n)
+        target = GaussianParams(0.6 * gram_schmidt_norms(basis).min(), rng.uniform(-1, 1, n))
+        cfg = klein_cfg(basis, target)
+        xs = klein_sample_many(cfg, 100, rng) + rng.integers(-1, 2, (100, n))
+        u, c = block_conditional(cfg.gram, cfg.bc, [], range(n), [])
+        calls = [recorded_pass(u, c, target.sigma, x) for x in xs.tolist()]
+        assert klein_pmf(cfg, xs).tolist() == [pmf_at(rec, x) for rec, x in zip(calls, xs.tolist())]
+        # the batch sampler made to draw xs: its 1-D draws see the same centers
+        seen, cols = [], iter(xs.T[::-1])
+
+        def sample_rows(alpha, centers, rng):
+            seen.append((alpha, centers.tolist()))
+            return next(cols)
+
+        monkeypatch.setattr(dg, "sample_rows", sample_rows)
+        assert klein_sample_many(cfg, len(xs), rng).tolist() == xs.tolist()
+        for t, (alpha, centers) in enumerate(seen):
+            assert [(alpha, v) for v in centers] == [rec[t] for rec in calls]
 
 
 class TestSigmaChoices:

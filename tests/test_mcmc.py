@@ -7,7 +7,6 @@ import pytest
 
 from lattice_gibbs import dgauss1d as dg
 from lattice_gibbs import mcmc, oracle
-from lattice_gibbs.dgauss1d import Gaussian1DParams
 from lattice_gibbs.klein import (
     GaussianParams,
     backward_pmf,
@@ -33,14 +32,14 @@ class TestGibbsConditional:
         cfg = mcmc.GibbsKleinConfig(basis, target, 1)
         for other in (-3, 0, 5):
             cond = mcmc.gibbs_conditional(cfg, np.array([9, other]), 1)
-            ks, probs = dg.pmf_table(Gaussian1DParams(1.2, -0.8))
+            ks, probs = dg.pmf_table(1.2, -0.8)
             for k, p in zip(ks, probs):
-                assert dg.pmf(cond, int(k)) == pytest.approx(p, abs=1e-14)
+                assert dg.pmf(*cond, int(k)) == pytest.approx(p, abs=1e-14)
 
     def test_sums_to_one(self, basis_2d, target_2d):
         cfg = mcmc.GibbsKleinConfig(basis_2d, target_2d, 1)
         cond = mcmc.gibbs_conditional(cfg, np.array([2, -1]), 0)
-        assert abs(dg.pmf_table(cond)[1].sum() - 1.0) <= 1e-12
+        assert abs(dg.pmf_table(*cond)[1].sum() - 1.0) <= 1e-12
 
     def test_matches_oracle_slice(self, basis_2d):
         # first coordinate free, second fixed at 1, against the renormalized
@@ -54,7 +53,7 @@ class TestGibbsConditional:
         }
         total = sum(slice_probs.values())
         tv = 0.5 * sum(
-            abs(dg.pmf(cond, int(k)) - v / total) for k, v in slice_probs.items()
+            abs(dg.pmf(*cond, int(k)) - v / total) for k, v in slice_probs.items()
         )
         assert tv <= 1e-10
 
@@ -114,7 +113,7 @@ class TestGibbsKernelProb:
             total = mcmc.gibbs_kernel_prob(cfg, s, s)
             for i in range(2):
                 cond = mcmc.gibbs_conditional(cfg, np.array(s), i)
-                for k in dg.pmf_table(cond)[0].tolist():
+                for k in dg.pmf_table(*cond)[0].tolist():
                     if k != s[i]:
                         dest = list(s)
                         dest[i] = k
@@ -151,7 +150,7 @@ class TestGibbsKlein:
         for k in range(-3, 4):
             x = np.array([k, *z_rest])[np.argsort(order)]  # x[order] = (k, *z_rest)
             block = mcmc.gibbs_klein_block_pmf(cfg, order[:1], x)
-            assert block == pytest.approx(dg.pmf(cond, k), abs=1e-12)
+            assert block == pytest.approx(dg.pmf(*cond, k), abs=1e-12)
 
     def test_block_pmf_sums_to_one(self, rng):
         basis = make_random_basis(rng, 3)
@@ -171,9 +170,7 @@ class TestGibbsKlein:
         cfg = mcmc.GibbsKleinConfig(LatticeBasis.identity(3), target, 2)
         for z in itertools.product(range(-2, 3), repeat=2):
             got = mcmc.gibbs_klein_block_pmf(cfg, range(2), np.array([*z, 0]))
-            expected = dg.pmf(Gaussian1DParams(1.0, 0.2), z[0]) * dg.pmf(
-                Gaussian1DParams(1.0, -0.5), z[1]
-            )
+            expected = dg.pmf(1.0, 0.2, z[0]) * dg.pmf(1.0, -0.5, z[1])
             assert got == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -279,8 +276,8 @@ def scalar_gibbs_prob(cfg, s_i, s_j):
         return 0.0
     if diff.size == 1:
         k = int(diff[0])
-        return dg.pmf(mcmc.gibbs_conditional(cfg, a, k), int(b[k])) / n
-    return sum(dg.pmf(mcmc.gibbs_conditional(cfg, a, k), int(a[k])) for k in range(n)) / n
+        return dg.pmf(*mcmc.gibbs_conditional(cfg, a, k), int(b[k])) / n
+    return sum(dg.pmf(*mcmc.gibbs_conditional(cfg, a, k), int(a[k])) for k in range(n)) / n
 
 
 GOLDEN_DIAGNOSE_BASIS = [[1.0, 0.4, 0.4], [0.0, 1.3, 0.4], [0.0, 0.0, 1.6]]
