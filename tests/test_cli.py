@@ -200,6 +200,25 @@ class TestGoldenChains:
         digest = self._digest(skew2_file, tmp_path, algo, 3, ["--burn-in", "7"])
         assert digest == self.GOLDEN_BURN_IN[algo]
 
+    def test_full_block_8d_csv_bytes(self, tmp_path):
+        # recorded while every m = n step was a scalar `gibbs_klein_step`. 3,000
+        # steps span three 1,024-step row blocks, burn-in 1,500 falls inside
+        # one, and the 0.1 pivot sends one draw in about a third of the steps
+        # to the 1-D table path
+        basis = tmp_path / "b8.txt"
+        basis.write_text("8\n1 0.5 0.3 0 0.2 0 0.1 0\n0 1.1 0.4 0.2 0 0.3 0 0.1\n"
+                         "0 0 0.9 0.5 0.1 0 0.2 0\n0 0 0 1.2 0.3 0.1 0 0.2\n"
+                         "0 0 0 0 0.1 0.4 0.1 0\n0 0 0 0 0 1 0.3 0.2\n"
+                         "0 0 0 0 0 0 0.8 0.4\n0 0 0 0 0 0 0 1.3\n")
+        out = str(tmp_path / "golden.csv")
+        argv = ["sample", "--basis", str(basis), "--algo", "gibbs-klein", "--block-size", "8",
+                "--sigma", "0.8", "--center=0.3,-0.4,1.2,0,-2.5,0.7,0.1,3",
+                "--x0=3,-2,0,1,0,0,-1,2", "--iters", "3000", "--chains", "2",
+                "--burn-in", "1500", "--seed", "5", "-o", out]
+        assert run_cli(argv) == 0
+        digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+        assert digest == "debe76849f41b6331098e5c99224340fe1eb56c6934077e2499241b43c56939e"
+
 
 class TestGoldenDiagnose:
     # sha256 of the TV CSV and the exact stderr balance line, recorded before
@@ -400,6 +419,24 @@ class TestBadInputs:
         assert code == 1
         assert not os.path.exists(out)
         assert "basis entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["diagnose", "--algo", "gibbs", "--sigma", "1.0", "--iters", "4", "--checkpoints="],
+         "--checkpoints", ""),
+        (["diagnose", "--algo", "gibbs", "--sigma", "1.0", "--iters", "4",
+          "--checkpoints", "1,2.5"], "--checkpoints", "1,2.5"),
+        (["mimo", "--trials", "2", "--block-sizes", "1,,2"], "--block-sizes", "1,,2"),
+        (["mimo", "--trials", "2", "--iterations", "1,x"], "--iterations", "1,x"),
+    ])
+    def test_bad_integer_list_rejected_without_output(self, skew2_file, tmp_path, capsys,
+                                                      argv, flag, text):
+        out = str(tmp_path / "never.csv")
+        if argv[0] == "diagnose":
+            argv = argv + ["--basis", skew2_file]
+        assert run_cli(argv + ["--output", out]) == 1
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be comma-separated integers, got {text!r}\n")
 
     def test_zero_cholesky_pivot_rejected_without_output(self, tmp_path, capsys):
         # QR accepts this basis (r_22 = 1e-9), but in floating point

@@ -418,7 +418,7 @@ class TestRunChain:
             mcmc.run_chain("gibbs-klein", basis_2d, target_2d, (0, 0), 1, rng)
 
     @pytest.mark.parametrize("kernel, block_size, draws_per_step", [
-        ("gibbs", None, 1), ("gibbs-klein", 1, 1), ("gibbs-klein", 3, 3),
+        ("gibbs", None, 1), ("gibbs-klein", 1, 1), ("gibbs-klein", 2, 2),
     ])
     def test_every_draw_goes_through_dgauss1d_sample(self, monkeypatch, kernel, block_size,
                                                      draws_per_step):
@@ -438,6 +438,61 @@ class TestRunChain:
                              np.random.default_rng(9), block_size=block_size)
         assert np.array_equal(got, expected)
         assert len(calls) == 40 * draws_per_step
+
+    @staticmethod
+    def _scalar_full_block_chain(basis, target, x0, steps, rng):
+        """Gibbs-Klein at m = n as the scalar loop: one `gibbs_klein_step` a step."""
+        cfg = mcmc.GibbsKleinConfig(basis, target, basis.n)
+        x = list(x0)
+        states = [list(x)]
+        for _ in range(steps):
+            mcmc.gibbs_klein_step(cfg, x, rng)
+            states.append(list(x))
+        return np.array(states, dtype=np.int64)
+
+    # row blocks of 1 step, of 7 steps (n <= 8), and the module's own (>= 40)
+    @pytest.mark.parametrize("entries", [1, 7 * dg.LOOP_MAX_POINTS, None])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_full_block_chain_is_the_scalar_step_loop(self, monkeypatch, n, entries):
+        if entries is not None:
+            monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", entries)
+
+        def no_scalar_step(*args):
+            raise AssertionError("a row block was redone by the scalar step")
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            basis = make_random_basis(rng, n)
+            center, x0 = rng.uniform(-1, 1, n), rng.integers(-3, 4, n).tolist()
+            # sigma 6 puts every alpha above 4: every 1-D draw inverts the table
+            for sigma, steps in itertools.product((0.8, 6.0), (0, 1, 40)):
+                target = GaussianParams(sigma, center)
+                got_rng, ref_rng = (np.random.default_rng(seed + 10) for _ in range(2))
+                ref = self._scalar_full_block_chain(basis, target, x0, steps, ref_rng)
+                with monkeypatch.context() as patch:
+                    patch.setattr(mcmc, "gibbs_klein_step", no_scalar_step)
+                    got = mcmc.run_chain("gibbs-klein", basis, target, x0, steps, got_rng,
+                                         block_size=n)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, ref), (seed, sigma, steps)
+                assert got_rng.random() == ref_rng.random()  # the same stream was taken
+
+    def test_full_block_chain_fails_as_the_scalar_step_loop(self):
+        # coordinate 1's center is past 2**53 and coordinate 2's window past
+        # MAX_WINDOW_POINTS: a step fails at whichever its pass draws first, so
+        # a row block's first bad row need not be the first bad step
+        basis = LatticeBasis.from_matrix(np.diag([1.0, 1.0, 1e-7]))
+        target = GaussianParams(1.0, np.array([0.0, 1e19, 0.0]))
+        messages = set()
+        for seed in range(10):
+            with pytest.raises(ValueError) as rows:
+                mcmc.run_chain("gibbs-klein", basis, target, (0, 0, 0), 10,
+                               np.random.default_rng(seed), block_size=3)
+            with pytest.raises(ValueError) as scalar:
+                self._scalar_full_block_chain(basis, target, [0, 0, 0], 10,
+                                              np.random.default_rng(seed))
+            assert str(rows.value) == str(scalar.value), seed
+            messages.add(str(rows.value).split()[0])
+        assert messages == {"alpha", "center"}
 
     def test_single_chain_converges_above_smoothing(self):
         # sigma just above the smoothing threshold; T = 2e4 keeps the
