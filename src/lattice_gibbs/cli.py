@@ -9,12 +9,14 @@ leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dgauss1d as dg
 from . import mcmc, mimo, oracle
 from .klein import GaussianParams, GibbsKleinConfig, klein_sample_many
 from .linalg import LatticeBasis, load_basis
@@ -137,11 +139,46 @@ def _chain_streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def format_int_rows(table: np.ndarray) -> str:
+    """The rows of a 2-D int64 array with at least one column as CSV lines,
+    ",".join(map(str, row)) + "\n" each. Rows are formatted in numpy, in blocks
+    of about dg.BLOCK_ENTRIES entries, so the temporaries stay O(block)."""
+    per = max(1, dg.BLOCK_ENTRIES // table.shape[1])
+    return "".join(_format_block(table[s : s + per]) for s in range(0, table.shape[0], per))
+
+
+def _format_block(block: np.ndarray) -> str:
+    """One block of `format_int_rows`. Each field gets a slot as wide as its
+    column's widest entry: a sign byte, the digits right-aligned and the
+    separator. The bytes left unused stay 0 and are dropped at the end."""
+    neg = block < 0
+    mag = block.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # |v| for every int64 v, INT64_MIN too
+    widths = [len(str(m)) for m in mag.max(axis=0).tolist()]
+    text = np.zeros((block.shape[0], sum(widths) + 2 * len(widths)), dtype=np.uint8)
+    start = 0  # the column's sign byte
+    for col, width in enumerate(widths):
+        text[:, start] = neg[:, col] * ord("-")
+        q = mag[:, col]
+        last = start + width
+        for pos in range(last, start, -1):
+            q10 = q // 10
+            digit = q - q10 * 10 + ord("0")
+            if pos < last:
+                digit *= q != 0  # no leading zeros
+            text[:, pos] = digit
+            q = q10
+        text[:, last + 1] = ord(",")
+        start = last + 2
+    text[:, -1] = ord("\n")
+    flat = text.ravel()
+    return np.compress(flat != 0, flat).tobytes().decode("ascii")
+
+
 def cmd_sample(cfg: RunConfig) -> int:
     """Write one CSV row per recorded state: chain,t,x_1,...,x_n."""
     n = cfg.basis.n
-    header = "chain,t," + ",".join(f"x_{i + 1}" for i in range(n))
-    lines = [header]
+    parts = ["chain,t," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n"]
     rngs = _chain_streams(cfg.seed, cfg.chains)
     for chain_idx, rng in enumerate(rngs):
         if cfg.algorithm == "klein":
@@ -155,10 +192,10 @@ def cmd_sample(cfg: RunConfig) -> int:
             )
             t_first = 0  # row 0 is the start state
         skip = max(cfg.burn_in - t_first, 0)
-        row_format = f"{chain_idx},%d," + ",".join(["%d"] * n)
-        lines += [row_format % (t, *row)
-                  for t, row in enumerate(rows[skip:].tolist(), start=t_first + skip)]
-    _write_output(cfg.output, "\n".join(lines) + "\n")
+        ts = np.arange(t_first + skip, t_first + rows.shape[0])
+        table = np.column_stack([np.full_like(ts, chain_idx), ts, rows[skip:]])
+        parts.append(format_int_rows(table))
+    _write_output(cfg.output, "".join(parts))
     return 0
 
 
@@ -299,10 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: "list[str] | None" = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_attach_vector_values(argv))
+    args = _parser().parse_args(_attach_vector_values(argv))
     try:
         if args.command == "sample":
             return cmd_sample(_build_run_config(args))

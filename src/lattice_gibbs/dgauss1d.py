@@ -179,9 +179,14 @@ def sample_from_uniforms(alphas, centers, us) -> np.ndarray:
 # Vectorized row-wise helpers: one independent 1-D discrete Gaussian per row,
 # sharing a fixed alpha, for the batch Klein sampler, the chain ensembles and
 # exact pmfs over large point sets. Rows are worked through in blocks of about
-# BLOCK_ENTRIES window entries, so memory is O(rows) for any alpha. Inputs are
-# checked as the scalar draw checks them.
-BLOCK_ENTRIES = 8192  # 64 KiB of float64: below glibc's 128 KiB mmap threshold
+# BLOCK_ENTRIES window entries (512 KiB of float64), so memory is O(rows) for
+# any alpha. Inputs are checked as the scalar draw checks them.
+BLOCK_ENTRIES = 2**16
+# Fewest rows for which `sample_rows` sums a block one window point at a time:
+# each point is one numpy add over the rows, about 0.5 us a call, where
+# cumsum costs about 3.5 ns an entry. They break even near 128 rows at every
+# window width measured (9 to 513 points).
+COLUMN_MIN_ROWS = 128
 
 
 def _checked_centers(alpha: float, centers) -> np.ndarray:
@@ -228,27 +233,40 @@ def sample_rows(alpha: float, centers: np.ndarray, rng: np.random.Generator) -> 
     is (round(c) + offs) - c bit for bit, and |frac| <= 1/2 puts the peak
     exponent -frac^2 / (2 alpha^2) at offset 0: the weights are the table's,
     each relative to the peak one.
+
+    A block of at least COLUMN_MIN_ROWS rows is laid out window-major,
+    (window, rows), and forms its running sums one window point at a time,
+    each one add over all rows; a smaller block (a wide alpha, or few rows)
+    is laid out row-major and takes numpy's cumsum. Both add left to right,
+    so the sums, and the draws, are the same bits either way.
     """
     centers = _checked_centers(alpha, centers)
     half = int(math.ceil(truncation_halfwidth(alpha, TAIL_EPS)))
     _check_window(alpha, 2 * half + 1)
-    offs = np.arange(-half, half + 1, dtype=float)
-    per = max(1, BLOCK_ENTRIES // offs.size)
+    offs = np.arange(-half, half + 1, dtype=float)[:, None]
+    size = offs.shape[0]
+    per = max(1, BLOCK_ENTRIES // size)
     den = -(2.0 * alpha * alpha)
     u_all = rng.random(centers.shape[0])
     out = np.empty(centers.shape[0], dtype=np.int64)
-    buf = np.empty((min(per, centers.shape[0]), offs.size))
+    buf = np.empty(size * min(per, centers.shape[0]))
     for start in range(0, centers.shape[0], per):
         rows = slice(start, start + per)
         base = np.round(centers[rows])
         frac = centers[rows] - base
-        cum = buf[: base.shape[0]]
-        np.subtract(offs, frac[:, None], out=cum)
+        few = base.size < COLUMN_MIN_ROWS
+        cum = buf[: size * base.size]
+        cum = cum.reshape(base.size, size).T if few else cum.reshape(size, base.size)
+        np.subtract(offs, frac, out=cum)
         np.multiply(cum, cum, out=cum)
         np.divide(cum, den, out=cum)
-        np.subtract(cum, ((frac * frac) / den)[:, None], out=cum)
+        np.subtract(cum, (frac * frac) / den, out=cum)
         np.exp(cum, out=cum)
-        np.cumsum(cum, axis=1, out=cum)
-        idx = np.less(cum, (u_all[rows] * cum[:, -1])[:, None]).sum(axis=1)
+        if few:
+            np.cumsum(cum, axis=0, out=cum)
+        else:
+            for prev, cur in zip(cum, cum[1:]):
+                np.add(prev, cur, cur)
+        idx = np.less(cum, u_all[rows] * cum[-1]).sum(axis=0)
         out[rows] = base.astype(np.int64) + (idx - half)
     return out

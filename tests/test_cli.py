@@ -3,6 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lattice_gibbs import cli
 
@@ -218,6 +221,26 @@ class TestGoldenChains:
         assert run_cli(argv) == 0
         digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
         assert digest == "debe76849f41b6331098e5c99224340fe1eb56c6934077e2499241b43c56939e"
+
+    def test_klein_8d_multi_block_csv_bytes(self, tmp_path):
+        # recorded while every row-sampler block was row-major and its running
+        # sums one cumsum. The 0.04 pivot gives one coordinate alpha 20, a
+        # window of 309 points (wider than LOOP_MAX_POINTS) and blocks of 212
+        # rows; the other windows hold 13-19 points, so 20,000 draws a chain
+        # span several 2^16-entry blocks of thousands of rows. The centers
+        # make most draws of some coordinates negative; t reaches 20,000.
+        basis = tmp_path / "b8.txt"
+        basis.write_text("8\n1 0.5 0.3 0 0.2 0 0.1 0\n0 1.1 0.4 0.2 0 0.3 0 0.1\n"
+                         "0 0 0.9 0.5 0.1 0 0.2 0\n0 0 0 1.2 0.3 0.1 0 0.2\n"
+                         "0 0 0 0 0.04 0.4 0.1 0\n0 0 0 0 0 1 0.3 0.2\n"
+                         "0 0 0 0 0 0 0.8 0.4\n0 0 0 0 0 0 0 1.3\n")
+        out = str(tmp_path / "golden.csv")
+        argv = ["sample", "--basis", str(basis), "--algo", "klein", "--sigma", "0.8",
+                "--center=-3.3,0.4,-12.2,0,-2.5,0.7,-0.1,3", "--iters", "20000",
+                "--chains", "2", "--seed", "9", "-o", out]
+        assert run_cli(argv) == 0
+        digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+        assert digest == "bbd9bedf13e86e7afc24db742da6c29f4442f7cf665d8fcdbcfa615f26f49bbf"
 
 
 class TestGoldenDiagnose:
@@ -604,3 +627,62 @@ def test_stdout_output(id2_file, capsys):
     out = capsys.readouterr().out
     assert out.startswith("chain,t,x_1,x_2\n")
     assert len(out.strip().split("\n")) == 4
+
+
+def test_one_parser_serves_every_call_without_leaking_flags(skew2_file, tmp_path, capsys,
+                                                             monkeypatch):
+    # the last `sample` sets none of the flags the first one set, so a value
+    # left over from an earlier call would change its bytes
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    runs = [
+        ["sample", "--basis", skew2_file, "--algo", "gibbs-klein", "--block-size", "2",
+         "--sigma", "0.8", "--center=0.3,-0.4", "--x0=3,-2", "--iters", "50",
+         "--chains", "2", "--burn-in", "5", "--seed", "4"],
+        ["diagnose", "--basis", skew2_file, "--algo", "gibbs", "--sigma", "0.8",
+         "--iters", "8", "--chains", "50", "--checkpoints", "2,8", "--seed", "4"],
+        ["sample", "--basis", skew2_file, "--algo", "klein", "--sigma", "1.3", "--iters", "40"],
+    ]
+
+    def outputs(fresh_parser):
+        got = []
+        for i, argv in enumerate(runs):
+            if fresh_parser:
+                cli._parser.cache_clear()
+            out = tmp_path / f"{fresh_parser}-{i}.csv"
+            assert run_cli([*argv, "-o", str(out)]) == 0
+            got.append((out.read_bytes(), capsys.readouterr().err))
+        return got
+
+    cli._parser.cache_clear()
+    in_sequence = outputs(fresh_parser=False)
+    assert cli._parser.cache_info().misses == 1
+    assert in_sequence == outputs(fresh_parser=True)
+
+
+int64_tables = hnp.arrays(
+    np.int64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12).filter(
+        lambda shape: shape[1] >= 1),
+    elements=st.one_of(
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from([0, 1, -1, 9, 10, -10, 2**63 - 1, -(2**63)]),
+    ),
+)
+
+
+@given(int64_tables)
+@settings(max_examples=300, deadline=None)
+def test_format_int_rows_is_the_python_join(table):
+    expected = "".join(",".join(map(str, row)) + "\n" for row in table.tolist())
+    assert cli.format_int_rows(table) == expected
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_format_int_rows_edges(rows):
+    # one column, and every column through several row blocks
+    extremes = np.array([0, 1, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    one_col = np.resize(extremes, rows)[:, None]
+    assert cli.format_int_rows(one_col) == "".join(f"{v}\n" for v in one_col[:, 0].tolist())
+    many = np.resize(extremes, (rows * 9000, 4))
+    expected = "".join(",".join(map(str, row)) + "\n" for row in many.tolist())
+    assert cli.format_int_rows(many) == expected
