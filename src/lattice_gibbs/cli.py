@@ -93,12 +93,13 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _write_output(path: str, content: str) -> None:
+def _write_output(path: str, parts: "list[str]") -> None:
+    """Write the pieces of a finished output one after the other."""
     if path == "-":
-        sys.stdout.write(content)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(content)
+            fh.writelines(parts)
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -141,36 +142,29 @@ def _chain_streams(seed: int, count: int) -> list[np.random.Generator]:
 
 def format_int_rows(table: np.ndarray) -> str:
     """The rows of a 2-D int64 array with at least one column as CSV lines,
-    ",".join(map(str, row)) + "\n" each. Rows are formatted in numpy, in blocks
-    of about dg.BLOCK_ENTRIES entries, so the temporaries stay O(block)."""
-    per = max(1, dg.BLOCK_ENTRIES // table.shape[1])
-    return "".join(_format_block(table[s : s + per]) for s in range(0, table.shape[0], per))
-
-
-def _format_block(block: np.ndarray) -> str:
-    """One block of `format_int_rows`. Each field gets a slot as wide as its
-    column's widest entry: a sign byte, the digits right-aligned and the
-    separator. The bytes left unused stay 0 and are dropped at the end."""
-    neg = block < 0
-    mag = block.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # |v| for every int64 v, INT64_MIN too
-    widths = [len(str(m)) for m in mag.max(axis=0).tolist()]
-    text = np.zeros((block.shape[0], sum(widths) + 2 * len(widths)), dtype=np.uint8)
-    start = 0  # the column's sign byte
-    for col, width in enumerate(widths):
-        text[:, start] = neg[:, col] * ord("-")
-        q = mag[:, col]
-        last = start + width
-        for pos in range(last, start, -1):
-            q10 = q // 10
-            digit = q - q10 * 10 + ord("0")
-            if pos < last:
-                digit *= q != 0  # no leading zeros
-            text[:, pos] = digit
-            q = q10
-        text[:, last + 1] = ord(",")
-        start = last + 2
-    text[:, -1] = ord("\n")
+    ",".join(map(str, row)) + "\n" each, formatted in numpy. Every field gets
+    a slot as wide as the table's widest entry: a sign byte, the digits
+    right-aligned and the separator, each digit place filled for all fields at
+    once. The bytes left unused stay 0 and are dropped at the end. The
+    temporaries are a few times the table's size, so `cmd_sample` passes
+    blocks of rows."""
+    if table.shape[0] == 0:
+        return ""
+    neg = table < 0
+    q = table.astype(np.uint64)
+    np.negative(q, out=q, where=neg)  # |v| for every int64 v, INT64_MIN too
+    width = len(str(int(q.max())))
+    text = np.zeros(table.shape + (width + 2,), dtype=np.uint8)
+    text[:, :, 0] = neg * ord("-")
+    for pos in range(width, 0, -1):
+        q10 = q // 10
+        digit = q - q10 * 10 + ord("0")
+        if pos < width:
+            digit *= q != 0  # no leading zeros
+        text[:, :, pos] = digit
+        q = q10
+    text[:, :, -1] = ord(",")
+    text[:, -1, -1] = ord("\n")
     flat = text.ravel()
     return np.compress(flat != 0, flat).tobytes().decode("ascii")
 
@@ -192,10 +186,15 @@ def cmd_sample(cfg: RunConfig) -> int:
             )
             t_first = 0  # row 0 is the start state
         skip = max(cfg.burn_in - t_first, 0)
-        ts = np.arange(t_first + skip, t_first + rows.shape[0])
-        table = np.column_stack([np.full_like(ts, chain_idx), ts, rows[skip:]])
-        parts.append(format_int_rows(table))
-    _write_output(cfg.output, "".join(parts))
+        # about dg.BLOCK_ENTRIES table entries at a time: no (rows, n + 2)
+        # table and no joined copy of the text is built
+        per = max(1, dg.BLOCK_ENTRIES // (n + 2))
+        for start in range(skip, rows.shape[0], per):
+            block = rows[start : start + per]
+            ts = np.arange(t_first + start, t_first + start + block.shape[0])
+            parts.append(format_int_rows(
+                np.column_stack([np.full_like(ts, chain_idx), ts, block])))
+    _write_output(cfg.output, parts)
     return 0
 
 
@@ -262,7 +261,7 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
     for t in checkpoints:
         tv = oracle.tv_distance(oracle.empirical_from_states(snaps[t]), exact)
         lines.append(f"{t},{tv:.10g}")
-    _write_output(cfg.output, "\n".join(lines) + "\n")
+    _write_output(cfg.output, ["\n".join(lines) + "\n"])
 
     if cfg.algorithm in ("gibbs", "gibbs-klein"):
         pairs = oracle.single_flip_pairs(exact, max_pairs=200)
@@ -292,7 +291,7 @@ def cmd_mimo(args: argparse.Namespace) -> int:
         seed=_resolve_seed(args.seed),
     )
     table = mimo.ber_experiment(cfg)
-    _write_output(args.output, table.to_csv())
+    _write_output(args.output, [table.to_csv()])
     return 0
 
 

@@ -179,9 +179,12 @@ def sample_from_uniforms(alphas, centers, us) -> np.ndarray:
 # Vectorized row-wise helpers: one independent 1-D discrete Gaussian per row,
 # sharing a fixed alpha, for the batch Klein sampler, the chain ensembles and
 # exact pmfs over large point sets. Rows are worked through in blocks of about
-# BLOCK_ENTRIES window entries (512 KiB of float64), so memory is O(rows) for
-# any alpha. Inputs are checked as the scalar draw checks them.
-BLOCK_ENTRIES = 2**16
+# BLOCK_ENTRIES window entries, so memory is O(rows) for any alpha. Inputs are
+# checked as the scalar draw checks them. 8,192 entries are 64 KiB of float64:
+# below glibc's 128 KiB mmap threshold and well inside L2. Blocks of 2^16
+# entries made Klein `sample` about 25% faster, but its benchmark runs spread
+# about 1.5 times as widely against their median (CHANGES.md).
+BLOCK_ENTRIES = 8192
 # Fewest rows for which `sample_rows` sums a block one window point at a time:
 # each point is one numpy add over the rows, about 0.5 us a call, where
 # cumsum costs about 3.5 ns an entry. They break even near 128 rows at every

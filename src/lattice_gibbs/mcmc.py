@@ -10,7 +10,7 @@ permutation, i.e. Klein's pass on the permuted basis's leading block.
 `_block_step_rows` is the same step over rows, each row on its own stream,
 bit for bit: the Gibbs-Klein ensemble's rows are chains. At m = n no step
 reads the chain state, so `run_chain` draws consecutive steps of one chain as
-rows, in blocks of about dg.BLOCK_ENTRIES entries: on the 8-D benchmark
+rows, in blocks of about ROW_BLOCK_ENTRIES entries: on the 8-D benchmark
 chain 52k steps/s where the scalar step made 11k.
 """
 
@@ -36,6 +36,11 @@ from .linalg import LatticeBasis
 from .oracle import DiscreteDistribution
 
 MAX_KERNEL_ENUM_DIM = 7
+# Rows per block of a state-free `run_chain` (m = n): about this many entries
+# in each row's (n, n) factor or its 1-D window (under LOOP_MAX_POINTS), so
+# memory stays flat in the number of steps. 1,024 rows at n = 8, which ran
+# 4,000 benchmark steps at about 91k steps/s where 128-row blocks made 50-70k.
+ROW_BLOCK_ENTRIES = 2**16
 
 
 def start_state(x0, n: int) -> np.ndarray:
@@ -220,11 +225,7 @@ def run_chain(
     states[0] = start_state(x0, n)
     done = 0  # steps drawn as rows
     if kernel == "gibbs-klein" and cfg.block_size == n:
-        # about dg.BLOCK_ENTRIES entries in the rows' (n, n) factors or 1-D
-        # windows (under LOOP_MAX_POINTS), so memory stays flat in the number
-        # of steps: 1,024 rows at n = 8, which ran 4,000 benchmark steps at
-        # about 91k steps/s where 128-row blocks made 50-70k
-        per = max(1, dg.BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
+        per = max(1, ROW_BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
         try:
             for done in range(0, steps, per):
                 saved = rng.bit_generator.state

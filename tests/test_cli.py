@@ -225,10 +225,11 @@ class TestGoldenChains:
     def test_klein_8d_multi_block_csv_bytes(self, tmp_path):
         # recorded while every row-sampler block was row-major and its running
         # sums one cumsum. The 0.04 pivot gives one coordinate alpha 20, a
-        # window of 309 points (wider than LOOP_MAX_POINTS) and blocks of 212
-        # rows; the other windows hold 13-19 points, so 20,000 draws a chain
-        # span several 2^16-entry blocks of thousands of rows. The centers
-        # make most draws of some coordinates negative; t reaches 20,000.
+        # window of 309 points (wider than LOOP_MAX_POINTS) and blocks of 26
+        # rows, which keep cumsum; the other windows hold 13-19 points, so
+        # 20,000 draws a chain span dozens of 8,192-entry blocks of hundreds
+        # of rows, summed window-major, and 25 CSV blocks. The centers make
+        # most draws of some coordinates negative; t reaches 20,000.
         basis = tmp_path / "b8.txt"
         basis.write_text("8\n1 0.5 0.3 0 0.2 0 0.1 0\n0 1.1 0.4 0.2 0 0.3 0 0.1\n"
                          "0 0 0.9 0.5 0.1 0 0.2 0\n0 0 0 1.2 0.3 0.1 0 0.2\n"
@@ -679,7 +680,7 @@ def test_format_int_rows_is_the_python_join(table):
 
 @pytest.mark.parametrize("rows", [0, 1, 7])
 def test_format_int_rows_edges(rows):
-    # one column, and every column through several row blocks
+    # one column, and a table of thousands of rows
     extremes = np.array([0, 1, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max])
     one_col = np.resize(extremes, rows)[:, None]
     assert cli.format_int_rows(one_col) == "".join(f"{v}\n" for v in one_col[:, 0].tolist())

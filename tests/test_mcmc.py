@@ -455,7 +455,7 @@ class TestRunChain:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_full_block_chain_is_the_scalar_step_loop(self, monkeypatch, n, entries):
         if entries is not None:
-            monkeypatch.setattr(dg, "BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", entries)
 
         def no_scalar_step(*args):
             raise AssertionError("a row block was redone by the scalar step")
