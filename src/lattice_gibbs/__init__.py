@@ -14,7 +14,7 @@ from .klein import (
 )
 from .linalg import LatticeBasis, load_basis
 from .mcmc import run_chain
-from .mimo import BerTable, MimoConfig, ber_experiment
+from .mimo import BerTable, MimoConfig
 from .oracle import BalanceReport, DiscreteDistribution, enumerate_support, tv_distance
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "GibbsKleinConfig",
     "LatticeBasis",
     "MimoConfig",
-    "ber_experiment",
     "enumerate_support",
     "klein_pmf",
     "klein_sample_many",

@@ -290,7 +290,7 @@ def cmd_mimo(args: argparse.Namespace) -> int:
         decoders=tuple(args.decoders.split(",")),
         seed=_resolve_seed(args.seed),
     )
-    table = mimo.ber_experiment(cfg)
+    table = mimo.ber_experiment_detailed(cfg)[0]
     _write_output(args.output, [table.to_csv()])
     return 0
 

@@ -242,14 +242,12 @@ def klein_sigma_default(basis: LatticeBasis) -> float:
     return float(gram_schmidt_norms(basis).min() / math.sqrt(math.log(basis.n)))
 
 
-def smoothing_threshold(basis: LatticeBasis, omega_factor: float = 1.0) -> float:
-    """omega_factor * sqrt(log n) * max_i ||b^_i||.
+def smoothing_threshold(basis: LatticeBasis) -> float:
+    """sqrt(log n) * max_i ||b^_i||.
 
     Concrete stand-in for the asymptotic smoothing condition on sigma; above
     it a single Klein pass is statistically close to the target.
     """
     if basis.n < 2:
         raise ValueError("smoothing threshold needs n >= 2")
-    if omega_factor <= 0.0:
-        raise ValueError("omega_factor must be positive")
-    return float(omega_factor * math.sqrt(math.log(basis.n)) * gram_schmidt_norms(basis).max())
+    return float(math.sqrt(math.log(basis.n)) * gram_schmidt_norms(basis).max())

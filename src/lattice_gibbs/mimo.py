@@ -419,8 +419,3 @@ def ber_experiment_detailed(cfg: MimoConfig) -> tuple[BerTable, dict[tuple, np.n
         for dec, m, budget in keys
     )
     return BerTable(rows), per_trial
-
-
-def ber_experiment(cfg: MimoConfig) -> BerTable:
-    """Paired BER comparison: identical channels/symbols/noise across decoders."""
-    return ber_experiment_detailed(cfg)[0]

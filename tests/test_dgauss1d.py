@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_gibbs import dgauss1d as dg
+from lattice_gibbs.klein import GaussianParams, GibbsKleinConfig, klein_pmf, klein_sample_many
+from lattice_gibbs.linalg import LatticeBasis
 
 alphas = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 centers = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -38,6 +41,24 @@ class TestSupportBounds:
 
     def test_smaller_eps_gives_superset(self):
         assert dg.truncation_halfwidth(2.0, 1e-12) >= dg.truncation_halfwidth(2.0, 1e-6)
+
+
+class TestWindowMid:
+    def test_nearest_integer_ties_up(self):
+        cases = [(0.5, 1), (1.5, 2), (2.5, 3), (-0.5, 0), (-1.5, -1), (0.3, 0), (-0.7, -1),
+                 (0.49999999999999994, 0), (-0.5000000000000001, -1), (-1e-300, 0),
+                 (2.0**52 + 1, 2**52 + 1), (-(2.0**53 - 1), -(2**53 - 1)), (2.0**52 - 0.5, 2**52)]
+        for c, want in cases:
+            assert dg.window_mid(c) == want, c
+        got = dg.window_mid(np.array([c for c, _ in cases]))
+        assert got.tolist() == [want for _, want in cases]
+
+    @given(st.floats(-(2.0**53) + 1, 2.0**53 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_against_exact_rounding(self, c):
+        want = math.floor(Fraction(c) + Fraction(1, 2))
+        assert dg.window_mid(c) == want
+        assert dg.window_mid(np.array([c])).tolist() == [want]
 
 
 class TestPmf:
@@ -88,13 +109,14 @@ class TestPmf:
 
 
 class FixedUniform:
-    """A generator stub whose every uniform is u."""
+    """A generator stub: random() returns u, and random(n) n copies of u (or u
+    itself, an array of n uniforms)."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, size=None):
+        return self.u if size is None else np.broadcast_to(self.u, size).astype(float)
 
 
 BAD_SCALARS = [
@@ -149,13 +171,12 @@ class TestSample:
 
     @pytest.mark.parametrize("alpha, center", [
         (3.3217965297954906, 7.138101868638525),  # 55 points: the loop
-        (14.44, 0.28),  # 224 points: the table
+        (14.44, 0.28),  # 225 points: the row kernel
     ])
     def test_uniform_above_last_cdf_entry_draws_last_point(self, alpha, center):
-        # both tables' last cumulative probability falls a few ulps short of 1
+        # the largest uniform draws the window's last point on both paths
         u = 1.0 - 2.0**-53
         ks, probs = dg.pmf_table(alpha, center)
-        assert np.cumsum(probs)[-1] < u
         assert dg.sample(alpha, center, FixedUniform(u)) == ks[-1]
 
     @pytest.mark.parametrize("alpha, center, message", BAD_SCALARS)
@@ -269,6 +290,67 @@ class TestSampleFromUniforms:
         assert got.shape == (0,) and got.dtype == np.int64
 
 
+# alphas on both sides of LOOP_MAX_POINTS (windows of 9 to 381 points), with
+# the fractional part of their halfwidth w on both sides of 1/2, so that
+# [floor(c - w), ceil(c + w)] and window_mid(c) +- ceil(w) part at one end or
+# the other for some of the centers; half-integer centers round up
+WINDOW_ALPHAS = [1.0, 1.05, 2.0, 3.9, 4.2, 9.0, 9.07, 25.0]
+WINDOW_CENTERS = [0.5, -0.5, 2.5, -3.5, 0.3, -0.45, 0.05, 1e6 + 0.5, -1e6 - 0.5, 1e6 + 0.3,
+                  -1e6 + 0.45, 1e6 - 0.2]
+
+
+class TestOneWindow:
+    """Every table, row pmf and draw covers window_mid(c) +- ceil(w)."""
+
+    @staticmethod
+    def window(alpha, center):
+        half = math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS))
+        mid = math.floor(center + 0.5)  # exact for WINDOW_CENTERS
+        return mid - half, mid + half
+
+    @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
+    def test_tables_and_first_draws_share_the_window(self, alpha):
+        for c in WINDOW_CENTERS:
+            lo, hi = self.window(alpha, c)
+            ks, _ = dg.pmf_table(alpha, c)
+            assert ks.tolist() == list(range(lo, hi + 1)), (alpha, c)
+            values = np.arange(lo - 3, hi + 4)
+            probs = dg.pmf_table_rows(alpha, np.full(values.size, c), values)
+            assert ((probs > 0.0) == ((values >= lo) & (values <= hi))).all(), (alpha, c)
+            # u = 0 draws the first window point on every path
+            assert dg.sample(alpha, c, FixedUniform(0.0)) == lo, (alpha, c)
+            assert dg.sample_rows(alpha, np.full(3, c), FixedUniform(0.0)).tolist() == [lo] * 3
+            assert dg.sample_from_uniforms([alpha], [c], [0.0]).tolist() == [lo], (alpha, c)
+
+    def test_sample_wide_path_equals_sample_rows(self):
+        rng = np.random.default_rng(18)
+        for alpha in rng.uniform(4.2, 60.0, 40).tolist():
+            assert 2 * math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)) >= dg.LOOP_MAX_POINTS
+            centers = np.concatenate([rng.uniform(-1e6, 1e6, 20), np.round(rng.uniform(-9, 9, 5)) + 0.5])
+            us = np.concatenate([rng.random(23), [0.0, 1.0 - 2.0**-53]])
+            rows = dg.sample_rows(alpha, centers, FixedUniform(us))
+            assert rows.tolist() == [
+                dg.sample(alpha, c, FixedUniform(u)) for c, u in zip(centers.tolist(), us.tolist())
+            ]
+
+    def test_klein_pmf_is_positive_on_every_klein_draw(self):
+        class EdgeUniforms:
+            """random(n): each uniform 0, 1 - 2**-53 or uniform, at random."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, size):
+                picks = self.rng.integers(0, 3, size)
+                return np.choose(picks, [0.0, 1.0 - 2.0**-53, self.rng.random(size)])
+
+        basis = LatticeBasis.from_matrix([[1.0, 0.4, -0.3], [0.0, 0.9, 0.2], [0.0, 0.0, 1.1]])
+        for sigma, shift in [(1.0, 0.0), (2.3, 1e6), (9.0, -1e6), (30.0, 0.5)]:
+            cfg = GibbsKleinConfig(basis, GaussianParams(sigma, np.array([0.5, -0.5, 0.25]) + shift), 3)
+            xs = klein_sample_many(cfg, 300, EdgeUniforms(int(sigma)))
+            assert (klein_pmf(cfg, xs) > 0.0).all(), sigma
+
+
 @pytest.mark.parametrize("alpha, centers, message", BAD_ROWS)
 def test_sample_rows_rejects_bad_inputs(alpha, centers, message):
     with pytest.raises(ValueError, match=message):
@@ -338,10 +420,11 @@ def test_center_just_below_two_to_53_accepted():
 
 
 def full_table_sample_rows(alpha, centers, rng):
-    """The straightforward evaluation: one (rows, window) table, peak found by a max."""
+    """The straightforward evaluation: one (rows, window) table about the
+    nearest integers, ties rounded up, peak found by a max."""
     half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
     u = rng.random(centers.shape[0])
-    base = np.round(centers)
+    base = np.floor(centers + 0.5)  # exact for the centers below, |c| <= 31
     dev = base[:, None] + np.arange(-half, half + 1)[None, :] - centers[:, None]
     logw = -(dev * dev) / (2.0 * alpha * alpha)
     cum = np.cumsum(np.exp(logw - logw.max(axis=1, keepdims=True)), axis=1)
@@ -367,6 +450,25 @@ def test_sample_rows_equals_full_table_evaluation(alpha):
         want = full_table_sample_rows(alpha, centers, np.random.default_rng(n))
         assert got.dtype == np.int64
         assert np.array_equal(got, want), (alpha, n)
+
+
+def test_sample_rows_on_the_full_table_cumulative_boundaries():
+    # At alpha 3.9 the window has 63 points, so 130-row blocks take the
+    # column sums, and with c just below round(c) the first weight is above
+    # 1e-15 of the total. Each uniform is a cumulative boundary of the full
+    # table, where a running sum that lost a tail weight counts differently.
+    alpha = 3.9
+    half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
+    assert rows_per_block(alpha) >= dg.COLUMN_MIN_ROWS
+    rng = np.random.default_rng(5)
+    centers = np.repeat(rng.integers(-4, 5, 20) - rng.uniform(0.0, 0.5, 20), 2 * half)
+    dev = np.round(centers)[:, None] + np.arange(-half, half + 1) - centers[:, None]
+    weights = np.exp(-(dev * dev) / (2.0 * alpha * alpha))
+    assert (weights[:, 0] > 1e-15 * weights.sum(axis=1)).all()
+    cum = np.cumsum(weights, axis=1)
+    us = cum[np.arange(centers.size), np.arange(centers.size) % (2 * half)] / cum[:, -1]
+    got = dg.sample_rows(alpha, centers, FixedUniform(us))
+    assert np.array_equal(got, full_table_sample_rows(alpha, centers, FixedUniform(us)))
 
 
 @pytest.mark.parametrize("alpha", [0.4, 9.0])
@@ -424,7 +526,7 @@ def test_sample_rows_property(data):
         lambda: dg.sample_rows(alpha, centers, np.random.default_rng(0)), bad)
     if draws is not None:
         assert draws.dtype == np.int64 and draws.shape == centers.shape
-        offsets = draws - np.round(centers).astype(np.int64)
+        offsets = draws - dg.window_mid(centers).astype(np.int64)
         assert np.all(np.abs(offsets) <= half)
 
 

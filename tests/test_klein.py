@@ -261,11 +261,6 @@ class TestSigmaChoices:
         assert got == pytest.approx(math.sqrt(math.log(8)), rel=1e-12)
         assert got == pytest.approx(1.4421, abs=1e-4)
 
-    def test_threshold_linear_in_omega(self, basis_2d):
-        assert smoothing_threshold(basis_2d, 2.0) == pytest.approx(
-            2.0 * smoothing_threshold(basis_2d, 1.0), rel=1e-12
-        )
-
     def test_threshold_default_vs_sigma_default_identity(self):
         # with equal gs norms: threshold / sigma_default = log n
         basis = LatticeBasis.identity(8)

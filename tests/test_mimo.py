@@ -149,9 +149,9 @@ class TestBaselineDecoders:
             mimo.ml_decode(np.eye(6, dtype=complex), np.zeros(6, dtype=complex))
 
     def test_zf_never_beats_ml_paired(self):
-        table = mimo.ber_experiment(
+        table = mimo.ber_experiment_detailed(
             mimo.MimoConfig(trials=400, iteration_budgets=(1,), decoders=("zf", "ml"), seed=2)
-        )
+        )[0]
         by_name = {r.decoder: r for r in table.rows}
         assert by_name["ml"].bit_errors <= by_name["zf"].bit_errors
 
@@ -338,7 +338,7 @@ class TestSamplerDecode:
 
 class TestBerExperiment:
     def test_zero_trials_empty_table(self):
-        table = mimo.ber_experiment(mimo.MimoConfig(trials=0))
+        table = mimo.ber_experiment_detailed(mimo.MimoConfig(trials=0))[0]
         assert table.rows == ()
         assert table.to_csv() == "decoder,block_size,iterations,trials,bit_errors,bits,ber\n"
 
@@ -378,14 +378,14 @@ class TestBerExperiment:
             trials=20, iteration_budgets=(1, 2), block_sizes=(2,), seed=5,
             decoders=("zf", "gibbs-klein"),
         )
-        assert mimo.ber_experiment(cfg).to_csv() == mimo.ber_experiment(cfg).to_csv()
+        assert mimo.ber_experiment_detailed(cfg)[0].to_csv() == mimo.ber_experiment_detailed(cfg)[0].to_csv()
 
     def test_csv_shape(self):
         cfg = mimo.MimoConfig(
             trials=3, iteration_budgets=(1,), block_sizes=(1, 8), seed=1,
             decoders=("zf", "ml", "klein", "gibbs", "gibbs-klein"),
         )
-        lines = mimo.ber_experiment(cfg).to_csv().strip().split("\n")
+        lines = mimo.ber_experiment_detailed(cfg)[0].to_csv().strip().split("\n")
         # header + zf + ml + klein + gibbs + 2 block sizes
         assert len(lines) == 1 + 2 + 1 + 1 + 2
         assert lines[0] == "decoder,block_size,iterations,trials,bit_errors,bits,ber"
@@ -395,6 +395,6 @@ class TestBerExperiment:
             trials=300, iteration_budgets=(5,), block_sizes=(4,), seed=7,
             decoders=("zf", "ml", "gibbs-klein"),
         )
-        rows = {r.decoder: r for r in mimo.ber_experiment(cfg).rows}
+        rows = {r.decoder: r for r in mimo.ber_experiment_detailed(cfg)[0].rows}
         assert rows["ml"].bit_errors <= rows["gibbs-klein"].bit_errors
         assert rows["gibbs-klein"].bit_errors <= rows["zf"].bit_errors
