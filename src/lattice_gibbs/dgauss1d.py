@@ -28,7 +28,7 @@ import numpy as np
 
 TAIL_EPS = 1e-12
 MAX_CENTER = 2.0**53  # from here on floats skip integers, so windows would too
-# Widest window `sample` walks in a Python loop; a wider one takes the numpy row
+# Widest window `invert` walks in a Python loop; a wider one takes the numpy row
 # kernel. The loop's cost grows with the window and meets the kernel's between
 # about 64 and 128 points (alpha 4-8).
 LOOP_MAX_POINTS = 64
@@ -112,9 +112,16 @@ def pmf(alpha: float, center: float, k: int) -> float:
 
 
 def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
-    """One inversion draw from D_{Z, alpha, center}: the smallest window point
-    whose running weight reaches u times the window's total, for one uniform
-    u = rng.random().
+    """One inversion draw from D_{Z, alpha, center}: `invert` on one uniform
+    u = rng.random(), taken once alpha and center pass their checks."""
+    _check(alpha, center)
+    return invert(alpha, _checked_half(alpha), center, rng.random())
+
+
+def invert(alpha: float, half: int, center: float, u: float) -> int:
+    """The draw of `sample` on the uniform u: the smallest window point whose
+    running weight reaches u times the window's total, for an alpha and a
+    center `sample` accepts and half = window_half(alpha) as an int.
 
     A window of at most LOOP_MAX_POINTS points is walked in a plain Python
     loop with no table; a wider one goes through `sample_rows`' kernel as one
@@ -123,11 +130,8 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
     math.exp and numpy's exp may differ in the last bit, which moves a draw
     only when u lies within about one ulp of a cumulative boundary.
     """
-    _check(alpha, center)
-    half = int(window_half(alpha))
     if 2 * half >= LOOP_MAX_POINTS:
-        half = _checked_half(alpha)  # only a row-kernel window can pass MAX_WINDOW_POINTS
-        return int(_invert_rows(alpha, half, np.array([center]), np.array([rng.random()]))[0])
+        return int(_invert_rows(alpha, half, np.array([center]), np.array([u]))[0])
     den = 2.0 * alpha * alpha
     mid = window_mid(center)
     d = mid - center
@@ -140,17 +144,21 @@ def sample(alpha: float, center: float, rng: np.random.Generator) -> int:
         acc += exp(-(d * d) / den - top)
         cum.append(acc)
     # u * acc <= acc = cum[-1], so the search stays inside the window
-    return mid - half + bisect_left(cum, rng.random() * acc)
+    return mid - half + bisect_left(cum, u * acc)
 
 
-class _GivenUniform:
-    """Stands in for the rng of one `sample` call: its one random() is u."""
-
-    def __init__(self, u: float) -> None:
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
+def checked_halves(alphas: np.ndarray) -> np.ndarray:
+    """window_half of each alpha in an array, as floats, once every alpha
+    passes `sample`'s checks; the first that fails raises its error."""
+    with np.errstate(all="ignore"):
+        half = window_half(alphas)
+        ok = (alphas > 0.0) & (2.0 * alphas * alphas >= sys.float_info.min)
+        ok &= 2.0 * half + 1.0 <= MAX_WINDOW_POINTS  # false for inf and NaN
+    if not ok.all():
+        alpha = float(alphas[~ok][0])
+        _check(alpha, 0.0)
+        _checked_half(alpha)
+    return half
 
 
 # Where numpy's exp and math.exp round a weight apart, a row's running sums,
@@ -165,18 +173,18 @@ def sample_from_uniforms(alphas, centers, us) -> np.ndarray:
     sample(alphas[r], centers[r], rng) makes when its rng.random() returns
     us[r], bit for bit, as an int64 array.
 
-    Rows whose window `sample` walks in its loop are inverted together: the
+    Rows whose window `invert` walks in its loop are inverted together: the
     same window, the same exponents relative to the one at window_mid(c), a
     running sum and the count of entries below u times the total. numpy's exp
     may differ from math.exp in the last bit, so a row whose u times the
-    total lies within _EXP_SLACK of a cumulative boundary is handed to
-    `sample`, as are wider windows and invalid rows; the first invalid row
-    raises `sample`'s error.
+    total lies within _EXP_SLACK of a cumulative boundary is checked as
+    `sample` checks it and handed to `invert`, as are wider windows and
+    invalid rows; the first invalid row raises `sample`'s error.
     """
     alphas, centers, us = (np.asarray(v, dtype=float) for v in (alphas, centers, us))
     out = np.empty(alphas.shape[0], dtype=np.int64)
     # every row is worked as a loop row; the arithmetic of the others, which
-    # `sample` redoes, may overflow or be NaN
+    # `invert` redoes, may overflow or be NaN
     with np.errstate(all="ignore"):
         half = window_half(alphas)
         den = 2.0 * alphas * alphas
@@ -196,7 +204,9 @@ def sample_from_uniforms(alphas, centers, us) -> np.ndarray:
             out[:] = (mid - half)[:, 0].astype(np.int64) + (below < 0.0).sum(axis=1)
             fast &= ~(np.abs(below) <= _EXP_SLACK * cum[:, -1:]).any(axis=1)
     for r in np.nonzero(~fast)[0]:
-        out[r] = sample(float(alphas[r]), float(centers[r]), _GivenUniform(float(us[r])))
+        alpha, center = float(alphas[r]), float(centers[r])
+        _check(alpha, center)
+        out[r] = invert(alpha, _checked_half(alpha), center, float(us[r]))
     return out
 
 

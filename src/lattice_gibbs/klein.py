@@ -108,6 +108,36 @@ def block_conditional(
     return u, c
 
 
+def block_factor_rows(gram: "list[list[float]]", blocks: np.ndarray) -> np.ndarray:
+    """The (k, m, m) factors of `block_conditional_rows`, which read no state:
+    row r is the factor of block_conditional(gram, bc, x, blocks[r], rest)
+    for any x and rest.
+
+    Every row goes through the scalar call's float operations in its order,
+    elementwise, and numpy's float64 arithmetic rounds as Python floats do, so
+    each row equals the scalar factor bit for bit. The first row with a
+    non-positive pivot raises that call's error.
+    """
+    g = np.asarray(gram)
+    k, m = blocks.shape
+    gss = g[blocks[:, :, None], blocks[:, None, :]]  # each row's G[S,S]
+    u = np.zeros((k, m, m))
+    for i in range(m):
+        row = gss[:, i]
+        for p in range(i):
+            row[:, i:] -= u[:, p, i, None] * u[:, p, i:]
+        bad = np.nonzero(~(row[:, i] > 0.0))[0]
+        if bad.size:
+            r = bad[0]
+            raise SingularBasisError(
+                f"block {blocks[r].tolist()} is singular in floating point: "
+                f"Cholesky pivot {row[r, i]:.3e}"
+            )
+        u[:, i, i] = np.sqrt(row[:, i])
+        u[:, i, i + 1 :] = row[:, i + 1 :] / u[:, i, i, None]
+    return u
+
+
 def block_conditional_rows(
     gram: "list[list[float]]",
     bc: "list[float]",
@@ -119,35 +149,21 @@ def block_conditional_rows(
     centers of the passes over blocks[r] given x[r, rests[r]], for each row r
     of the (k, n) state array x.
 
-    Every row goes through the scalar call's float operations in its order,
-    elementwise, and numpy's float64 arithmetic rounds as Python floats do, so
-    row r equals block_conditional(gram, bc, x[r], blocks[r], rests[r]) bit for
-    bit. The first row with a non-positive pivot raises that call's error.
+    The factors are `block_factor_rows`'; the centers go through the scalar
+    call's float operations in its order, elementwise, so row r equals
+    block_conditional(gram, bc, x[r], blocks[r], rests[r]) bit for bit.
     """
+    u = block_factor_rows(gram, blocks)
     g, bc = np.asarray(gram), np.asarray(bc)
     k, m = blocks.shape
-    gss = g[blocks[:, :, None], blocks[:, None, :]]  # each row's G[S,S]
     pull = g[blocks[:, :, None], rests[:, None, :]] * x[np.arange(k)[:, None], rests][:, None, :]
     acc = bc[blocks]
     for j in range(rests.shape[1]):  # the scalar loop's order over rest
         acc = acc - pull[:, :, j]
-    u = np.zeros((k, m, m))
     c = np.empty((k, m))
     for i in range(m):
-        row = gss[:, i]
         for p in range(i):
-            f = u[:, p, i]
-            row[:, i:] -= f[:, None] * u[:, p, i:]
-            acc[:, i] = acc[:, i] - f * c[:, p]
-        bad = np.nonzero(~(row[:, i] > 0.0))[0]
-        if bad.size:
-            r = bad[0]
-            raise SingularBasisError(
-                f"block {blocks[r].tolist()} is singular in floating point: "
-                f"Cholesky pivot {row[r, i]:.3e}"
-            )
-        u[:, i, i] = np.sqrt(row[:, i])
-        u[:, i, i + 1 :] = row[:, i + 1 :] / u[:, i, i, None]
+            acc[:, i] = acc[:, i] - u[:, p, i] * c[:, p]
         c[:, i] = acc[:, i] / u[:, i, i]
     return u, c
 

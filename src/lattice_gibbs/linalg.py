@@ -39,7 +39,7 @@ def qr_decompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = q * signs[np.newaxis, :]
     r = r * signs[:, np.newaxis]
     max_col_norm = np.linalg.norm(b, axis=0).max()
-    if np.min(np.diag(r)) < SINGULAR_RTOL * max_col_norm:
+    if not np.min(np.diag(r)) > SINGULAR_RTOL * max_col_norm:  # an all-zero basis too
         raise SingularBasisError(
             "basis is singular or near-singular: min |r_ii| = "
             f"{np.min(np.abs(np.diag(r))):.3e} vs column scale {max_col_norm:.3e}"
@@ -93,9 +93,12 @@ def load_basis(path: str) -> LatticeBasis:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"empty basis file: {path}")
-    n = int(tokens[0])
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        n = 0
     if n < 1:
-        raise ValueError(f"bad dimension {n} in {path}")
+        raise ValueError(f"bad dimension {tokens[0]!r} in {path}: need an integer >= 1")
     vals = tokens[1:]
     if len(vals) != n * n:
         raise ValueError(f"expected {n * n} entries after header in {path}, got {len(vals)}")

@@ -8,10 +8,14 @@ rest, by one backward Klein pass on the block's Gram-Cholesky conditional
 permutation, i.e. Klein's pass on the permuted basis's leading block.
 
 `_block_step_rows` is the same step over rows, each row on its own stream,
-bit for bit: the Gibbs-Klein ensemble's rows are chains. At m = n no step
-reads the chain state, so `run_chain` draws consecutive steps of one chain as
-rows, in blocks of about ROW_BLOCK_ENTRIES entries: on the 8-D benchmark
-chain 52k steps/s where the scalar step made 11k.
+bit for bit: the Gibbs-Klein ensemble's rows are chains. `run_chain` runs one
+chain in blocks of consecutive steps (`_chain_block`), bit for bit with the
+scalar steps. A block takes its steps' randomness from the stream and forms
+in numpy all that reads no state: the ordered blocks, their factors, alphas
+and window halves. Per step only the centers and the 1-D walks
+(`dgauss1d.invert`) stay in Python, and at m = n, where no step reads the
+state, the steps are rows of the ensemble's pass. On the 8-D benchmark chain
+Gibbs runs 114k steps/s where the scalar step made 69k.
 """
 
 from __future__ import annotations
@@ -31,15 +35,16 @@ from .klein import (
     backward_sample_into,
     block_conditional,
     block_conditional_rows,
+    block_factor_rows,
 )
 from .linalg import LatticeBasis
 from .oracle import DiscreteDistribution
 
 MAX_KERNEL_ENUM_DIM = 7
-# Rows per block of a state-free `run_chain` (m = n): about this many entries
-# in each row's (n, n) factor or its 1-D window (under LOOP_MAX_POINTS), so
-# memory stays flat in the number of steps. 1,024 rows at n = 8, which ran
-# 4,000 benchmark steps at about 91k steps/s where 128-row blocks made 50-70k.
+# Steps per `run_chain` block: about this many entries in each step's (n, n)
+# factor or its 1-D window (under LOOP_MAX_POINTS), so memory stays flat in
+# the number of steps. 1,024 steps at n = 8, which ran 4,000 benchmark steps
+# of the m = n chain at about 91k steps/s where 128-step blocks made 50-70k.
 ROW_BLOCK_ENTRIES = 2**16
 
 
@@ -107,22 +112,28 @@ def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Gener
     _block_step(cfg, x, order[:m], order[m:], rng)
 
 
-def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, rngs) -> None:
-    """One Gibbs-Klein step on every row of the (k, n) int64 state array x in
-    place, row r on the stream rngs[r].
-
-    Row r takes from its stream what `gibbs_klein_step` and its 1-D draws
-    take, a permutation of n and then block_size uniforms, and goes through
-    `block_conditional_rows`, `backward_rows` and `dg.sample_from_uniforms`,
-    each equal to the scalar step bit for bit. Rows may share one stream
-    (`itertools.repeat(rng)`): they then draw in row order. At m = n no entry
-    of x is read.
-    """
-    n, m, k = cfg.basis.n, cfg.block_size, len(x)
+def _permutation_draws(n: int, m: int, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """What k `gibbs_klein_step` calls take from their streams, step r from
+    rngs[r]: a permutation of n and then m uniforms, as (k, n) and (k, m)
+    arrays. Rows may share one stream (`itertools.repeat(rng)`): they then
+    draw in row order."""
     perm, us = np.tile(np.arange(n), (k, 1)), np.empty((k, m))
     for row, row_us, rng in zip(perm, us, rngs):
         rng.shuffle(row)  # what rng.permutation(n) does to arange(n)
         rng.random(out=row_us)
+    return perm, us
+
+
+def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, perm: np.ndarray,
+                     us: np.ndarray) -> None:
+    """One Gibbs-Klein step on every row of the (k, n) int64 state array x in
+    place: row r resamples x[r, perm[r, :m]] given x[r, perm[r, m:]], its 1-D
+    draws inverting us[r] in draw order, as `_permutation_draws` gives them.
+
+    `block_conditional_rows`, `backward_rows` and `dg.sample_from_uniforms`
+    each equal the scalar step bit for bit. At m = n no entry of x is read.
+    """
+    m, k = us.shape[1], len(x)
     # overflow gives inf silently, as in Python floats; the 1-D draw rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         u, c = block_conditional_rows(cfg.gram, cfg.bc, x, perm[:, :m], perm[:, m:])
@@ -130,6 +141,87 @@ def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, rngs) -> None:
         for i, rii, centers in backward_rows(u, c, z):  # one uniform per draw
             z[:, i] = dg.sample_from_uniforms(cfg.target.sigma / rii, centers, us[:, m - 1 - i])
     x[np.arange(k)[:, None], perm[:, :m]] = z
+
+
+def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng) -> None:
+    """Fill states[1:] with the steps of one chain that follow states[0],
+    equal to the scalar steps (`gibbs_step` if gibbs, else `gibbs_klein_step`)
+    bit for bit, taking from rng what they take, in their order.
+
+    1. The stream, step by step: Gibbs's coordinate and uniform, or
+       Gibbs-Klein's permutation and block_size uniforms.
+    2. What reads no state, over all steps (Gibbs: all coordinates) at once:
+       the ordered blocks and rests, their factors (`block_factor_rows`),
+       alphas and window halves, checked as `dg.sample` checks them.
+    3. Per step, in Python: the centers, subtracting one term at a time in
+       `block_conditional`'s and `backward_sample_into`'s order, and
+       `dg.invert` on the step's uniforms.
+    At m = n no step reads the state, so the steps are rows of
+    `_block_step_rows`.
+    Any input a scalar step refuses raises a ValueError here too, though not
+    necessarily that step's.
+    """
+    n, m, k = cfg.basis.n, cfg.block_size, len(states) - 1
+    if gibbs:  # one row per coordinate i: block [i], rest ascending
+        integers, random = rng.integers, rng.random
+        draws = [(int(integers(n)), random()) for _ in range(k)]
+        perm = np.array([[i] + [j for j in range(n) if j != i] for i in range(n)])
+        coords, us = [i for i, _ in draws], np.array([v for _, v in draws])[:, None]
+    else:  # one row per step
+        perm, us = _permutation_draws(n, m, k, itertools.repeat(rng))
+        if m == n:
+            _block_step_rows(cfg, states[1:], perm, us)
+            return
+    with np.errstate(over="ignore"):
+        u = block_factor_rows(cfg.gram, perm[:, :m])
+        alphas = cfg.target.sigma / np.diagonal(u, axis1=1, axis2=2)
+    halves = dg.checked_halves(alphas).astype(np.int64)
+    rows = (perm[:, :m], perm[:, m:], u, alphas, halves)
+    if m == 1:  # scalars for the unrolled loop
+        rows, us = (perm[:, 0], perm[:, 1:], u[:, 0, 0], alphas[:, 0], halves[:, 0]), us[:, 0]
+    rows = [col.tolist() for col in rows]
+    if gibbs:  # step t reads row i_t
+        rows = [map(col.__getitem__, coords) for col in rows]
+    steps = zip(*rows, us.tolist())
+    gram, bc, big, invert = cfg.gram, cfg.bc, dg.MAX_CENTER, dg.invert
+    x = states[0].tolist()
+    out = []  # the states after each step, flat
+    if m == 1:  # the loops below, unrolled
+        for b, rest, r, a, h, v in steps:
+            gb = gram[b]
+            acc = bc[b]
+            for j in rest:
+                acc -= gb[j] * x[j]
+            center = acc / r / r
+            if not -big < center < big:  # also NaN
+                dg._check(a, center)  # raises `dg.sample`'s error
+            x[b] = invert(a, h, center, v)
+            out.extend(x)
+    else:
+        z = [0] * m
+        for block, rest, f, a, h, v in steps:
+            c = []
+            for i, b in enumerate(block):
+                gb = gram[b]
+                acc = bc[b]
+                for j in rest:
+                    acc -= gb[j] * x[j]
+                for p in range(i):
+                    acc -= f[p][i] * c[p]
+                c.append(acc / f[i][i])
+            for i in range(m - 1, -1, -1):  # v holds the uniforms in draw order
+                row = f[i]
+                acc = c[i]
+                for j in range(i + 1, m):
+                    acc -= row[j] * z[j]
+                center = acc / row[i]
+                if not -big < center < big:
+                    dg._check(a[i], center)
+                z[i] = invert(a[i], h[i], center, v[m - 1 - i])
+            for b, zb in zip(block, z):
+                x[b] = zb
+            out.extend(x)
+    states[1:] = np.array(out, dtype=np.int64).reshape(k, n)
 
 
 def gibbs_klein_block_pmf(cfg: GibbsKleinConfig, block, x) -> float:
@@ -203,12 +295,11 @@ def run_chain(
     Returns the (steps + 1, n) int64 array of states; row t is the state
     after t steps, row 0 is x0.
 
-    Gibbs-Klein at block_size n reads no state, so its steps are drawn as
-    rows of `_block_step_rows`, written straight into the states, in blocks
-    of consecutive steps that all take from rng in step order: the states
-    and the stream are the scalar loop's, whatever the block size. A block
-    that raises is redone by the scalar steps, which raise the first bad
-    step's own error. Every other kernel runs one scalar step at a time.
+    The steps run in blocks of consecutive steps (`_chain_block`), about
+    ROW_BLOCK_ENTRIES entries each, that take from rng in step order: the
+    states and the stream are the scalar step loop's, whatever the block
+    size. A block that raises is redone by the scalar steps, which raise the
+    first bad step's own error.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -223,16 +314,15 @@ def run_chain(
     n = basis.n
     states = np.empty((steps + 1, n), dtype=np.int64)
     states[0] = start_state(x0, n)
-    done = 0  # steps drawn as rows
-    if kernel == "gibbs-klein" and cfg.block_size == n:
-        per = max(1, ROW_BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
-        try:
-            for done in range(0, steps, per):
-                saved = rng.bit_generator.state
-                _block_step_rows(cfg, states[done + 1 : done + 1 + per], itertools.repeat(rng))
-            done = steps
-        except ValueError:  # the scalar steps below redo the block and raise
-            rng.bit_generator.state = saved
+    per = max(1, ROW_BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
+    done = 0  # steps drawn in blocks
+    try:
+        for done in range(0, steps, per):
+            saved = rng.bit_generator.state
+            _chain_block(cfg, kernel == "gibbs", states[done : done + 1 + per], rng)
+        done = steps
+    except ValueError:  # the scalar steps below redo the block and raise
+        rng.bit_generator.state = saved
     x = states[done].tolist()
     for t in range(done + 1, steps + 1):
         step(cfg, x, rng)
@@ -313,7 +403,7 @@ def gibbs_klein_ensemble(
     x = np.tile(start_state(x0, basis.n), (len(rngs), 1))
     snaps = {0: x.copy()} if 0 in marks else {}
     for t in range(1, max(marks) + 1):
-        _block_step_rows(cfg, x, rngs)
+        _block_step_rows(cfg, x, *_permutation_draws(basis.n, block_size, len(x), rngs))
         if t in marks:
             snaps[t] = x.copy()
     return snaps

@@ -138,9 +138,18 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 
 def empirical_from_states(states: np.ndarray) -> DiscreteDistribution:
-    """Frequency distribution of an (N, n) array of integer state rows."""
-    uniq, counts = np.unique(np.asarray(states, dtype=np.int64), axis=0, return_counts=True)
-    return DiscreteDistribution(uniq, counts / counts.sum())
+    """Frequency distribution of an (N, n) array of integer state rows.
+
+    The distinct rows come in lexicographic order with their counts, as from
+    np.unique(axis=0, return_counts=True), which sorts a structured view
+    several times slower than one lexsort of the columns.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    rows = states[np.lexsort(states.T[::-1])]  # the last key sorts first
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    counts = np.diff(np.append(np.nonzero(first)[0], len(rows)))
+    return DiscreteDistribution(rows[first], counts / counts.sum())
 
 
 def detailed_balance_residual(

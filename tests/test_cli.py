@@ -222,6 +222,29 @@ class TestGoldenChains:
         digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
         assert digest == "debe76849f41b6331098e5c99224340fe1eb56c6934077e2499241b43c56939e"
 
+    @pytest.mark.parametrize("algo, extra, golden", [
+        ("gibbs", [], "b015b70d4e8349c01fc3fb12055f065c2bff4c11b23331d0bf2eb4c2aa9d7be9"),
+        ("gibbs-klein", ["--block-size", "3"],
+         "97e87406b8e03bda2f1aa8335d56d8f0f7f46c8da52aee18f177673230f5eeb9"),
+    ])
+    def test_step_blocks_8d_csv_bytes(self, tmp_path, algo, extra, golden):
+        # recorded while every Gibbs and m < n step was a scalar step. 3,000
+        # steps a chain span three 1,024-step blocks. Column 5 has norm
+        # 0.093, so each of its draws has alpha >= 8.6 and a window of at
+        # least 135 points, past LOOP_MAX_POINTS: 731 of the 6,000 Gibbs
+        # draws and 2,287 of the 18,000 m = 3 draws take the wide path
+        basis = tmp_path / "b8.txt"
+        basis.write_text("8\n1 0.5 0.3 0 0.05 0 0.1 0\n0 1.1 0.4 0.2 0 0.3 0 0.1\n"
+                         "0 0 0.9 0.5 0.03 0 0.2 0\n0 0 0 1.2 0.06 0.1 0 0.2\n"
+                         "0 0 0 0 0.04 0.4 0.1 0\n0 0 0 0 0 1 0.3 0.2\n"
+                         "0 0 0 0 0 0 0.8 0.4\n0 0 0 0 0 0 0 1.3\n")
+        out = str(tmp_path / "golden.csv")
+        argv = ["sample", "--basis", str(basis), "--algo", algo, *extra, "--sigma", "0.8",
+                "--center=0.3,-0.4,1.2,0,-2.5,0.7,0.1,3", "--x0=3,-2,0,1,0,0,-1,2",
+                "--iters", "3000", "--chains", "2", "--seed", "7", "-o", out]
+        assert run_cli(argv) == 0
+        assert hashlib.sha256(open(out, "rb").read()).hexdigest() == golden
+
     def test_klein_8d_multi_block_csv_bytes(self, tmp_path):
         # recorded while every row-sampler block was row-major and its running
         # sums one cumsum. The 0.04 pivot gives one coordinate alpha 20, a
@@ -461,6 +484,20 @@ class TestBadInputs:
         assert not os.path.exists(out)
         assert capsys.readouterr().err == (
             f"error: {flag} must be comma-separated integers, got {text!r}\n")
+
+    @pytest.mark.parametrize("command", ["sample", "diagnose"])
+    def test_zero_basis_rejected_without_output(self, tmp_path, capsys, command):
+        # every r_ii is 0, as is the column scale it is measured against
+        path = tmp_path / "zero.txt"
+        path.write_text("1\n0\n")
+        out = str(tmp_path / "never.csv")
+        code = run_cli([command, "--basis", str(path), "--algo", "gibbs", "--sigma", "1.0",
+                        "--iters", "5", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err == (
+            "error: basis is singular or near-singular: "
+            "min |r_ii| = 0.000e+00 vs column scale 0.000e+00\n")
 
     def test_zero_cholesky_pivot_rejected_without_output(self, tmp_path, capsys):
         # QR accepts this basis (r_22 = 1e-9), but in floating point

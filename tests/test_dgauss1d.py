@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -152,22 +153,41 @@ class TestSample:
         assert 0.5 * np.abs(emp - probs).sum() <= 0.005
 
     def test_equals_table_inversion_with_the_same_uniform(self):
-        # alpha from 0.02 to 12 puts windows of 3 to 200 points on both sides
-        # of LOOP_MAX_POINTS; the loop may differ only within an ulp of a CDF
-        # boundary, which 1e5 uniforms do not hit
+        # `sample`, the walk `invert` and the row form `sample_from_uniforms`
+        # draw the same point from the same uniform, and on loop windows it
+        # is the first point whose running weight, summed here in math.exp's
+        # floats, reaches u times the total. Alphas from 0.02 to 12 put
+        # windows of 3 to 200 points on both sides of LOOP_MAX_POINTS; every
+        # uniform is a cumulative boundary u = cum[j] / total of those sums,
+        # or one ulp either side of it, where two inversion rules that round
+        # apart would draw apart
         rng = np.random.default_rng(20260418)
-        alphas = np.exp(rng.uniform(math.log(0.02), math.log(12.0), 100_000))
-        centers = rng.uniform(-50.0, 50.0, 100_000)
-        uniforms = rng.random(100_000)
-        widths = []
-        for alpha, c, u in zip(alphas.tolist(), centers.tolist(), uniforms.tolist()):
-            ks, probs = dg.pmf_table(alpha, c)
-            expected = int(ks[np.searchsorted(np.cumsum(probs), u, side="left")])
-            assert dg.sample(alpha, c, FixedUniform(u)) == expected, (alpha, c, u)
-            widths.append(len(ks))
+        alphas, centers, uniforms, rule, widths = [], [], [], [], []
+        for alpha, c in zip(np.exp(rng.uniform(math.log(0.02), math.log(12.0), 2_000)).tolist(),
+                            rng.uniform(-50.0, 50.0, 2_000).tolist()):
+            half, mid = int(dg.window_half(alpha)), dg.window_mid(c)
+            den, top = 2.0 * alpha * alpha, mid - c
+            cum = np.cumsum([math.exp(-((k - c) * (k - c)) / den + (top * top) / den)
+                             for k in range(mid - half, mid + half + 1)]).tolist()
+            widths.append(len(cum))
+            for j in rng.integers(0, len(cum), 4).tolist():
+                edge = cum[j] / cum[-1]
+                for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                    if u < 1.0:  # rng.random() is below 1
+                        alphas.append(alpha)
+                        centers.append(c)
+                        uniforms.append(float(u))
+                        loop = 2 * half < dg.LOOP_MAX_POINTS
+                        rule.append(mid - half + bisect_left(cum, u * cum[-1]) if loop else None)
+        drawn = [dg.sample(a, c, FixedUniform(u)) for a, c, u in zip(alphas, centers, uniforms)]
+        walked = [dg.invert(a, int(dg.window_half(a)), c, u)
+                  for a, c, u in zip(alphas, centers, uniforms)]
+        assert drawn == walked
+        assert dg.sample_from_uniforms(alphas, centers, uniforms).tolist() == drawn
+        assert all(r is None or r == d for r, d in zip(rule, drawn))
         widths = np.array(widths)
         assert (widths <= dg.LOOP_MAX_POINTS).mean() > 0.5
-        assert (widths > dg.LOOP_MAX_POINTS).sum() > 10_000
+        assert (widths > dg.LOOP_MAX_POINTS).sum() > 200
 
     @pytest.mark.parametrize("alpha, center", [
         (3.3217965297954906, 7.138101868638525),  # 55 points: the loop
@@ -196,6 +216,18 @@ class TestSample:
         with pytest.raises(ValueError, match=message) as rows:
             dg.sample_from_uniforms(alphas, centers, np.full(4, 0.5))
         assert str(rows.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("alpha, message", [
+        (alpha, message) for alpha, center, message in BAD_SCALARS if center == 0.3
+    ] + [(2e6, "points, more than the 16777216 allowed")])
+    def test_checked_halves_reject_the_first_bad_alpha_as_sample_does(self, alpha, message):
+        with pytest.raises(ValueError) as scalar:
+            dg.sample(alpha, 0.3, FixedUniform(0.5))
+        with pytest.raises(ValueError, match=message) as halves:
+            dg.checked_halves(np.array([[0.7, 9.0], [alpha, 1e-300]]))
+        assert str(halves.value) == str(scalar.value)
+        good = np.array([0.02, 0.7, 9.0, 1e5])
+        assert dg.checked_halves(good).tolist() == [dg.window_half(a) for a in good.tolist()]
 
     def test_sample_rows_matches_pmf(self):
         # the vectorized batch sampler feeds the ensembles; same contract.
@@ -249,8 +281,8 @@ class TestSampleFromUniforms:
         # Uniforms within a few ulps of a cumulative boundary of the scalar
         # loop's weights, on windows where numpy's exp and math.exp round
         # some weight apart. There some uniforms draw differently under
-        # numpy's weights ("flips"); such rows are handed to the scalar draw,
-        # while random uniforms far from every boundary stay batched.
+        # numpy's weights ("flips"); such rows are handed to the scalar walk
+        # `invert`, while random uniforms far from every boundary stay batched.
         rng = np.random.default_rng(8)
         alphas, centers, uniforms, flips = [], [], [], 0
         for alpha, center in zip(rng.uniform(0.3, 3.5, 400).tolist(),
@@ -273,13 +305,13 @@ class TestSampleFromUniforms:
                              != (by_math < u * by_math[-1]).sum())
         expected = [dg.sample(a, c, FixedUniform(u)) for a, c, u in zip(alphas, centers, uniforms)]
         calls = []
-        scalar = dg.sample
+        scalar = dg.invert
 
         def counting(*args):
             calls.append(args)
             return scalar(*args)
 
-        monkeypatch.setattr(dg, "sample", counting)
+        monkeypatch.setattr(dg, "invert", counting)
         assert dg.sample_from_uniforms(alphas, centers, uniforms).tolist() == expected
         assert flips <= len(calls) < len(expected)
         if not flips:

@@ -47,6 +47,9 @@ class TestQrDecompose:
         [
             np.array([[1.0, 1.0], [1.0, 1.0]]),
             np.array([[1.0, 1.0 + 1e-14], [1.0, 1.0]]),
+            # all zero: min r_ii = 0 is not below 1e-12 times a zero scale
+            np.zeros((1, 1)),
+            np.zeros((3, 3)),
         ],
     )
     def test_singular_rejected(self, bad):
@@ -163,6 +166,14 @@ class TestLoadBasis:
         path.write_text("2\n1 0\n0\n")
         with pytest.raises(ValueError):
             load_basis(str(path))
+
+    @pytest.mark.parametrize("header", ["2.0", "two", "0", "-1"])
+    def test_bad_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n1 0\n0 1\n")
+        with pytest.raises(ValueError) as info:
+            load_basis(str(path))
+        assert str(info.value) == f"bad dimension {header!r} in {path}: need an integer >= 1"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"

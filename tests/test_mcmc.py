@@ -417,36 +417,15 @@ class TestRunChain:
         with pytest.raises(ValueError):
             mcmc.run_chain("gibbs-klein", basis_2d, target_2d, (0, 0), 1, rng)
 
-    @pytest.mark.parametrize("kernel, block_size, draws_per_step", [
-        ("gibbs", None, 1), ("gibbs-klein", 1, 1), ("gibbs-klein", 2, 2),
-    ])
-    def test_every_draw_goes_through_dgauss1d_sample(self, monkeypatch, kernel, block_size,
-                                                     draws_per_step):
-        basis = make_random_basis(np.random.default_rng(5), 3)
-        target = GaussianParams(0.8, np.array([0.1, -0.4, 0.6]))
-        expected = mcmc.run_chain(kernel, basis, target, [0, 0, 0], 40,
-                                  np.random.default_rng(9), block_size=block_size)
-        calls = []
-        draw = dg.sample
-
-        def counting(alpha, center, rng):
-            calls.append(alpha)
-            return draw(alpha, center, rng)
-
-        monkeypatch.setattr(dg, "sample", counting)
-        got = mcmc.run_chain(kernel, basis, target, [0, 0, 0], 40,
-                             np.random.default_rng(9), block_size=block_size)
-        assert np.array_equal(got, expected)
-        assert len(calls) == 40 * draws_per_step
-
     @staticmethod
-    def _scalar_full_block_chain(basis, target, x0, steps, rng):
-        """Gibbs-Klein at m = n as the scalar loop: one `gibbs_klein_step` a step."""
-        cfg = mcmc.GibbsKleinConfig(basis, target, basis.n)
+    def _scalar_chain(kernel, basis, target, x0, steps, rng, block_size):
+        """The scalar step loop: one `gibbs_step` or `gibbs_klein_step` a step."""
+        step = mcmc.gibbs_step if kernel == "gibbs" else mcmc.gibbs_klein_step
+        cfg = mcmc.GibbsKleinConfig(basis, target, block_size or 1)
         x = list(x0)
         states = [list(x)]
         for _ in range(steps):
-            mcmc.gibbs_klein_step(cfg, x, rng)
+            step(cfg, x, rng)
             states.append(list(x))
         return np.array(states, dtype=np.int64)
 
@@ -467,7 +446,7 @@ class TestRunChain:
             for sigma, steps in itertools.product((0.8, 6.0), (0, 1, 40)):
                 target = GaussianParams(sigma, center)
                 got_rng, ref_rng = (np.random.default_rng(seed + 10) for _ in range(2))
-                ref = self._scalar_full_block_chain(basis, target, x0, steps, ref_rng)
+                ref = self._scalar_chain("gibbs-klein", basis, target, x0, steps, ref_rng, n)
                 with monkeypatch.context() as patch:
                     patch.setattr(mcmc, "gibbs_klein_step", no_scalar_step)
                     got = mcmc.run_chain("gibbs-klein", basis, target, x0, steps, got_rng,
@@ -488,11 +467,66 @@ class TestRunChain:
                 mcmc.run_chain("gibbs-klein", basis, target, (0, 0, 0), 10,
                                np.random.default_rng(seed), block_size=3)
             with pytest.raises(ValueError) as scalar:
-                self._scalar_full_block_chain(basis, target, [0, 0, 0], 10,
-                                              np.random.default_rng(seed))
+                self._scalar_chain("gibbs-klein", basis, target, [0, 0, 0], 10,
+                                   np.random.default_rng(seed), 3)
             assert str(rows.value) == str(scalar.value), seed
             messages.add(str(rows.value).split()[0])
         assert messages == {"alpha", "center"}
+
+    # step blocks of 1 step, of 7 steps (n <= 8), and the module's own (>= 40)
+    @pytest.mark.parametrize("entries", [1, 7 * dg.LOOP_MAX_POINTS, None])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_every_kernel_chain_is_the_scalar_step_loop(self, monkeypatch, n, entries):
+        if entries is not None:
+            monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", entries)
+
+        def no_scalar_step(*args):
+            raise AssertionError("a step block was redone by the scalar steps")
+        kernels = [("gibbs", None)] + [("gibbs-klein", m) for m in range(1, n + 1)]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            basis = make_random_basis(rng, n)
+            center, x0 = rng.uniform(-1, 1, n), rng.integers(-3, 4, n).tolist()
+            # sigma 6 puts every alpha above 4: every 1-D draw takes the wide path
+            for (kernel, m), sigma, steps in itertools.product(kernels, (0.8, 6.0), (0, 1, 40)):
+                target = GaussianParams(sigma, center)
+                got_rng, ref_rng = (np.random.default_rng(seed + 10) for _ in range(2))
+                ref = self._scalar_chain(kernel, basis, target, x0, steps, ref_rng, m)
+                with monkeypatch.context() as patch:
+                    patch.setattr(mcmc, "gibbs_step", no_scalar_step)
+                    patch.setattr(mcmc, "gibbs_klein_step", no_scalar_step)
+                    got = mcmc.run_chain(kernel, basis, target, x0, steps, got_rng, block_size=m)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, ref), (kernel, m, seed, sigma, steps)
+                assert got_rng.random() == ref_rng.random()  # the same stream was taken
+
+    @pytest.mark.parametrize("kernel, m", [("gibbs", None), ("gibbs-klein", 1),
+                                           ("gibbs-klein", 2)])
+    @pytest.mark.parametrize("bad", ["center", "alpha"])
+    def test_every_kernel_chain_fails_as_the_scalar_step_loop(self, kernel, m, bad):
+        # coordinate 4's center is past 2**53, or coordinate 5's window past
+        # MAX_WINDOW_POINTS, so the first step that draws it fails. All 40
+        # steps are one block, and some chains fail after good steps of it
+        if bad == "center":
+            basis = LatticeBasis.identity(6)
+            target = GaussianParams(1.0, np.array([0.0] * 4 + [1e19, 0.0]))
+        else:
+            basis = LatticeBasis.from_matrix(np.diag([1.0] * 5 + [1e-7]))
+            target = GaussianParams(1.0, np.zeros(6))
+        step = mcmc.gibbs_step if kernel == "gibbs" else mcmc.gibbs_klein_step
+        cfg = mcmc.GibbsKleinConfig(basis, target, m or 1)
+        good_steps = []  # steps before the bad one
+        for seed in range(10):
+            with pytest.raises(ValueError) as blocks:
+                mcmc.run_chain(kernel, basis, target, [0] * 6, 40,
+                               np.random.default_rng(seed), block_size=m)
+            x, rng = [0] * 6, np.random.default_rng(seed)
+            with pytest.raises(ValueError, match=f"^{bad} ") as scalar:
+                for t in range(40):
+                    step(cfg, x, rng)
+            assert str(blocks.value) == str(scalar.value), seed
+            good_steps.append(t)
+        assert max(good_steps) > 0
 
     def test_single_chain_converges_above_smoothing(self):
         # sigma just above the smoothing threshold; T = 2e4 keeps the

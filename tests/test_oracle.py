@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lattice_gibbs import dgauss1d as dg
 from lattice_gibbs import mcmc, oracle
@@ -168,6 +171,18 @@ class TestEmpiricalDistribution:
         dist = oracle.empirical_from_states(np.array([[0], [0], [0], [1]]))
         assert dist.support.tolist() == [[0], [1]]
         assert dist.probs.tolist() == [0.75, 0.25]
+
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+                      elements=st.sampled_from([np.iinfo(np.int64).min, -3, -1, 0, 1, 2,
+                                                np.iinfo(np.int64).max])))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_counts_are_np_unique(self, states):
+        # one column, one row, negative entries and the int64 extremes
+        dist = oracle.empirical_from_states(states)
+        rows, counts = np.unique(states, axis=0, return_counts=True)
+        assert dist.support.dtype == np.int64
+        assert np.array_equal(dist.support, rows)
+        assert np.array_equal(dist.probs, counts / counts.sum())
 
     def test_monte_carlo_control(self, basis_2d):
         # 1e5 exact draws via inverse cdf: TV floor ~ 0.007 at this support
