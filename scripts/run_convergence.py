@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from lattice_gibbs import mcmc, oracle
-from lattice_gibbs.cli import _gibbs_klein_snapshots, default_checkpoints
-from lattice_gibbs.klein import GaussianParams, GibbsKleinConfig, klein_sample_many
+from lattice_gibbs import oracle
+from lattice_gibbs.cli import default_checkpoints, tv_curve
+from lattice_gibbs.klein import GaussianParams
 from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms
 
 
@@ -40,41 +40,23 @@ def main() -> None:
     exact = oracle.enumerate_support(basis, target, 1e-9)
     marks = default_checkpoints(args.steps)
 
-    lines = ["kernel,block_size,t,tv_distance"]
-    draws = klein_sample_many(
-        GibbsKleinConfig(basis, target, 3), args.chains, np.random.default_rng(args.seed)
-    )
-    tv0 = oracle.tv_distance(oracle.empirical_from_states(draws), exact)
+    x0 = (0, 0, 0)
+    tv0 = tv_curve("klein", basis, target, x0, None, args.chains, args.seed, [1], exact)[0]
     print(f"sigma = {sigma:.3f} (threshold would need "
           f"{gram_schmidt_norms(basis).max() * np.sqrt(np.log(3)):.3f})")
     print(f"single Klein pass: TV = {tv0:.3f}")
-    lines.append(f"klein,,1,{tv0:.10g}")
+    lines = ["kernel,block_size,t,tv_distance", f"klein,,1,{tv0:.10g}"]
 
-    snaps, _ = mcmc.gibbs_ensemble(
-        basis, target, (0, 0, 0), args.chains, args.steps,
-        np.random.default_rng(args.seed + 1), record_at=tuple(marks),
-    )
-    print(f"{'t':>6} {'gibbs':>10}", end="")
-    curves = {"gibbs": {t: oracle.tv_distance(oracle.empirical_from_states(s), exact)
-                        for t, s in snaps.items()}}
+    curves = {("gibbs", ""): tv_curve("gibbs", basis, target, x0, None, args.chains,
+                                      args.seed + 1, marks, exact)}
     for m in (2, 3):
-        snaps = _gibbs_klein_snapshots(
-            basis, target, (0, 0, 0), m, args.chains, args.seed + 10 + m, marks
-        )
-        curves[f"gibbs-klein(m={m})"] = {
-            t: oracle.tv_distance(oracle.empirical_from_states(s), exact)
-            for t, s in snaps.items()
-        }
-        print(f" {f'gk m={m}':>10}", end="")
-    print()
-    for t in marks:
-        row = [curves["gibbs"][t], curves["gibbs-klein(m=2)"][t], curves["gibbs-klein(m=3)"][t]]
+        curves[("gibbs-klein", m)] = tv_curve("gibbs-klein", basis, target, x0, m, args.chains,
+                                              args.seed + 10 + m, marks, exact)
+    print(f"{'t':>6} {'gibbs':>10}" + "".join(f" {f'gk m={m}':>10}" for m in (2, 3)))
+    for t, *row in zip(marks, *curves.values()):
         print(f"{t:>6} " + " ".join(f"{v:>10.4f}" for v in row))
-    for name, curve in curves.items():
-        m = name.split("m=")[1].rstrip(")") if "m=" in name else ""
-        kernel = "gibbs-klein" if "m=" in name else name
-        for t in marks:
-            lines.append(f"{kernel},{m},{t},{curve[t]:.10g}")
+    for (kernel, m), curve in curves.items():
+        lines.extend(f"{kernel},{m},{t},{tv:.10g}" for t, tv in zip(marks, curve))
     with open(args.output, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {args.output}")

@@ -225,6 +225,28 @@ def _gibbs_klein_snapshots(
     )
 
 
+def tv_curve(algorithm: str, basis: LatticeBasis, target: GaussianParams, x0,
+             block_size: "int | None", chains: int, seed: int, checkpoints: "list[int]",
+             exact: oracle.DiscreteDistribution) -> list[float]:
+    """TV between the law `exact` and the empirical law of `chains` states at
+    each checkpoint t >= 1, in order, as `diagnose` draws them: Klein a fresh
+    batch per checkpoint and Gibbs one lockstep ensemble, both on
+    default_rng(SeedSequence(seed)); Gibbs-Klein one stream per chain
+    (`_gibbs_klein_snapshots`). Klein ignores x0 and block_size."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if algorithm == "klein":
+        kcfg = GibbsKleinConfig(basis, target, basis.n)
+        snaps = {t: klein_sample_many(kcfg, chains, rng) for t in checkpoints}
+    elif algorithm == "gibbs":
+        snaps, _ = mcmc.gibbs_ensemble(
+            basis, target, x0, chains, max(checkpoints), rng, record_at=tuple(checkpoints)
+        )
+    else:
+        snaps = _gibbs_klein_snapshots(basis, target, x0, block_size, chains, seed, checkpoints)
+    return [oracle.tv_distance(oracle.empirical_from_states(snaps[t]), exact)
+            for t in checkpoints]
+
+
 def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
     """Write CSV t,tv_distance of empirical-vs-exact TV across the ensemble.
 
@@ -237,30 +259,9 @@ def cmd_diagnose(cfg: RunConfig, checkpoints: "list[int] | None" = None) -> int:
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > cfg.iterations:
         raise ValueError("checkpoints must lie in [1, iters]")
     exact = oracle.enumerate_support(cfg.basis, cfg.target)
-
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    if cfg.algorithm == "klein":
-        kcfg = GibbsKleinConfig(cfg.basis, cfg.target, cfg.basis.n)
-        snaps = {t: klein_sample_many(kcfg, cfg.chains, rng) for t in checkpoints}
-    elif cfg.algorithm == "gibbs":
-        snaps, _ = mcmc.gibbs_ensemble(
-            cfg.basis,
-            cfg.target,
-            cfg.x0,
-            cfg.chains,
-            max(checkpoints),
-            rng,
-            record_at=tuple(checkpoints),
-        )
-    else:
-        snaps = _gibbs_klein_snapshots(
-            cfg.basis, cfg.target, cfg.x0, cfg.block_size, cfg.chains, cfg.seed, checkpoints
-        )
-
-    lines = ["t,tv_distance"]
-    for t in checkpoints:
-        tv = oracle.tv_distance(oracle.empirical_from_states(snaps[t]), exact)
-        lines.append(f"{t},{tv:.10g}")
+    tvs = tv_curve(cfg.algorithm, cfg.basis, cfg.target, cfg.x0, cfg.block_size, cfg.chains,
+                   cfg.seed, checkpoints, exact)
+    lines = ["t,tv_distance"] + [f"{t},{tv:.10g}" for t, tv in zip(checkpoints, tvs)]
     _write_output(cfg.output, ["\n".join(lines) + "\n"])
 
     if cfg.algorithm in ("gibbs", "gibbs-klein"):

@@ -38,6 +38,7 @@ MAX_WINDOW_POINTS = 2**24
 
 
 def _check(alpha: float, center: float) -> None:
+    alpha = float(alpha)  # Python arithmetic: a numpy alpha would warn on overflow
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if 2.0 * alpha * alpha < sys.float_info.min:  # the exponents would divide by zero
@@ -75,13 +76,14 @@ def window_half(alpha):
 def _checked_half(alpha: float) -> int:
     """window_half(alpha) as an int, refusing a window of more than
     MAX_WINDOW_POINTS points before anything is allocated."""
-    half = int(window_half(alpha))
-    if 2 * half + 1 > MAX_WINDOW_POINTS:
+    points = 2.0 * window_half(float(alpha)) + 1.0  # NaN once w overflows (alpha 2e307)
+    if not points <= MAX_WINDOW_POINTS:
+        count = f"{points:.17g}" if points < math.inf else "inf"
         raise ValueError(
-            f"alpha {alpha} needs a window of {2 * half + 1} points, "
+            f"alpha {alpha} needs a window of {count} points, "
             f"more than the {MAX_WINDOW_POINTS} allowed"
         )
-    return half
+    return int(points) // 2
 
 
 def pmf_table(alpha: float, center: float) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -344,7 +345,8 @@ def gibbs_ensemble(
     """Run many independent Gibbs chains in lockstep, vectorized across chains.
 
     Same kernel as `gibbs_step`, grouped by chosen coordinate per step so the
-    1-D draws batch. Returns snapshots of the (n_chains, n) state array at the
+    1-D draws batch, and the same centers bit for bit: `block_conditional`'s
+    for the block [i]. Returns snapshots of the (n_chains, n) state array at the
     requested times and, if `pool_from` is set, the law of the states pooled
     over all chains and all steps t > pool_from.
     """
@@ -353,8 +355,8 @@ def gibbs_ensemble(
         raise ValueError(f"pool_from must be below steps = {steps}, got {pool_from}")
     x = np.tile(start_state(x0, n), (n_chains, 1))
     cfg = GibbsKleinConfig(basis, target, 1)
-    gram, bc = np.array(cfg.gram), np.array(cfg.bc)
-    alphas = target.sigma / np.sqrt(np.diag(gram))
+    roots = [math.sqrt(g[i]) for i, g in enumerate(cfg.gram)]
+    rests = [[j for j in range(n) if j != i] for i in range(n)]
     snapshots: dict[int, np.ndarray] = {}
     pool = []  # (distinct states, counts) of each pooled step
     if 0 in record_at:
@@ -365,9 +367,12 @@ def gibbs_ensemble(
             rows = np.nonzero(coords == i)[0]
             if rows.size == 0:
                 continue
-            # conditional center x_i + (B^T c - G x)_i / G_ii
-            centers = x[rows, i] + (bc[i] - x[rows] @ gram[:, i]) / gram[i, i]
-            x[rows, i] = dg.sample_rows(alphas[i], centers, rng)
+            acc = np.full(rows.size, cfg.bc[i])  # block_conditional's center for [i]
+            with np.errstate(over="ignore", invalid="ignore"):  # sample_rows rejects inf
+                for j in rests[i]:
+                    acc -= cfg.gram[i][j] * x[rows, j]
+                centers = acc / roots[i] / roots[i]
+            x[rows, i] = dg.sample_rows(target.sigma / roots[i], centers, rng)
         if t in record_at:
             snapshots[t] = x.copy()
         if pool_from is not None and t > pool_from:

@@ -79,15 +79,27 @@ class MimoConfig:
             raise ValueError("bad antenna count or trial count")
         if not math.isfinite(self.ebn0_db):
             raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
+        try:
+            variance = noise_variance_per_real_dim(self.ebn0_db)
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise ValueError(f"ebn0_db {self.ebn0_db} is too low: the noise variance overflows")
         if any(t < 1 for t in self.iteration_budgets):
             raise ValueError("iteration budgets must be positive")
-        n_real = 2 * self.n_tx
-        if any(not 1 <= m <= n_real for m in self.block_sizes):
-            raise ValueError(f"block sizes must lie in [1, {n_real}]")
         known = {"zf", "ml", *SAMPLER_DECODERS}
         unknown = set(self.decoders) - known
         if unknown:
             raise ValueError(f"unknown decoders: {sorted(unknown)}")
+        # a repeated entry would run two jobs under one per-trial key
+        if len(set(self.decoders)) < len(self.decoders):
+            raise ValueError(f"repeated decoders: {list(self.decoders)}")
+        if "gibbs-klein" in self.decoders:  # the only decoder with a block size
+            n_real = 2 * self.n_tx
+            if any(not 1 <= m <= n_real for m in self.block_sizes):
+                raise ValueError(f"block sizes must lie in [1, {n_real}]")
+            if len(set(self.block_sizes)) < len(self.block_sizes):
+                raise ValueError(f"repeated block sizes: {list(self.block_sizes)}")
 
 
 @dataclass(frozen=True)

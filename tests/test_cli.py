@@ -652,6 +652,24 @@ class TestMimoCommand:
         assert not os.path.exists(out)
         assert "ebn0_db must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--decoders", "zf,klein,klein"], "repeated decoders: ['zf', 'klein', 'klein']"),
+        (["--block-sizes", "2,2"], "repeated block sizes: [2, 2]"),
+        (["--ebn0-db=-4000"], "ebn0_db -4000.0 is too low: the noise variance overflows"),
+    ])
+    def test_bad_config_rejected_without_output(self, tmp_path, capsys, flags, message):
+        out = str(tmp_path / "never.csv")
+        assert run_cli(["mimo", "--trials", "2", *flags, "--output", out]) == 1
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_two_antennas_without_gibbs_klein_ignore_default_block_sizes(self, tmp_path):
+        out = str(tmp_path / "m2.csv")
+        assert run_cli(["mimo", "--ntx", "2", "--trials", "3", "--decoders", "zf,ml",
+                        "--output", out]) == 0
+        _, rows = read_csv_rows(out)
+        assert [r[0] for r in rows] == ["zf", "ml"]
+
     def test_bad_decoder_rejected(self, capsys):
         assert run_cli(["mimo", "--trials", "1", "--decoders", "sphere"]) != 0
         assert "error" in capsys.readouterr().err

@@ -438,6 +438,26 @@ def test_window_past_the_cap_is_refused_before_allocation():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("alpha", [1e154, 1e300, 1.7e308])
+@pytest.mark.parametrize("to_alpha", [float, np.float64], ids=["float", "float64"])
+def test_huge_alpha_refused_by_window_size_without_overflow_warning(alpha, to_alpha):
+    # 2 alpha^2 overflows from about 1.3e154, and the half-width w itself
+    # from about 2e307: both checks run on Python floats, which overflow to
+    # inf silently, so only the window-size error is raised
+    alpha = to_alpha(alpha)
+    rng = np.random.default_rng(0)
+    calls = [
+        lambda: dg.sample(alpha, 0.0, rng),
+        lambda: dg.sample_rows(alpha, np.array([0.0]), rng),
+        lambda: dg.pmf_table_rows(alpha, np.array([0.0]), np.array([0.0])),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"points, more than the 16777216 allowed"):
+                call()
+
+
 def test_pmf_table_rows_far_value_at_tiny_alpha_is_zero_without_overflow():
     # -(dv^2) / (2 alpha^2) overflows to -inf five steps from the center
     assert dg.pmf_table_rows(1.06e-154, [0.3], [5]).tolist() == [0.0]

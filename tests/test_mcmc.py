@@ -605,6 +605,66 @@ class TestGibbsEnsemble:
         assert pooled.support.tolist() == direct.support.tolist()
         assert np.allclose(pooled.probs, direct.probs, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_draws_from_the_block_step_centers(self, monkeypatch, n):
+        # every 1-D draw's (alpha, centers) equals block_conditional's for the
+        # block [i], bit for bit, on the state its chain had before the step
+        rng = np.random.default_rng(40 + n)
+        basis = make_random_basis(rng, n)
+        target = GaussianParams(0.4, rng.normal(size=n) * 3)
+        cfg = mcmc.GibbsKleinConfig(basis, target, 1)
+        calls, coords = [], []
+        sample_rows = dg.sample_rows
+
+        def capture(alpha, centers, rng):
+            calls.append((alpha, np.array(centers)))
+            return sample_rows(alpha, centers, rng)
+
+        class RecordingRng:  # the ensemble's stream, with its coordinates kept
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, *args, **kwargs):
+                coords.append(self.rng.integers(*args, **kwargs))
+                return coords[-1]
+
+            def random(self, *args, **kwargs):
+                return self.rng.random(*args, **kwargs)
+
+        monkeypatch.setattr(dg, "sample_rows", capture)
+        steps = 6
+        snaps, _ = mcmc.gibbs_ensemble(basis, target, rng.integers(-3, 4, n), 300, steps,
+                                       RecordingRng(np.random.default_rng(5)),
+                                       record_at=tuple(range(steps + 1)))
+        calls = iter(calls)
+        for t, chosen in enumerate(coords, start=1):
+            for i in range(n):
+                rows = np.nonzero(chosen == i)[0]
+                if rows.size == 0:
+                    continue
+                alpha, centers = next(calls)
+                rest = [j for j in range(n) if j != i]
+                want = []
+                for x in snaps[t - 1][rows].tolist():
+                    (u,), (c,) = block_conditional(cfg.gram, cfg.bc, x, [i], rest)
+                    assert alpha == target.sigma / u[0]
+                    want.append(c / u[0])
+                assert centers.tolist() == want
+        assert next(calls, None) is None
+
+    def test_overflowing_center_fails_as_the_scalar_chain_does(self):
+        # G[0][1] x[1] = 1e300 * 4e18 overflows to inf: a ValueError naming
+        # the center, not an overflow RuntimeWarning from the center sums
+        basis = LatticeBasis.from_matrix([[1e150, 1e150], [0.0, 1e150]])
+        target, x0 = GaussianParams(1.0, np.zeros(2)), (4 * 10**18, 4 * 10**18)
+        errors = []
+        for run in (lambda rng: mcmc.gibbs_ensemble(basis, target, x0, 5, 3, rng),
+                    lambda rng: mcmc.run_chain("gibbs", basis, target, x0, 3, rng)):
+            with pytest.raises(ValueError, match="center must be finite, got -inf") as info:
+                run(np.random.default_rng(0))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
     def test_pool_from_must_leave_a_step(self, basis_2d, target_2d, rng):
         with pytest.raises(ValueError, match="pool_from"):
             mcmc.gibbs_ensemble(basis_2d, target_2d, (0, 0), 10, 5, rng, pool_from=5)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,34 @@ class TestGenerateInstance:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             mimo.MimoConfig(n_tx=4, n_rx=2)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(decoders=("zf", "klein", "klein")), "repeated decoders"),
+        (dict(block_sizes=(2, 2)), "repeated block sizes"),
+    ])
+    def test_rejects_repeated_entries(self, kwargs, message):
+        # two jobs under one per-trial key: the second overwrote the first's
+        # counts, and the table printed the row twice
+        with pytest.raises(ValueError, match=message):
+            mimo.MimoConfig(trials=1, **kwargs)
+
+    def test_block_sizes_checked_only_for_gibbs_klein(self):
+        # the default block sizes 1, 2, 4, 8 exceed a 2x2 channel's 4 real
+        # dimensions, and no other decoder reads them
+        cfg = mimo.MimoConfig(n_tx=2, n_rx=2, trials=2, decoders=("zf", "ml", "klein", "gibbs"))
+        table = mimo.ber_experiment_detailed(cfg)[0]
+        assert [r.decoder for r in table.rows] == ["zf", "ml"] + ["klein"] * 3 + ["gibbs"] * 3
+        mimo.MimoConfig(trials=1, decoders=("zf",), block_sizes=(2, 2, 99))
+        with pytest.raises(ValueError, match=r"block sizes must lie in \[1, 4\]"):
+            mimo.MimoConfig(n_tx=2, n_rx=2, trials=1, decoders=("gibbs-klein",))
+
+    @pytest.mark.parametrize("ebn0_db", [-4000.0, -3080.0])
+    def test_rejects_overflowing_noise_variance(self, ebn0_db):
+        # 10^400 overflows in the power, 2.5 * 10^308 in the product after it
+        with pytest.raises(ValueError, match="the noise variance overflows"):
+            mimo.MimoConfig(trials=1, ebn0_db=ebn0_db)
+        cfg = mimo.MimoConfig(trials=1, ebn0_db=-3070.0)
+        assert math.isfinite(mimo.noise_variance_per_real_dim(cfg.ebn0_db))
 
 
 class TestBaselineDecoders:
