@@ -24,18 +24,24 @@ How the decoders are computed:
   argmin is the first candidate in lexicographic order, as in a brute-force
   scan.
 * Every sampler decoder is a configuration of the package's block step:
-  `klein.block_conditional` gives the triangular factor and centers of a
-  block S given the rest R, from the Gram matrix G = g^T g and g^T t formed
-  once per trial (U = chol(G[S,S]), c = U^-T (g^T t[S] - G[S,R] k[R])), and
-  `klein.backward_sample_into` runs Klein's backward pass on them with every
-  1-D draw restricted to {0..3} (`_draw_restricted4`). Klein's pass takes the
-  full block S = {0..n-1}, once per trial; a Gibbs-Klein step takes the first
-  m coordinates of a fresh permutation. This equals the QR of g[:, order] up
-  to rounding, at O(m^3 + nm) scalar work per step.
-* Per trial, the ZF start point, Klein's factor, sigma and the Gram
-  quantities are computed once and shared by every sampler decoder. The
-  inner loops run on Python floats; each decoder's random stream is consumed
-  call for call as by the textbook numpy formulation.
+  the triangular factor and centers of a block S given the rest R, from the
+  Gram matrix G = g^T g and g^T t formed once per trial (U = chol(G[S,S]),
+  c = U^-T (g^T t[S] - G[S,R] k[R]), as `klein.block_conditional` gives
+  them), then Klein's backward pass on them with every 1-D draw restricted
+  to {0..3} (`_draw_restricted4`). Klein's pass takes the full block
+  S = {0..n-1}; a Gibbs-Klein step takes the first m coordinates of a fresh
+  permutation. This equals the QR of g[:, order] up to rounding, at
+  O(m^3 + nm) scalar work per step. Gibbs draws from the exact 1-D
+  conditional, its center read off the residual g k - t.
+* A decoder runs in blocks of whole iterations, as `mcmc.run_chain` runs
+  chains: a block takes its steps' randomness from the stream in the order
+  the steps would, and forms in numpy what reads no state (the factors
+  `klein.block_factor_rows`, the alphas, and at m = n the centers). Per
+  step, only the centers that read the state, the 1-D draws and the move
+  run in Python floats, so the decisions and the stream's position are those
+  of the per-step textbook formulation, whatever the block size.
+* Per trial, the ZF start point, Klein's factor and centers, sigma and the
+  Gram quantities are computed once and shared by every sampler decoder.
 """
 
 from __future__ import annotations
@@ -44,12 +50,15 @@ import functools
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
+from math import exp
 from operator import mul
 
 import numpy as np
 
-from .klein import backward_sample_into, block_conditional
+from . import mcmc
+from .klein import block_conditional, block_conditional_rows, block_factor_rows
 
 QAM16_LEVELS = (-3.0, -1.0, 1.0, 3.0)
 BITS_PER_SYMBOL = 4
@@ -85,8 +94,6 @@ class MimoConfig:
             variance = math.inf
         if not math.isfinite(variance):
             raise ValueError(f"ebn0_db {self.ebn0_db} is too low: the noise variance overflows")
-        if any(t < 1 for t in self.iteration_budgets):
-            raise ValueError("iteration budgets must be positive")
         known = {"zf", "ml", *SAMPLER_DECODERS}
         unknown = set(self.decoders) - known
         if unknown:
@@ -94,12 +101,25 @@ class MimoConfig:
         # a repeated entry would run two jobs under one per-trial key
         if len(set(self.decoders)) < len(self.decoders):
             raise ValueError(f"repeated decoders: {list(self.decoders)}")
+        if set(self.decoders) & set(SAMPLER_DECODERS):  # only they read the budgets
+            _check_integers("iteration_budgets", self.iteration_budgets)
+            if any(t < 1 for t in self.iteration_budgets):
+                raise ValueError(f"iteration_budgets must be positive, got {self.iteration_budgets}")
         if "gibbs-klein" in self.decoders:  # the only decoder with a block size
+            _check_integers("block_sizes", self.block_sizes)
             n_real = 2 * self.n_tx
             if any(not 1 <= m <= n_real for m in self.block_sizes):
                 raise ValueError(f"block sizes must lie in [1, {n_real}]")
             if len(set(self.block_sizes)) < len(self.block_sizes):
                 raise ValueError(f"repeated block sizes: {list(self.block_sizes)}")
+
+
+def _check_integers(field: str, values) -> None:
+    """Raise a ValueError naming `field` unless values is a non-empty tuple of integers."""
+    if not values:
+        raise ValueError(f"{field} must not be empty")
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ValueError(f"{field} must be integers, got {values}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +250,12 @@ def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
 
 
 def count_bit_errors(decided: np.ndarray, transmitted: np.ndarray) -> int:
-    return int(np.sum(symbols_to_bits(decided) != symbols_to_bits(transmitted)))
+    return _bit_errors(decided, symbols_to_bits(transmitted))
+
+
+def _bit_errors(decided: np.ndarray, sent: np.ndarray) -> int:
+    """Bit errors of the decided symbols against the sent bits `symbols_to_bits` gave."""
+    return int(np.count_nonzero(symbols_to_bits(decided) != sent))
 
 
 def _integer_lattice_problem(h: np.ndarray, y: np.ndarray):
@@ -241,11 +266,11 @@ def _integer_lattice_problem(h: np.ndarray, y: np.ndarray):
     return g, t
 
 
-def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> int:
+def _draw_restricted4(alpha: float, center: float, u: float) -> int:
     """One draw of D_{Z,alpha,center} restricted to {0, 1, 2, 3}, by inversion.
 
-    Weights are taken relative to the largest one; the single uniform picks
-    the first point whose cumulative weight reaches it.
+    Weights are taken relative to the largest one; the uniform u in [0, 1)
+    picks the first point whose cumulative weight reaches u times the total.
     """
     den = 2.0 * alpha * alpha
     d1, d2, d3 = 1.0 - center, 2.0 - center, 3.0 - center
@@ -253,11 +278,13 @@ def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> 
     l1 = -(d1 * d1) / den
     l2 = -(d2 * d2) / den
     l3 = -(d3 * d3) / den
-    top = max(l0, l1, l2, l3)
-    c0 = math.exp(l0 - top)
-    c1 = c0 + math.exp(l1 - top)
-    c2 = c1 + math.exp(l2 - top)
-    v = rng.random() * (c2 + math.exp(l3 - top))
+    # max(l0, l1, l2, l3): every rounding above is monotone, so the point
+    # nearest the center has the largest exponent
+    top = l0 if center <= 0.5 else l1 if center <= 1.5 else l2 if center <= 2.5 else l3
+    c0 = exp(l0 - top)
+    c1 = c0 + exp(l1 - top)
+    c2 = c1 + exp(l2 - top)
+    v = u * (c2 + exp(l3 - top))
     return 0 if v <= c0 else 1 if v <= c1 else 2 if v <= c2 else 3
 
 
@@ -317,15 +344,18 @@ def _decode_checkpoints(
     """Run one sampler chain, returning the best-visited point at each budget.
 
     One iteration samples n = 2 n_tx components: n coordinate steps for gibbs,
-    n/m block steps for gibbs-klein, one full backward pass for klein. The
-    residual g k - t is updated only along the coordinates that move.
+    ceil(n/m) block steps for gibbs-klein, and for klein one block step over
+    all n coordinates (lat.r0, lat.c0). The residual g k - t is updated only
+    along the coordinates that move. The iterations run in blocks of about
+    mcmc.ROW_BLOCK_ENTRIES entries, as the module docstring says, and the
+    decisions and the stream's position do not depend on the block size.
     """
     if strategy not in SAMPLER_DECODERS:
         raise ValueError(f"unknown sampler strategy {strategy!r}")
     n = len(lat.gt)
     if strategy == "gibbs-klein" and not (block_size is not None and 1 <= block_size <= n):
         raise ValueError(f"gibbs-klein decoding needs a block size in [1, {n}], got {block_size}")
-    sigma, cols, gram = lat.sigma, lat.cols, lat.gram
+    sigma, cols, gram, gt = lat.sigma, lat.cols, lat.gram, lat.gt
     k, resid = lat.k_zf[:], lat.resid_zf
     best_k, best_cost = lat.k_zf, lat.cost_zf
 
@@ -343,29 +373,59 @@ def _decode_checkpoints(
             if cost < best_cost:
                 best_cost, best_k = cost, k[:]
 
+    m = {"klein": n, "gibbs": 1, "gibbs-klein": block_size}[strategy]
+    per_iter = 1 if strategy == "klein" else -(-n // m)  # steps per iteration
+    # iterations per block: each step counts as an (n, n) factor's entries
+    per_block = max(1, mcmc.ROW_BLOCK_ENTRIES // (per_iter * n * n))
     col_alpha = [sigma / math.sqrt(gram[i][i]) for i in range(n)]
-    all_coords = list(range(n))
+    klein = (range(n), (), lat.r0, [sigma / lat.r0[i][i] for i in range(n)], lat.c0)
+    last = max(budgets)
     results: dict[int, np.ndarray] = {}
-    for iteration in range(1, max(budgets) + 1):
-        if strategy == "klein":
-            z = [0] * n
-            backward_sample_into(lat.r0, lat.c0, sigma, z, rng, _draw_restricted4)
-            move(all_coords, z)
-        elif strategy == "gibbs":
-            for _ in range(n):
-                i = int(rng.integers(n))
-                center = k[i] - sum(map(mul, resid, cols[i])) / gram[i][i]
-                move((i,), (_draw_restricted4(col_alpha[i], center, rng),))
+    for start in range(0, last, per_block):
+        iters = min(per_block, last - start)
+        if strategy == "gibbs":
+            integers, random = rng.integers, rng.random
+            steps = [(int(integers(n)), random()) for _ in range(iters * n)]
+        elif strategy == "klein":  # the block 0..n-1, whose centers are lat.c0
+            steps = [(*klein, v) for v in rng.random((iters, n)).tolist()]
         else:
-            for _ in range(-(-n // block_size)):
-                order = rng.permutation(n).tolist()
-                block, rest = order[:block_size], order[block_size:]
-                u, c = block_conditional(gram, lat.gt, k, block, rest)
-                z = [0] * block_size
-                backward_sample_into(u, c, sigma, z, rng, _draw_restricted4)
-                move(block, z)
-        if iteration in budgets:
-            results[iteration] = _coeffs_to_symbols(best_k)
+            perm, us = mcmc._permutation_draws(n, m, iters * per_iter, itertools.repeat(rng))
+            blocks, rests = perm[:, :m], perm[:, m:]
+            if m == n:  # the centers read no state either (perm stands in for it)
+                u, c = block_conditional_rows(gram, gt, perm, blocks, rests)
+                centers = c.tolist()
+            else:
+                u, centers = block_factor_rows(gram, blocks), itertools.repeat(None)
+            alphas = sigma / np.diagonal(u, axis1=1, axis2=2)
+            steps = zip(blocks.tolist(), rests.tolist(), u.tolist(), alphas.tolist(),
+                        centers, us.tolist())
+        z = [0] * m
+        for iteration, its_steps in enumerate(zip(*[iter(steps)] * per_iter), start + 1):
+            if strategy == "gibbs":
+                for i, v in its_steps:
+                    center = k[i] - sum(map(mul, resid, cols[i])) / gram[i][i]
+                    move((i,), (_draw_restricted4(col_alpha[i], center, v),))
+            else:
+                for block, rest, f, a, c, v in its_steps:
+                    if c is None:  # block_conditional's centers, given k[rest]
+                        c = []
+                        for i, b in enumerate(block):
+                            gb = gram[b]
+                            acc = gt[b]
+                            for j in rest:
+                                acc -= gb[j] * k[j]
+                            for p in range(i):
+                                acc -= f[p][i] * c[p]
+                            c.append(acc / f[i][i])
+                    for i in range(m - 1, -1, -1):  # v holds the uniforms in draw order
+                        row = f[i]
+                        acc = c[i]
+                        for j in range(i + 1, m):
+                            acc -= row[j] * z[j]
+                        z[i] = _draw_restricted4(a[i], acc / row[i], v[m - 1 - i])
+                    move(block, z)
+            if iteration in budgets:
+                results[iteration] = _coeffs_to_symbols(best_k)
     return results
 
 
@@ -413,17 +473,18 @@ def ber_experiment_detailed(cfg: MimoConfig) -> tuple[BerTable, dict[tuple, np.n
     for trial in range(cfg.trials):
         streams = children[trial].spawn(1 + len(jobs))
         h, symbols, y = generate_instance(cfg, np.random.default_rng(streams[0]))
+        sent = symbols_to_bits(symbols)
         zf = zf_decode(h, y)
         if "zf" in cfg.decoders:
-            per_trial[("zf", None, None)][trial] = count_bit_errors(zf, symbols)
+            per_trial[("zf", None, None)][trial] = _bit_errors(zf, sent)
         if "ml" in cfg.decoders:
-            per_trial[("ml", None, None)][trial] = count_bit_errors(ml_decode(h, y), symbols)
+            per_trial[("ml", None, None)][trial] = _bit_errors(ml_decode(h, y), sent)
         lat = _trial_lattice(h, y, zf) if jobs else None
         for job_idx, (strategy, m) in enumerate(jobs):
             rng = np.random.default_rng(streams[1 + job_idx])
             decided = _decode_checkpoints(lat, strategy, budgets, rng, m)
             for budget, sym_hat in decided.items():
-                per_trial[(strategy, m, budget)][trial] = count_bit_errors(sym_hat, symbols)
+                per_trial[(strategy, m, budget)][trial] = _bit_errors(sym_hat, sent)
 
     bits_total = cfg.trials * cfg.n_tx * BITS_PER_SYMBOL
     rows = tuple(

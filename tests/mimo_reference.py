@@ -1,0 +1,100 @@
+"""The per-step MIMO sampler decoder, kept as the reference that
+`mimo._decode_checkpoints` (which runs in blocks of steps) must equal on
+decisions and on the stream position it leaves.
+
+Each step here calls `klein.block_conditional` and
+`klein.backward_sample_into`, and every 1-D draw takes its uniform from the
+stream by `rng.random()`.
+"""
+
+from __future__ import annotations
+
+import math
+from operator import mul
+
+import numpy as np
+
+from lattice_gibbs.klein import backward_sample_into, block_conditional
+from lattice_gibbs.mimo import SAMPLER_DECODERS, _coeffs_to_symbols, _TrialLattice
+
+
+def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> int:
+    """One draw of D_{Z,alpha,center} restricted to {0, 1, 2, 3}, by inversion.
+
+    Weights are taken relative to the largest one; the single uniform picks
+    the first point whose cumulative weight reaches it.
+    """
+    den = 2.0 * alpha * alpha
+    d1, d2, d3 = 1.0 - center, 2.0 - center, 3.0 - center
+    l0 = -(center * center) / den
+    l1 = -(d1 * d1) / den
+    l2 = -(d2 * d2) / den
+    l3 = -(d3 * d3) / den
+    top = max(l0, l1, l2, l3)
+    c0 = math.exp(l0 - top)
+    c1 = c0 + math.exp(l1 - top)
+    c2 = c1 + math.exp(l2 - top)
+    v = rng.random() * (c2 + math.exp(l3 - top))
+    return 0 if v <= c0 else 1 if v <= c1 else 2 if v <= c2 else 3
+
+
+def _decode_checkpoints(
+    lat: _TrialLattice,
+    strategy: str,
+    budgets: tuple[int, ...],
+    rng: np.random.Generator,
+    block_size: "int | None" = None,
+) -> dict[int, np.ndarray]:
+    """Run one sampler chain, returning the best-visited point at each budget.
+
+    One iteration samples n = 2 n_tx components: n coordinate steps for gibbs,
+    n/m block steps for gibbs-klein, one full backward pass for klein. The
+    residual g k - t is updated only along the coordinates that move.
+    """
+    if strategy not in SAMPLER_DECODERS:
+        raise ValueError(f"unknown sampler strategy {strategy!r}")
+    n = len(lat.gt)
+    if strategy == "gibbs-klein" and not (block_size is not None and 1 <= block_size <= n):
+        raise ValueError(f"gibbs-klein decoding needs a block size in [1, {n}], got {block_size}")
+    sigma, cols, gram = lat.sigma, lat.cols, lat.gram
+    k, resid = lat.k_zf[:], lat.resid_zf
+    best_k, best_cost = lat.k_zf, lat.cost_zf
+
+    def move(coords, new_vals) -> None:
+        nonlocal resid, best_cost, best_k
+        moved = False
+        for i, new in zip(coords, new_vals):
+            d = new - k[i]
+            if d:
+                resid = [r + d * c for r, c in zip(resid, cols[i])]
+                k[i] = new
+                moved = True
+        if moved:
+            cost = sum(map(mul, resid, resid))
+            if cost < best_cost:
+                best_cost, best_k = cost, k[:]
+
+    col_alpha = [sigma / math.sqrt(gram[i][i]) for i in range(n)]
+    all_coords = list(range(n))
+    results: dict[int, np.ndarray] = {}
+    for iteration in range(1, max(budgets) + 1):
+        if strategy == "klein":
+            z = [0] * n
+            backward_sample_into(lat.r0, lat.c0, sigma, z, rng, _draw_restricted4)
+            move(all_coords, z)
+        elif strategy == "gibbs":
+            for _ in range(n):
+                i = int(rng.integers(n))
+                center = k[i] - sum(map(mul, resid, cols[i])) / gram[i][i]
+                move((i,), (_draw_restricted4(col_alpha[i], center, rng),))
+        else:
+            for _ in range(-(-n // block_size)):
+                order = rng.permutation(n).tolist()
+                block, rest = order[:block_size], order[block_size:]
+                u, c = block_conditional(gram, lat.gt, k, block, rest)
+                z = [0] * block_size
+                backward_sample_into(u, c, sigma, z, rng, _draw_restricted4)
+                move(block, z)
+        if iteration in budgets:
+            results[iteration] = _coeffs_to_symbols(best_k)
+    return results

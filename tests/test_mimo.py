@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lattice_gibbs import mimo, oracle
+import mimo_reference
+from lattice_gibbs import mcmc, mimo, oracle
 from lattice_gibbs.klein import GaussianParams, block_conditional
 from lattice_gibbs.linalg import LatticeBasis, qr_decompose
 
@@ -97,6 +99,29 @@ class TestGenerateInstance:
         mimo.MimoConfig(trials=1, decoders=("zf",), block_sizes=(2, 2, 99))
         with pytest.raises(ValueError, match=r"block sizes must lie in \[1, 4\]"):
             mimo.MimoConfig(n_tx=2, n_rx=2, trials=1, decoders=("gibbs-klein",))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # used to do trial 0's ZF and ML work, then fail in max()
+        (dict(iteration_budgets=()), "iteration_budgets must not be empty"),
+        # used to end in a TypeError from range()
+        (dict(iteration_budgets=(2.5,)), r"iteration_budgets must be integers, got \(2.5,\)"),
+        (dict(iteration_budgets=(5, 2.0)), "iteration_budgets must be integers"),
+        # used to write a table with no Gibbs-Klein rows
+        (dict(block_sizes=()), "block_sizes must not be empty"),
+        (dict(block_sizes=(1, 2.5)), "block_sizes must be integers"),
+    ])
+    def test_rejects_empty_or_non_integer_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            mimo.MimoConfig(trials=1, **kwargs)
+
+    def test_budgets_checked_only_for_sampler_decoders(self):
+        # as with block sizes, a setting no requested decoder reads is not checked
+        for budgets in ((), (2.5,), (0,)):
+            cfg = mimo.MimoConfig(trials=1, decoders=("zf", "ml"), iteration_budgets=budgets)
+            assert [r.decoder for r in mimo.ber_experiment_detailed(cfg)[0].rows] == ["zf", "ml"]
+        mimo.MimoConfig(trials=1, decoders=("klein",), block_sizes=())
+        with pytest.raises(ValueError, match=r"iteration_budgets must be positive, got \(0,\)"):
+            mimo.MimoConfig(trials=1, decoders=("klein",), iteration_budgets=(0,))
 
     @pytest.mark.parametrize("ebn0_db", [-4000.0, -3080.0])
     def test_rejects_overflowing_noise_variance(self, ebn0_db):
@@ -213,28 +238,18 @@ def numpy_draw_restricted4(alpha, center, u):
     return int(np.searchsorted(cum, u * cum[-1], side="left"))
 
 
-class FixedUniform:
-    """Stands in for a Generator whose next random() is known."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 class TestInnerLoop:
     def test_scalar_draw_equals_numpy_inversion(self):
         for alpha in (0.05, 0.3, 0.7, 1.0, 2.5, 40.0):
             for center in np.linspace(-2.0, 5.0, 57):
                 for u in (0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999999, 1.0 - 2.0**-53):
-                    got = mimo._draw_restricted4(alpha, float(center), FixedUniform(u))
+                    got = mimo._draw_restricted4(alpha, float(center), u)
                     assert got == numpy_draw_restricted4(alpha, center, u)
 
     def test_scalar_draw_boundary_goes_left(self):
         # center 1.5: weights of 1 and 2 tie; u = 1/2 lands exactly on the
         # cumulative weight of {0, 1}, which side="left" assigns to 1
-        assert mimo._draw_restricted4(1.0, 1.5, FixedUniform(0.5)) == 1
+        assert mimo._draw_restricted4(1.0, 1.5, 0.5) == 1
         assert numpy_draw_restricted4(1.0, 1.5, 0.5) == 1
 
     def test_gram_cholesky_block_matches_permuted_qr(self, rng):
@@ -363,6 +378,82 @@ class TestSamplerDecode:
                 errs[b] += mimo.count_bit_errors(out[b], x)
         assert errs[100] <= errs[1]
         assert errs[100] >= ml_errs
+
+
+def sampler_jobs(n_tx):
+    """Klein, Gibbs and Gibbs-Klein at every block size of an n_tx channel."""
+    return [("klein", None), ("gibbs", None)] + [("gibbs-klein", m) for m in range(1, 2 * n_tx + 1)]
+
+
+class TestBlockDecoder:
+    """The decoder runs in blocks of steps; the per-step decoder it replaced
+    (`mimo_reference`) must give the same decisions and leave the stream
+    where it left it."""
+
+    @pytest.mark.parametrize("cap", [None, 1, 7], ids=["default", "cap1", "cap7"])
+    @pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+    def test_equals_per_step_reference(self, monkeypatch, n_tx, cap):
+        n = 2 * n_tx
+        drawn = []  # the iterations of each Gibbs-Klein block
+        real_draws = mcmc._permutation_draws
+
+        def permutation_draws(n, m, k, rngs):
+            drawn.append(k // -(-n // m))
+            return real_draws(n, m, k, rngs)
+
+        monkeypatch.setattr(mcmc, "_permutation_draws", permutation_draws)
+        for ebn0_db in (0.0, 15.0, 40.0):
+            cfg = mimo.MimoConfig(n_tx=n_tx, n_rx=n_tx, trials=1, ebn0_db=ebn0_db, block_sizes=(1,))
+            for seed in range(3):
+                h, _, y = mimo.generate_instance(cfg, np.random.default_rng(seed))
+                lat = mimo._trial_lattice(h, y)
+                for strategy, m in sampler_jobs(n_tx):
+                    if cap is not None:  # cap iterations a block: steps of (n, n) entries
+                        steps = 1 if strategy == "klein" else -(-n // (m or 1))
+                        monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", cap * steps * n * n)
+                    for budgets in [(1,), (1, 5, 20), (7, 3, 7, 50)]:
+                        want_rng, got_rng = (np.random.default_rng([seed, 99]) for _ in "ab")
+                        want = mimo_reference._decode_checkpoints(lat, strategy, budgets,
+                                                                  want_rng, m)
+                        drawn.clear()
+                        got = mimo._decode_checkpoints(lat, strategy, budgets, got_rng, m)
+                        case = (ebn0_db, seed, strategy, m, budgets)
+                        assert list(got) == list(want), case
+                        for t in want:
+                            assert np.array_equal(got[t], want[t]), case + (t,)
+                        assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+                        if strategy == "gibbs-klein" and cap is not None:
+                            last = max(budgets)
+                            assert drawn == [min(cap, last - s) for s in range(0, last, cap)]
+
+    def test_per_trial_bit_errors_equal_reference(self, monkeypatch):
+        # the whole experiment, every decoder, at the default step blocks
+        cfg = mimo.MimoConfig(trials=25, seed=4, block_sizes=(1, 3, 5, 8))
+        got = mimo.ber_experiment_detailed(cfg)[1]
+        monkeypatch.setattr(mimo, "_decode_checkpoints", mimo_reference._decode_checkpoints)
+        want = mimo.ber_experiment_detailed(cfg)[1]
+        assert list(got) == list(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("strategy, m", [("klein", None), ("gibbs", None),
+                                             ("gibbs-klein", 2)])
+    def test_memory_flat_in_iterations(self, monkeypatch, strategy, m):
+        # a 1x1 channel, the cheapest to trace, with blocks of 128 or 256
+        # iterations (at the default cap one block would span 8,192-16,384);
+        # m = 2 = n forms its centers in numpy, the largest block arrays
+        monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", 2**10)
+        cfg = mimo.MimoConfig(n_tx=1, n_rx=1, trials=1, block_sizes=(1,))
+        h, _, y = mimo.generate_instance(cfg, np.random.default_rng(3))
+        peaks = []
+        for iterations in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                mimo.sampler_decode(h, y, strategy, iterations, np.random.default_rng(4), m)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestBerExperiment:
