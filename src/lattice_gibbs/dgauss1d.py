@@ -125,15 +125,27 @@ def invert(alpha: float, half: int, center: float, u: float) -> int:
     running weight reaches u times the window's total, for an alpha and a
     center `sample` accepts and half = window_half(alpha) as an int.
 
-    A window of at most LOOP_MAX_POINTS points is walked in a plain Python
-    loop with no table; a wider one goes through `sample_rows`' kernel as one
-    row. Both weigh each point relative to the one at window_mid(c), the
-    peak.
+    A window of at most LOOP_MAX_POINTS points takes the running weights of
+    `running_weights`, a plain Python loop; a wider one goes through
+    `sample_rows`' kernel as one row. Both weigh each point relative to the
+    one at window_mid(c), the peak.
     math.exp and numpy's exp may differ in the last bit, which moves a draw
     only when u lies within about one ulp of a cumulative boundary.
     """
     if 2 * half >= LOOP_MAX_POINTS:
         return int(_invert_rows(alpha, half, np.array([center]), np.array([u]))[0])
+    first, cum = running_weights(alpha, half, center)
+    # u * cum[-1] <= cum[-1], so the search stays inside the window
+    return first + bisect_left(cum, u * cum[-1])
+
+
+def running_weights(alpha: float, half: int, center: float) -> tuple[int, list[float]]:
+    """The first point, window_mid(c) - half, of a window `invert` walks in its
+    loop (2 half < LOOP_MAX_POINTS), and the running sums of the window's
+    weights relative to the peak one, left to right. The draw on u is
+    first + bisect_left(cum, u * cum[-1]); a caller that keeps the pair may
+    draw again from it on any u, bit for bit as `invert`.
+    """
     den = 2.0 * alpha * alpha
     mid = window_mid(center)
     d = mid - center
@@ -145,8 +157,7 @@ def invert(alpha: float, half: int, center: float, u: float) -> int:
         d = k - center
         acc += exp(-(d * d) / den - top)
         cum.append(acc)
-    # u * acc <= acc = cum[-1], so the search stays inside the window
-    return mid - half + bisect_left(cum, u * acc)
+    return mid - half, cum
 
 
 def checked_halves(alphas: np.ndarray) -> np.ndarray:

@@ -12,10 +12,13 @@ bit for bit: the Gibbs-Klein ensemble's rows are chains. `run_chain` runs one
 chain in blocks of consecutive steps (`_chain_block`), bit for bit with the
 scalar steps. A block takes its steps' randomness from the stream and forms
 in numpy all that reads no state: the ordered blocks, their factors, alphas
-and window halves. Per step only the centers and the 1-D walks
-(`dgauss1d.invert`) stay in Python, and at m = n, where no step reads the
-state, the steps are rows of the ensemble's pass. On the 8-D benchmark chain
-Gibbs runs 114k steps/s where the scalar step made 69k.
+and window halves. Per step only the centers and the 1-D draws stay in
+Python, and at m = n, where no step reads the state, the steps are rows of
+the ensemble's pass. Below smoothing a chain sits on a few lattice points and
+meets the same 1-D windows again and again, so each run keeps the windows it
+has walked (`dgauss1d.running_weights`) in a bounded memo and draws a repeat
+by one bisection. On the 8-D benchmark chain Gibbs runs 168k steps/s,
+where the step blocks without the memo made 113k and the scalar step 69k.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -47,6 +51,10 @@ MAX_KERNEL_ENUM_DIM = 7
 # the number of steps. 1,024 steps at n = 8, which ran 4,000 benchmark steps
 # of the m = n chain at about 91k steps/s where 128-step blocks made 50-70k.
 ROW_BLOCK_ENTRIES = 2**16
+# Walked windows (`dg.running_weights`, keyed by (alpha, center)) one
+# `run_chain` call keeps at most; a full memo is cleared. 1,024 windows of at
+# most 63 points are about 2 MB.
+WINDOW_MEMO_ENTRIES = 1024
 
 
 def start_state(x0, n: int) -> np.ndarray:
@@ -144,10 +152,13 @@ def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, perm: np.ndarray,
     x[np.arange(k)[:, None], perm[:, :m]] = z
 
 
-def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng) -> None:
+def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng,
+                 memo: dict) -> None:
     """Fill states[1:] with the steps of one chain that follow states[0],
     equal to the scalar steps (`gibbs_step` if gibbs, else `gibbs_klein_step`)
-    bit for bit, taking from rng what they take, in their order.
+    bit for bit, taking from rng what they take, in their order. memo maps
+    (alpha, center) to `dg.running_weights`' walk of that window, and is
+    filled as windows are met.
 
     1. The stream, step by step: Gibbs's coordinate and uniform, or
        Gibbs-Klein's permutation and block_size uniforms.
@@ -155,8 +166,11 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng) ->
        the ordered blocks and rests, their factors (`block_factor_rows`),
        alphas and window halves, checked as `dg.sample` checks them.
     3. Per step, in Python: the centers, subtracting one term at a time in
-       `block_conditional`'s and `backward_sample_into`'s order, and
-       `dg.invert` on the step's uniforms.
+       `block_conditional`'s and `backward_sample_into`'s order, and the
+       draws on the step's uniforms: `dg.invert`'s rule on the memo's walk
+       of the window, walked and kept on a miss. A window of LOOP_MAX_POINTS
+       or more points is not kept; `dg.invert` draws it through its one-row
+       kernel, whose weights a Python walk might round apart from.
     At m = n no step reads the state, so the steps are rows of
     `_block_step_rows`.
     Any input a scalar step refuses raises a ValueError here too, though not
@@ -184,7 +198,15 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng) ->
     if gibbs:  # step t reads row i_t
         rows = [map(col.__getitem__, coords) for col in rows]
     steps = zip(*rows, us.tolist())
-    gram, bc, big, invert = cfg.gram, cfg.bc, dg.MAX_CENTER, dg.invert
+    gram, bc, big, invert, loop = cfg.gram, cfg.bc, dg.MAX_CENTER, dg.invert, dg.LOOP_MAX_POINTS
+    cap = WINDOW_MEMO_ENTRIES
+
+    def walk(a, h, center):  # a memo miss: walk the window and keep it
+        if len(memo) >= cap:
+            memo.clear()
+        memo[a, center] = pair = dg.running_weights(a, h, center)
+        return pair
+
     x = states[0].tolist()
     out = []  # the states after each step, flat
     if m == 1:  # the loops below, unrolled
@@ -196,7 +218,11 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng) ->
             center = acc / r / r
             if not -big < center < big:  # also NaN
                 dg._check(a, center)  # raises `dg.sample`'s error
-            x[b] = invert(a, h, center, v)
+            if 2 * h < loop:
+                first, cum = memo.get((a, center)) or walk(a, h, center)
+                x[b] = first + bisect_left(cum, v * cum[-1])
+            else:
+                x[b] = invert(a, h, center, v)
             out.extend(x)
     else:
         z = [0] * m
@@ -216,9 +242,14 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng) ->
                 for j in range(i + 1, m):
                     acc -= row[j] * z[j]
                 center = acc / row[i]
+                ai, hi, vi = a[i], h[i], v[m - 1 - i]
                 if not -big < center < big:
-                    dg._check(a[i], center)
-                z[i] = invert(a[i], h[i], center, v[m - 1 - i])
+                    dg._check(ai, center)
+                if 2 * hi < loop:
+                    first, cum = memo.get((ai, center)) or walk(ai, hi, center)
+                    z[i] = first + bisect_left(cum, vi * cum[-1])
+                else:
+                    z[i] = invert(ai, hi, center, vi)
             for b, zb in zip(block, z):
                 x[b] = zb
             out.extend(x)
@@ -301,6 +332,12 @@ def run_chain(
     states and the stream are the scalar step loop's, whatever the block
     size. A block that raises is redone by the scalar steps, which raise the
     first bad step's own error.
+
+    The blocks share one memo of the 1-D windows walked in this call, so a
+    window the chain meets again is drawn without its exp calls. It holds
+    at most WINDOW_MEMO_ENTRIES windows of under LOOP_MAX_POINTS points, is
+    cleared when full, and is dropped on return: memory stays flat in the
+    steps and in sigma, and no call sees another's windows.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -316,11 +353,11 @@ def run_chain(
     states = np.empty((steps + 1, n), dtype=np.int64)
     states[0] = start_state(x0, n)
     per = max(1, ROW_BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
-    done = 0  # steps drawn in blocks
+    done, memo = 0, {}  # steps drawn in blocks; windows walked
     try:
         for done in range(0, steps, per):
             saved = rng.bit_generator.state
-            _chain_block(cfg, kernel == "gibbs", states[done : done + 1 + per], rng)
+            _chain_block(cfg, kernel == "gibbs", states[done : done + 1 + per], rng, memo)
         done = steps
     except ValueError:  # the scalar steps below redo the block and raise
         rng.bit_generator.state = saved

@@ -68,6 +68,10 @@ GRAY_BITS = ((0, 0), (0, 1), (1, 1), (1, 0))
 _GRAY_TABLE = np.array(GRAY_BITS, dtype=np.int8)
 
 SAMPLER_DECODERS = ("klein", "gibbs", "gibbs-klein")
+# Largest noise variance per real dimension a config accepts (Eb/N0 about
+# -2999.03 dB): a trial's squared residuals, sums of 2 n_rx squared noise
+# entries, then stay far below the float maximum of about 1.8e308.
+MAX_NOISE_VARIANCE = 1e300
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,11 @@ class MimoConfig:
             variance = math.inf
         if not math.isfinite(variance):
             raise ValueError(f"ebn0_db {self.ebn0_db} is too low: the noise variance overflows")
+        if variance > MAX_NOISE_VARIANCE:
+            raise ValueError(
+                f"ebn0_db {self.ebn0_db} is too low: its noise variance {variance:.4g} is above "
+                f"{MAX_NOISE_VARIANCE:g}, where squared residuals may overflow"
+            )
         known = {"zf", "ml", *SAMPLER_DECODERS}
         unknown = set(self.decoders) - known
         if unknown:

@@ -656,6 +656,8 @@ class TestMimoCommand:
         (["--decoders", "zf,klein,klein"], "repeated decoders: ['zf', 'klein', 'klein']"),
         (["--block-sizes", "2,2"], "repeated block sizes: [2, 2]"),
         (["--ebn0-db=-4000"], "ebn0_db -4000.0 is too low: the noise variance overflows"),
+        (["--ebn0-db=-3070"], "ebn0_db -3070.0 is too low: its noise variance 1.25e+307 is "
+                              "above 1e+300, where squared residuals may overflow"),
     ])
     def test_bad_config_rejected_without_output(self, tmp_path, capsys, flags, message):
         out = str(tmp_path / "never.csv")

@@ -189,6 +189,22 @@ class TestSample:
         assert (widths <= dg.LOOP_MAX_POINTS).mean() > 0.5
         assert (widths > dg.LOOP_MAX_POINTS).sum() > 200
 
+    @pytest.mark.parametrize("alpha", [0.42, 2.0, 3.9])  # windows of 11, 35 and 63 points
+    def test_signed_zero_centers_share_one_walk(self, alpha):
+        # 0.0 and -0.0 are one key of a memo on (alpha, center), so the walk
+        # kept for one serves the other: it must be the same walk, bit for
+        # bit, and draw the same point as `invert` on either for every u
+        assert hash((alpha, 0.0)) == hash((alpha, -0.0)) and (alpha, 0.0) == (alpha, -0.0)
+        half = int(dg.window_half(alpha))
+        first, cum = dg.running_weights(alpha, half, 0.0)
+        signed_first, signed_cum = dg.running_weights(alpha, half, -0.0)
+        assert (signed_first, [w.hex() for w in signed_cum]) == (first, [w.hex() for w in cum])
+        edges = np.array(cum) / cum[-1]
+        uniforms = np.concatenate([[0.0], np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+        for u in uniforms[uniforms < 1.0].tolist():
+            kept = first + bisect_left(cum, u * cum[-1])
+            assert kept == dg.invert(alpha, half, 0.0, u) == dg.invert(alpha, half, -0.0, u), u
+
     @pytest.mark.parametrize("alpha, center", [
         (3.3217965297954906, 7.138101868638525),  # 55 points: the loop
         (14.44, 0.28),  # 225 points: the row kernel

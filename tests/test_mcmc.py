@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,12 +474,20 @@ class TestRunChain:
             messages.add(str(rows.value).split()[0])
         assert messages == {"alpha", "center"}
 
-    # step blocks of 1 step, of 7 steps (n <= 8), and the module's own (>= 40)
-    @pytest.mark.parametrize("entries", [1, 7 * dg.LOOP_MAX_POINTS, None])
+    # step blocks of 1 step, of 7 steps (n <= 8), and the module's own (>= 40);
+    # then 7-step blocks with window memos of 1 and of 2 windows, which miss
+    # at nearly every draw and are cleared again and again
+    @pytest.mark.parametrize("entries, memo", [
+        *(pytest.param(e, None, id=str(e)) for e in (1, 7 * dg.LOOP_MAX_POINTS, None)),
+        *(pytest.param(7 * dg.LOOP_MAX_POINTS, c, id=f"{7 * dg.LOOP_MAX_POINTS}-memo{c}")
+          for c in (1, 2)),
+    ])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_every_kernel_chain_is_the_scalar_step_loop(self, monkeypatch, n, entries):
+    def test_every_kernel_chain_is_the_scalar_step_loop(self, monkeypatch, n, entries, memo):
         if entries is not None:
             monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", entries)
+        if memo is not None:
+            monkeypatch.setattr(mcmc, "WINDOW_MEMO_ENTRIES", memo)
 
         def no_scalar_step(*args):
             raise AssertionError("a step block was redone by the scalar steps")
@@ -503,10 +512,12 @@ class TestRunChain:
     @pytest.mark.parametrize("kernel, m", [("gibbs", None), ("gibbs-klein", 1),
                                            ("gibbs-klein", 2)])
     @pytest.mark.parametrize("bad", ["center", "alpha"])
-    def test_every_kernel_chain_fails_as_the_scalar_step_loop(self, kernel, m, bad):
+    def test_every_kernel_chain_fails_as_the_scalar_step_loop(self, monkeypatch, kernel, m, bad):
         # coordinate 4's center is past 2**53, or coordinate 5's window past
         # MAX_WINDOW_POINTS, so the first step that draws it fails. All 40
-        # steps are one block, and some chains fail after good steps of it
+        # steps are one block, and some chains fail after good steps of it.
+        # Each chain runs with the module's window memo and with memos of 1
+        # and 2 windows
         if bad == "center":
             basis = LatticeBasis.identity(6)
             target = GaussianParams(1.0, np.array([0.0] * 4 + [1e19, 0.0]))
@@ -517,16 +528,83 @@ class TestRunChain:
         cfg = mcmc.GibbsKleinConfig(basis, target, m or 1)
         good_steps = []  # steps before the bad one
         for seed in range(10):
-            with pytest.raises(ValueError) as blocks:
-                mcmc.run_chain(kernel, basis, target, [0] * 6, 40,
-                               np.random.default_rng(seed), block_size=m)
             x, rng = [0] * 6, np.random.default_rng(seed)
             with pytest.raises(ValueError, match=f"^{bad} ") as scalar:
                 for t in range(40):
                     step(cfg, x, rng)
-            assert str(blocks.value) == str(scalar.value), seed
+            for memo in (mcmc.WINDOW_MEMO_ENTRIES, 1, 2):
+                monkeypatch.setattr(mcmc, "WINDOW_MEMO_ENTRIES", memo)
+                got_rng = np.random.default_rng(seed)
+                with pytest.raises(ValueError) as blocks:
+                    mcmc.run_chain(kernel, basis, target, [0] * 6, 40, got_rng, block_size=m)
+                assert str(blocks.value) == str(scalar.value), (seed, memo)
+                assert got_rng.bit_generator.state == rng.bit_generator.state, (seed, memo)
             good_steps.append(t)
         assert max(good_steps) > 0
+
+    @staticmethod
+    def _counting_walks(monkeypatch) -> list:
+        """Count `dg.running_weights` calls, the window memo's misses, into a
+        list whose last entry is the current count."""
+        walks = [0]
+        running_weights = dg.running_weights
+
+        def counting(*args):
+            walks[-1] += 1
+            return running_weights(*args)
+        monkeypatch.setattr(dg, "running_weights", counting)
+        return walks
+
+    @pytest.mark.parametrize("kernel, m", [("gibbs", None), ("gibbs-klein", 1),
+                                           ("gibbs-klein", 2)])
+    def test_one_center_at_different_alphas_draws_from_each_window(self, kernel, m):
+        # a diagonal basis and a zero center: every conditional center is
+        # 0.0, and the coordinates' alphas 2, 1, 0.5 and 0.25 give windows of
+        # 35 to 7 points, so windows kept by center alone would be drawn from
+        # at the wrong alpha
+        basis = LatticeBasis.from_matrix(np.diag([0.5, 1.0, 2.0, 4.0]))
+        target = GaussianParams(1.0, np.zeros(4))
+        ref = self._scalar_chain(kernel, basis, target, [0] * 4, 400, np.random.default_rng(3), m)
+        got = mcmc.run_chain(kernel, basis, target, [0] * 4, 400, np.random.default_rng(3),
+                             block_size=m)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("kernel, m, n, scale", [("gibbs", None, 8, 1.0),
+                                                     ("gibbs-klein", 2, 4, 0.5)])
+    def test_memory_flat_in_steps(self, monkeypatch, kernel, m, n, scale):
+        # a dense basis at sigma a multiple of its longest vector, where few
+        # windows repeat, so the window memo fills and is cleared again and
+        # again. Only the (steps + 1, n) states returned may grow with the
+        # steps
+        rng = np.random.default_rng(7)
+        basis = LatticeBasis.from_matrix(rng.normal(size=(n, n)))
+        sigma = scale * float(np.linalg.norm(basis.matrix, axis=0).max())
+        target = GaussianParams(sigma, rng.normal(size=n))
+        walks, peaks = self._counting_walks(monkeypatch), []
+        for steps in (2_000, 20_000):
+            walks.append(0)
+            tracemalloc.start()
+            try:
+                states = mcmc.run_chain(kernel, basis, target, [0] * n, steps,
+                                        np.random.default_rng(5), block_size=m)
+                peaks.append(tracemalloc.get_traced_memory()[1] - states.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert walks[1] > 1.5 * mcmc.WINDOW_MEMO_ENTRIES, walks  # full at 2,000 steps
+        assert walks[2] > 15 * mcmc.WINDOW_MEMO_ENTRIES, walks
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_window_memo_is_per_run(self, monkeypatch, basis_2d, target_2d):
+        # a second run of the same chain walks every window again: nothing
+        # the first run kept serves it
+        walks = self._counting_walks(monkeypatch)
+        runs = []
+        for _ in range(2):
+            walks.append(0)
+            runs.append(mcmc.run_chain("gibbs", basis_2d, target_2d, (0, 0), 500,
+                                       np.random.default_rng(1)))
+        assert np.array_equal(*runs)
+        assert 0 < walks[1] == walks[2] < 500, walks
 
     def test_single_chain_converges_above_smoothing(self):
         # sigma just above the smoothing threshold; T = 2e4 keeps the

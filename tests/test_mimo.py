@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -128,8 +127,20 @@ class TestGenerateInstance:
         # 10^400 overflows in the power, 2.5 * 10^308 in the product after it
         with pytest.raises(ValueError, match="the noise variance overflows"):
             mimo.MimoConfig(trials=1, ebn0_db=ebn0_db)
-        cfg = mimo.MimoConfig(trials=1, ebn0_db=-3070.0)
-        assert math.isfinite(mimo.noise_variance_per_real_dim(cfg.ebn0_db))
+
+    def test_rejects_noise_whose_squared_residuals_overflow(self):
+        # -3070 dB: a finite variance of 1.25e307, whose squared residuals
+        # overflowed in the ZF cost of every trial
+        with pytest.raises(ValueError, match=r"^ebn0_db -3070.0 is too low: its noise variance "
+                                             r"1.25e\+307 is above 1e\+300, where squared"):
+            mimo.MimoConfig(trials=4, ebn0_db=-3070.0, seed=3, decoders=("zf", "gibbs-klein"))
+        with pytest.raises(ValueError, match="is above 1e\\+300"):
+            mimo.MimoConfig(trials=1, ebn0_db=-2999.04)  # variance 1.002e300
+        # the edge, variance 9.998e299, runs every decoder with no
+        # RuntimeWarning (an error in this suite)
+        cfg = mimo.MimoConfig(trials=4, ebn0_db=-2999.03, seed=3, block_sizes=(1, 3, 8))
+        assert mimo.noise_variance_per_real_dim(cfg.ebn0_db) <= mimo.MAX_NOISE_VARIANCE
+        assert all(row.trials == 4 for row in mimo.ber_experiment_detailed(cfg)[0].rows)
 
 
 class TestBaselineDecoders:
