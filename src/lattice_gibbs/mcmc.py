@@ -17,8 +17,10 @@ Python, and at m = n, where no step reads the state, the steps are rows of
 the ensemble's pass. Below smoothing a chain sits on a few lattice points and
 meets the same 1-D windows again and again, so each run keeps the windows it
 has walked (`dgauss1d.running_weights`) in a bounded memo and draws a repeat
-by one bisection. On the 8-D benchmark chain Gibbs runs 168k steps/s,
-where the step blocks without the memo made 113k and the scalar step 69k.
+by one bisection, and a Gibbs block decodes its coordinates and uniforms
+from one `random_raw` call (`_gibbs_draws`). On the 8-D benchmark chain
+Gibbs runs 309k steps/s, where the memo alone made 166-168k, the step
+blocks without it 113k and the scalar step 69k.
 """
 
 from __future__ import annotations
@@ -121,16 +123,58 @@ def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Gener
     _block_step(cfg, x, order[:m], order[m:], rng)
 
 
+def _gibbs_draws(rng: np.random.Generator, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """What k `gibbs_step` calls take from rng, `integers(n)` then `random()`
+    each, as (k,) int64 coordinates and (k,) uniforms; rng's state ends as
+    theirs leaves it.
+
+    On PCG64 with n < 2**32 the block is one `random_raw` call, decoded as
+    numpy decodes it: `integers(n)` is Lemire's multiply-shift on a 32-bit
+    half (low half of a fresh word first, the high half held for the next
+    one; `integers(1)` takes nothing) and `random()` a whole word's top 53
+    bits. Any other generator, or a Lemire rejection in the block, restores
+    the state and makes the calls one by one.
+    """
+    bg = rng.bit_generator
+    if type(bg) is np.random.PCG64 and 0 < n < 2**32:
+        if n == 1:
+            return np.zeros(k, np.int64), (bg.random_raw(k) >> 11) * 2.0**-53
+        saved = bg.state
+        held = min(saved["has_uint32"], k)  # step 0 takes the held half
+        raw = bg.random_raw(k + (k - held + 1) // 2)
+        fresh = raw[held::3]  # the words whose halves integers(n) takes
+        halves = np.empty(k, np.uint64)
+        halves[:held] = saved["uinteger"]
+        halves[held::2] = fresh & 0xFFFFFFFF
+        halves[held + 1 :: 2] = fresh[: (k - held) // 2] >> 32
+        scaled = halves * np.uint64(n)
+        if not ((scaled & 0xFFFFFFFF) < (2**32 - n) % n).any():  # no rejection
+            state = bg.state  # random_raw moved the core; set the held half
+            state["has_uint32"] = (saved["has_uint32"] + k) & 1
+            if fresh.size:  # numpy keeps a used half's value
+                state["uinteger"] = int(fresh[-1] >> 32)
+            bg.state = state
+            words = np.delete(raw, np.s_[held::3])  # random()'s
+            return (scaled >> 32).astype(np.int64), (words >> 11) * 2.0**-53
+        bg.state = saved
+    integers, random = rng.integers, rng.random
+    draws = [(integers(n), random()) for _ in range(k)]
+    return np.array([i for i, _ in draws], np.int64), np.array([v for _, v in draws])
+
+
 def _permutation_draws(n: int, m: int, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """What k `gibbs_klein_step` calls take from their streams, step r from
     rngs[r]: a permutation of n and then m uniforms, as (k, n) and (k, m)
     arrays. Rows may share one stream (`itertools.repeat(rng)`): they then
-    draw in row order."""
-    perm, us = np.tile(np.arange(n), (k, 1)), np.empty((k, m))
-    for row, row_us, rng in zip(perm, us, rngs):
-        rng.shuffle(row)  # what rng.permutation(n) does to arange(n)
+    draw in row order. A Python list shuffles as `rng.permutation(n)`
+    shuffles arange(n), one `random_interval` per swap, at half the cost."""
+    base, flat, us = list(range(n)), [], np.empty((k, m))
+    for row_us, rng in zip(us, rngs):
+        row = base[:]
+        rng.shuffle(row)
         rng.random(out=row_us)
-    return perm, us
+        flat += row
+    return np.array(flat, dtype=np.int64).reshape(k, n), us
 
 
 def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, perm: np.ndarray,
@@ -160,8 +204,9 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng,
     (alpha, center) to `dg.running_weights`' walk of that window, and is
     filled as windows are met.
 
-    1. The stream, step by step: Gibbs's coordinate and uniform, or
-       Gibbs-Klein's permutation and block_size uniforms.
+    1. The stream, in the steps' order: Gibbs's coordinates and uniforms,
+       decoded all at once (`_gibbs_draws`), or step by step Gibbs-Klein's
+       permutation and block_size uniforms (`_permutation_draws`).
     2. What reads no state, over all steps (Gibbs: all coordinates) at once:
        the ordered blocks and rests, their factors (`block_factor_rows`),
        alphas and window halves, checked as `dg.sample` checks them.
@@ -178,10 +223,9 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng,
     """
     n, m, k = cfg.basis.n, cfg.block_size, len(states) - 1
     if gibbs:  # one row per coordinate i: block [i], rest ascending
-        integers, random = rng.integers, rng.random
-        draws = [(int(integers(n)), random()) for _ in range(k)]
+        coords, us = _gibbs_draws(rng, n, k)
+        coords, us = coords.tolist(), us[:, None]
         perm = np.array([[i] + [j for j in range(n) if j != i] for i in range(n)])
-        coords, us = [i for i, _ in draws], np.array([v for _, v in draws])[:, None]
     else:  # one row per step
         perm, us = _permutation_draws(n, m, k, itertools.repeat(rng))
         if m == n:

@@ -53,7 +53,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from math import exp
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -297,6 +297,13 @@ def _draw_restricted4(alpha: float, center: float, u: float) -> int:
     return 0 if v <= c0 else 1 if v <= c1 else 2 if v <= c2 else 3
 
 
+def _dot(a, b) -> float:
+    """sum(a_i b_i) over two float lists, added left to right. The builtin
+    `sum` adds floats with compensation from Python 3.12 on, which would
+    make the decisions depend on the Python version."""
+    return functools.reduce(add, map(mul, a, b), 0.0)
+
+
 @dataclass(frozen=True)
 class _TrialLattice:
     """One trial's CVP(g, t), in the forms the sampler decoders read.
@@ -378,7 +385,7 @@ def _decode_checkpoints(
                 k[i] = new
                 moved = True
         if moved:
-            cost = sum(map(mul, resid, resid))
+            cost = _dot(resid, resid)
             if cost < best_cost:
                 best_cost, best_k = cost, k[:]
 
@@ -393,8 +400,8 @@ def _decode_checkpoints(
     for start in range(0, last, per_block):
         iters = min(per_block, last - start)
         if strategy == "gibbs":
-            integers, random = rng.integers, rng.random
-            steps = [(int(integers(n)), random()) for _ in range(iters * n)]
+            coords, us = mcmc._gibbs_draws(rng, n, iters * n)
+            steps = zip(coords.tolist(), us.tolist())
         elif strategy == "klein":  # the block 0..n-1, whose centers are lat.c0
             steps = [(*klein, v) for v in rng.random((iters, n)).tolist()]
         else:
@@ -412,7 +419,7 @@ def _decode_checkpoints(
         for iteration, its_steps in enumerate(zip(*[iter(steps)] * per_iter), start + 1):
             if strategy == "gibbs":
                 for i, v in its_steps:
-                    center = k[i] - sum(map(mul, resid, cols[i])) / gram[i][i]
+                    center = k[i] - _dot(resid, cols[i]) / gram[i][i]
                     move((i,), (_draw_restricted4(col_alpha[i], center, v),))
             else:
                 for block, rest, f, a, c, v in its_steps:

@@ -29,6 +29,23 @@ def per_pair(kernel):
     return kernel_probs
 
 
+# bit generators other than the default PCG64, whose stream calls the
+# samplers make one by one
+OTHER_BIT_GENERATORS = [np.random.Philox, np.random.MT19937, np.random.SFC64]
+
+
+def stream_state(rng: np.random.Generator):
+    """rng's whole bit-generator state as nested plain values, comparable by
+    == also where it holds arrays (Philox, MT19937)."""
+
+    def plain(v):
+        if isinstance(v, dict):
+            return {key: plain(w) for key, w in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    return plain(rng.bit_generator.state)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

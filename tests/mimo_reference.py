@@ -10,12 +10,11 @@ stream by `rng.random()`.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 import numpy as np
 
 from lattice_gibbs.klein import backward_sample_into, block_conditional
-from lattice_gibbs.mimo import SAMPLER_DECODERS, _coeffs_to_symbols, _TrialLattice
+from lattice_gibbs.mimo import SAMPLER_DECODERS, _coeffs_to_symbols, _dot, _TrialLattice
 
 
 def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> int:
@@ -70,7 +69,7 @@ def _decode_checkpoints(
                 k[i] = new
                 moved = True
         if moved:
-            cost = sum(map(mul, resid, resid))
+            cost = _dot(resid, resid)
             if cost < best_cost:
                 best_cost, best_k = cost, k[:]
 
@@ -85,7 +84,7 @@ def _decode_checkpoints(
         elif strategy == "gibbs":
             for _ in range(n):
                 i = int(rng.integers(n))
-                center = k[i] - sum(map(mul, resid, cols[i])) / gram[i][i]
+                center = k[i] - _dot(resid, cols[i]) / gram[i][i]
                 move((i,), (_draw_restricted4(col_alpha[i], center, rng),))
         else:
             for _ in range(-(-n // block_size)):

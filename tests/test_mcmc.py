@@ -18,7 +18,7 @@ from lattice_gibbs.klein import (
 )
 from lattice_gibbs.linalg import LatticeBasis, SingularBasisError, permute_basis, qr_decompose
 
-from conftest import make_random_basis
+from conftest import OTHER_BIT_GENERATORS, make_random_basis, stream_state
 
 
 @pytest.fixture
@@ -393,6 +393,76 @@ class TestKernelProbs:
         assert mcmc.gibbs_kernel_prob(gibbs, [0] * big.n, [1] + [0] * (big.n - 1)) > 0.0
 
 
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its `integers` calls, the per-step draws."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.integer_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return super().integers(*args, **kwargs)
+
+
+class TestGibbsDraws:
+    """`_gibbs_draws` is k pairs of `integers(n)` and `random()` calls: the
+    same values, and the whole stream state they leave, held half included."""
+
+    @staticmethod
+    def _per_step(rng, n, k):
+        draws = [(int(rng.integers(n)), rng.random()) for _ in range(k)]
+        return [i for i, _ in draws], [v for _, v in draws]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 13, 64, 1000, 2**31 + 1, 2**32 - 1])
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    def test_equals_per_step_calls(self, n, k, held):
+        for seed in range(3):
+            got_rng = CountingGenerator(np.random.PCG64(seed))
+            want_rng = np.random.default_rng(seed)
+            if held:  # integers(5) leaves the high half of a word held
+                got_rng.integers(5), want_rng.integers(5)
+                got_rng.integer_calls = 0
+            coords, us = mcmc._gibbs_draws(got_rng, n, k)
+            want_coords, want_us = self._per_step(want_rng, n, k)
+            assert coords.dtype == np.int64 and us.dtype == np.float64
+            assert coords.shape == us.shape == (k,)
+            assert coords.tolist() == want_coords, (n, k, seed)
+            assert us.tolist() == want_us, (n, k, seed)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (n, k, seed)
+            if n != 2**31 + 1:  # one random_raw call, decoded
+                assert got_rng.integer_calls == 0, (n, k, seed)
+            elif k == 1024:  # about half the draws reject: the restored state's calls
+                assert got_rng.integer_calls == k, (n, k, seed)
+
+    @pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_other_bit_generators_make_the_per_step_calls(self, bit_generator, n):
+        for held in (False, True):
+            got_rng, want_rng = (np.random.Generator(bit_generator(7)) for _ in "ab")
+            if held:
+                got_rng.integers(5), want_rng.integers(5)
+            coords, us = mcmc._gibbs_draws(got_rng, n, 50)
+            assert (coords.tolist(), us.tolist()) == self._per_step(want_rng, n, 50)
+            assert stream_state(got_rng) == stream_state(want_rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_permutation_draws_equal_permutation_calls(self, n):
+        # per row, what gibbs_klein_step takes: rng.permutation(n), then m
+        # uniforms; on one shared stream, and on a stream per row
+        m = max(1, n // 2)
+        for shared in (True, False):
+            rngs, refs = ([np.random.default_rng(n)] * 5 if shared else
+                          [np.random.default_rng([n, r]) for r in range(5)] for _ in "ab")
+            perm, us = mcmc._permutation_draws(n, m, 5, rngs)
+            assert perm.dtype == np.int64 and perm.shape == (5, n) and us.shape == (5, m)
+            for r, ref in enumerate(refs):
+                assert perm[r].tolist() == ref.permutation(n).tolist(), (n, shared, r)
+                assert us[r].tolist() == ref.random(m).tolist(), (n, shared, r)
+            assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in refs]
+
+
 class TestRunChain:
     def test_zero_steps(self, basis_2d, target_2d, rng):
         states = mcmc.run_chain("gibbs", basis_2d, target_2d, (1, 2), 0, rng)
@@ -454,7 +524,7 @@ class TestRunChain:
                                          block_size=n)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, ref), (seed, sigma, steps)
-                assert got_rng.random() == ref_rng.random()  # the same stream was taken
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_full_block_chain_fails_as_the_scalar_step_loop(self):
         # coordinate 1's center is past 2**53 and coordinate 2's window past
@@ -507,7 +577,26 @@ class TestRunChain:
                     got = mcmc.run_chain(kernel, basis, target, x0, steps, got_rng, block_size=m)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, ref), (kernel, m, seed, sigma, steps)
-                assert got_rng.random() == ref_rng.random()  # the same stream was taken
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_chain_on_other_bit_generators_is_the_scalar_step_loop(self, monkeypatch,
+                                                                   bit_generator, n):
+        # the stream draws fall back to the per-step calls, in 7-step blocks
+        monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", 7 * dg.LOOP_MAX_POINTS)
+        rng = np.random.default_rng(n)
+        basis = make_random_basis(rng, n)
+        target = GaussianParams(0.8, rng.uniform(-1, 1, n))
+        for kernel, m in [("gibbs", None), ("gibbs-klein", 1), ("gibbs-klein", n)]:
+            got_rng, ref_rng = (np.random.Generator(bit_generator(5)) for _ in "ab")
+            ref = self._scalar_chain(kernel, basis, target, [0] * n, 40, ref_rng, m)
+            with monkeypatch.context() as patch:  # no block is redone by the scalar steps
+                patch.setattr(mcmc, "gibbs_step", None)
+                patch.setattr(mcmc, "gibbs_klein_step", None)
+                got = mcmc.run_chain(kernel, basis, target, [0] * n, 40, got_rng, block_size=m)
+            assert np.array_equal(got, ref), (kernel, m)
+            assert stream_state(got_rng) == stream_state(ref_rng), (kernel, m)
 
     @pytest.mark.parametrize("kernel, m", [("gibbs", None), ("gibbs-klein", 1),
                                            ("gibbs-klein", 2)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mimo_reference
+from conftest import OTHER_BIT_GENERATORS, stream_state
 from lattice_gibbs import mcmc, mimo, oracle
 from lattice_gibbs.klein import GaussianParams, block_conditional
 from lattice_gibbs.linalg import LatticeBasis, qr_decompose
@@ -263,6 +264,17 @@ class TestInnerLoop:
         assert mimo._draw_restricted4(1.0, 1.5, 0.5) == 1
         assert numpy_draw_restricted4(1.0, 1.5, 0.5) == 1
 
+    def test_dot_adds_left_to_right(self, rng):
+        # ten terms of 0.1 add up to 0.9999999999999999 one at a time; a
+        # compensated sum (the builtin `sum` from Python 3.12 on) gives 1.0
+        assert mimo._dot([0.1] * 10, [1.0] * 10) == 0.9999999999999999
+        for _ in range(100):
+            a, b = rng.normal(size=(2, 8)).tolist()
+            acc = 0.0
+            for x, y in zip(a, b):
+                acc += x * y
+            assert mimo._dot(a, b) == acc
+
     def test_gram_cholesky_block_matches_permuted_qr(self, rng):
         worst_r = worst_c = 0.0
         for n_tx in (1, 2, 3, 4):
@@ -436,6 +448,23 @@ class TestBlockDecoder:
                         if strategy == "gibbs-klein" and cap is not None:
                             last = max(budgets)
                             assert drawn == [min(cap, last - s) for s in range(0, last, cap)]
+
+    @pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+    def test_other_bit_generators_equal_reference(self, monkeypatch, bit_generator):
+        # the Gibbs draws fall back to the per-step calls; blocks of 7 iterations
+        cfg = mimo.MimoConfig(n_tx=2, n_rx=2, trials=1, block_sizes=(1,))
+        h, _, y = mimo.generate_instance(cfg, np.random.default_rng(0))
+        lat = mimo._trial_lattice(h, y)
+        for strategy, m in sampler_jobs(2):
+            steps = 1 if strategy == "klein" else -(-4 // (m or 1))
+            monkeypatch.setattr(mcmc, "ROW_BLOCK_ENTRIES", 7 * steps * 4 * 4)
+            want_rng, got_rng = (np.random.Generator(bit_generator(3)) for _ in "ab")
+            want = mimo_reference._decode_checkpoints(lat, strategy, (1, 5, 20), want_rng, m)
+            got = mimo._decode_checkpoints(lat, strategy, (1, 5, 20), got_rng, m)
+            assert list(got) == list(want), (strategy, m)
+            for t in want:
+                assert np.array_equal(got[t], want[t]), (strategy, m, t)
+            assert stream_state(got_rng) == stream_state(want_rng), (strategy, m)
 
     def test_per_trial_bit_errors_equal_reference(self, monkeypatch):
         # the whole experiment, every decoder, at the default step blocks
