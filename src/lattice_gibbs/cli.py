@@ -360,6 +360,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except (ValueError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

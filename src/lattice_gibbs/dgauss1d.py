@@ -237,6 +237,16 @@ BLOCK_ENTRIES = 8192
 # cumsum costs about 3.5 ns an entry. They break even near 128 rows at every
 # window width measured (9 to 513 points).
 COLUMN_MIN_ROWS = 128
+# A `sample_rows` call of at least GROUP_MIN_ROWS rows whose centers repeat
+# forms each distinct center's window once (`_grouped`). Below smoothing,
+# Klein's rows land on few lattice points: on chains-n8, 1-29 distinct centers
+# a coordinate in 8,000 rows. A distinct center costs about 4.6 us, what the
+# blocks spend on about 500 window entries, so a call may have one per
+# GROUP_ENTRIES_PER_CENTER entries of its rows' windows, and at most
+# BLOCK_ENTRIES // window. The Gibbs ensemble's calls, at most about 333 rows
+# at 1,000 chains, stay below GROUP_MIN_ROWS: grouping gained nothing there.
+GROUP_MIN_ROWS = 512
+GROUP_ENTRIES_PER_CENTER = 1024
 
 
 def _checked_rows(alpha: float, centers) -> tuple[np.ndarray, int]:
@@ -272,49 +282,107 @@ def sample_rows(alpha: float, centers: np.ndarray, rng: np.random.Generator) -> 
     """One inversion draw per row from D_{Z, alpha, centers[i]}, as `sample`
     draws on its uniform: the smallest window point whose running weight
     reaches u times the row's total. All uniforms come from one
-    rng.random(n), so blocking cannot change the draws."""
+    rng.random(n), so neither blocking nor grouping rows by center can
+    change the draws."""
     centers, half = _checked_rows(alpha, centers)
     return _invert_rows(alpha, half, centers, rng.random(centers.shape[0]))
 
 
 def _invert_rows(alpha: float, half: int, centers: np.ndarray, u_all: np.ndarray) -> np.ndarray:
     """The draws of `sample_rows` on given uniforms u_all, for checked inputs
-    and half = window_half(alpha).
-
-    frac = c - window_mid(c) is exact, so offs - frac is
-    (window_mid(c) + offs) - c bit for bit, and |frac| <= 1/2 puts the peak
-    exponent -frac^2 / (2 alpha^2) at offset 0: the weights are the table's,
-    each relative to the peak one.
-
-    A block of at least COLUMN_MIN_ROWS rows is laid out window-major,
-    (window, rows), and forms its running sums one window point at a time,
-    each one add over all rows; a smaller block (a wide alpha, or few rows)
-    is laid out row-major and takes numpy's cumsum. Both add left to right,
-    so the sums, and the draws, are the same bits either way.
+    and half = window_half(alpha): by `_grouped` when the centers repeat
+    enough, else every row's window in blocks of about BLOCK_ENTRIES
+    entries. The running sums, and so the draws, are the same bits either way.
     """
     offs = np.arange(-half, half + 1, dtype=float)[:, None]
+    den = -(2.0 * alpha * alpha)
+    n = centers.shape[0]
+    if n >= GROUP_MIN_ROWS:
+        out = _grouped(offs, den, half, centers, u_all)
+        if out is not None:
+            return out
     size = offs.shape[0]
     per = max(1, BLOCK_ENTRIES // size)
-    den = -(2.0 * alpha * alpha)
-    out = np.empty(centers.shape[0], dtype=np.int64)
-    buf = np.empty(size * min(per, centers.shape[0]))
-    for start in range(0, centers.shape[0], per):
+    out = np.empty(n, dtype=np.int64)
+    buf = np.empty(size * min(per, n))
+    for start in range(0, n, per):
         rows = slice(start, start + per)
         base = window_mid(centers[rows])
-        frac = centers[rows] - base
-        few = base.size < COLUMN_MIN_ROWS
-        cum = buf[: size * base.size]
-        cum = cum.reshape(base.size, size).T if few else cum.reshape(size, base.size)
-        np.subtract(offs, frac, out=cum)
-        np.multiply(cum, cum, out=cum)
-        np.divide(cum, den, out=cum)
-        np.subtract(cum, (frac * frac) / den, out=cum)
-        np.exp(cum, out=cum)
-        if few:
-            np.add.accumulate(cum, axis=0, out=cum)  # cumsum's sums, without its wrapper
-        else:
-            for prev, cur in zip(cum, cum[1:]):
-                np.add(prev, cur, cur)
+        cum = _running_sums(buf, offs, centers[rows] - base, den)
         idx = np.less(cum, u_all[rows] * cum[-1]).sum(axis=0)
         out[rows] = base.astype(np.int64) + (idx - half)
+    return out
+
+
+def _running_sums(buf: np.ndarray, offs: np.ndarray, frac: np.ndarray, den: float) -> np.ndarray:
+    """The running sums of each row's window weights, left to right, as a
+    (window, rows) view of buf, for the rows with frac = c - window_mid(c),
+    window offsets offs and den = -2 alpha^2.
+
+    frac is exact, so offs - frac is (window_mid(c) + offs) - c bit for bit,
+    and |frac| <= 1/2 puts the peak exponent -frac^2 / (2 alpha^2) at offset
+    0: the weights are the table's, each relative to the peak one.
+
+    At least COLUMN_MIN_ROWS rows are laid out window-major, (window, rows),
+    and summed one window point at a time, each one add over all rows; fewer
+    (a wide alpha, or few rows) are laid out row-major and take numpy's
+    cumsum. Both add left to right, so the sums are the same bits either way.
+    """
+    size, rows = offs.shape[0], frac.shape[0]
+    few = rows < COLUMN_MIN_ROWS
+    cum = buf[: size * rows]
+    cum = cum.reshape(rows, size).T if few else cum.reshape(size, rows)
+    np.subtract(offs, frac, out=cum)
+    np.multiply(cum, cum, out=cum)
+    np.divide(cum, den, out=cum)
+    np.subtract(cum, (frac * frac) / den, out=cum)
+    np.exp(cum, out=cum)
+    if few:
+        np.add.accumulate(cum, axis=0, out=cum)  # cumsum's sums, without its wrapper
+    else:
+        for prev, cur in zip(cum, cum[1:]):
+            np.add(prev, cur, cur)
+    return cum
+
+
+def _grouped(offs: np.ndarray, den: float, half: int, centers: np.ndarray, u_all: np.ndarray):
+    """`_invert_rows`' draws with each distinct center's window formed once,
+    or None when the centers are too many for it.
+
+    The first 2 cap + 1 rows are checked first, so a call whose centers
+    seldom repeat pays for one small sort. The rows are then ordered by a
+    16-bit fold of their centers' bits (numpy's radix sort). Equal centers,
+    0.0 and -0.0 among them, fold alike and have the same window bit for bit,
+    so each run of equal centers in that order is one group; a fold collision
+    can only split a center's rows into more runs. A run's rows are inverted
+    by one searchsorted on its running sums: side 'left' counts the sums
+    below u times the total, as the blocks do.
+    """
+    size = offs.shape[0]
+    n = centers.shape[0]
+    cap = min(n * size // GROUP_ENTRIES_PER_CENTER, BLOCK_ENTRIES // size)
+    first = np.sort(centers[: 2 * cap + 1])
+    if np.count_nonzero(first[1:] != first[:-1]) >= cap:
+        return None
+    bits = (centers + 0.0).view(np.uint64)  # -0.0 + 0.0 is 0.0
+    bits ^= bits >> 32
+    bits ^= bits >> 16
+    order = np.argsort(bits.astype(np.uint16), kind="stable")
+    ordered = centers[order]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    if starts.size >= cap:
+        return None
+    firsts = np.concatenate(([0], starts))
+    reps = ordered[firsts]
+    base = window_mid(reps)
+    cum = _running_sums(np.empty(size * reps.size), offs, reps - base, den)
+    us = u_all[order]
+    draws = np.empty(n, dtype=np.int64)
+    bounds = firsts.tolist() + [n]
+    for g, low in enumerate((base.astype(np.int64) - half).tolist()):
+        rows = slice(bounds[g], bounds[g + 1])
+        sums = cum[:, g]
+        draws[rows] = np.searchsorted(sums, us[rows] * sums[-1]) + low
+    out = np.empty_like(draws)
+    out[order] = draws
     return out

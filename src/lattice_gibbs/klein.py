@@ -237,7 +237,10 @@ def klein_sample_many(
     cfg: GibbsKleinConfig, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n_draws independent passes as (n_draws, n) int64 coefficient rows (lattice
-    points B @ x), vectorized coordinate by coordinate."""
+    points B @ x), vectorized coordinate by coordinate: one `dg.sample_rows`
+    call a coordinate. Below smoothing the rows share few partial points, so
+    a coordinate's centers repeat, and the call forms each distinct 1-D
+    window once."""
     u, c = block_conditional(cfg.gram, cfg.bc, [], range(cfg.basis.n), [])
     xs = np.empty((n_draws, cfg.basis.n), dtype=np.int64)
     for i, uii, centers in backward_rows(u, c, xs):

@@ -382,6 +382,27 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             f"error: {source} must be a non-negative integer, got {shown!r}\n")
 
+    @pytest.mark.parametrize("algo, sampler", [("klein", "klein_sample_many"),
+                                               ("gibbs", "run_chain")])
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 146. TiB for an array with shape (10000000000001, 2) "
+        "and data type int64", ""])
+    def test_out_of_memory_rejected_without_output(self, skew2_file, tmp_path, capsys,
+                                                   monkeypatch, algo, sampler, message):
+        # a huge --iters fails allocating its state array; a real one is not
+        # run here, since an overcommitting kernel may grant it and run for hours
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli if algo == "klein" else cli.mcmc, sampler, no_memory)
+        out = str(tmp_path / "never.csv")
+        code = run_cli(["sample", "--basis", skew2_file, "--algo", algo, "--sigma", "1",
+                        "--iters", "10000000000000", "--output", out])
+        assert code == 1
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err == (
+            f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
     @pytest.mark.parametrize("algo", ["klein", "gibbs", "gibbs-klein"])
     def test_window_past_cap_rejected_without_output(self, tmp_path, capsys, algo):
         # a Gram-Schmidt norm of 1e-6 at sigma 1.2: alpha 1.2e6, whose 1-D

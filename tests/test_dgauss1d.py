@@ -505,10 +505,48 @@ def rows_per_block(alpha):
     return max(1, dg.BLOCK_ENTRIES // (2 * half + 1))
 
 
+def grouped_log(monkeypatch):
+    """A list that gets, for each `sample_rows` call that tries the grouped
+    path, whether the call took it."""
+    took = []
+    grouped = dg._grouped
+
+    def spy(*args):
+        out = grouped(*args)
+        took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(dg, "_grouped", spy)
+    return took
+
+
+def fold_partner(c):
+    """c's bits with bit 0 and bit 16 flipped: another center, whose bits fold
+    to c's 16-bit key in `_grouped`."""
+    return float((np.array([c]).view(np.uint64) ^ np.uint64(0x10001)).view(float)[0])
+
+
+# Few centers for the grouped path: 0.0 and -0.0 (one window), half-integer
+# ties, two centers one ulp apart (two windows), and two distinct centers
+# whose bits fold alike, in three runs of rows
+REPEATED_CENTERS = [0.0, -0.0, 2.5, -3.5, 0.3, math.nextafter(0.3, 1.0), 1.5, fold_partner(1.5)]
+
+
+def repeated_rows(n):
+    """n rows over REPEATED_CENTERS: runs of 1.5, its fold partner and 1.5
+    again, then the others cycled."""
+    third = n // 8
+    rest = np.resize(np.array(REPEATED_CENTERS[:6]), n - 3 * third)
+    return np.concatenate([np.full(third, 1.5), np.full(third, REPEATED_CENTERS[7]),
+                           np.full(third, 1.5), rest])
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.7, 9.0, 40.0])
-def test_sample_rows_equals_full_table_evaluation(alpha):
+def test_sample_rows_equals_full_table_evaluation(alpha, monkeypatch):
     # the same uniforms and bitwise the same weights, block by block, at row
-    # counts around the block boundaries; every third center is a half-integer
+    # counts around the block boundaries; every third center is a half-integer.
+    # Then few centers repeated over many rows: 8 runs of equal centers,
+    # grouped in 4,000 rows, and in 512 from alpha 1 (19-point windows) up
     b = rows_per_block(alpha)
     rng = np.random.default_rng(int(alpha * 100))
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
@@ -518,42 +556,90 @@ def test_sample_rows_equals_full_table_evaluation(alpha):
         want = full_table_sample_rows(alpha, centers, np.random.default_rng(n))
         assert got.dtype == np.int64
         assert np.array_equal(got, want), (alpha, n)
+    took = grouped_log(monkeypatch)
+    for n in (dg.GROUP_MIN_ROWS, 4000):
+        centers = repeated_rows(n)
+        got = dg.sample_rows(alpha, centers, np.random.default_rng(n))
+        want = full_table_sample_rows(alpha, centers, np.random.default_rng(n))
+        assert np.array_equal(got, want), (alpha, n)
+    assert took == [alpha >= 1.0, True]
 
 
-def test_sample_rows_on_the_full_table_cumulative_boundaries():
+def test_sample_rows_on_the_full_table_cumulative_boundaries(monkeypatch):
     # At alpha 3.9 the window has 63 points, so 130-row blocks take the
     # column sums, and with c just below round(c) the first weight is above
     # 1e-15 of the total. Each uniform is a cumulative boundary of the full
-    # table, where a running sum that lost a tail weight counts differently.
+    # table, where a running sum that lost a tail weight counts differently;
+    # every 7th is 0. All 1,240 rows, over 20 centers (two of them one ulp
+    # apart), are grouped; their first GROUP_MIN_ROWS - 1 are not.
     alpha = 3.9
     half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
     assert rows_per_block(alpha) >= dg.COLUMN_MIN_ROWS
     rng = np.random.default_rng(5)
-    centers = np.repeat(rng.integers(-4, 5, 20) - rng.uniform(0.0, 0.5, 20), 2 * half)
+    pool = rng.integers(-4, 5, 20) - rng.uniform(0.0, 0.5, 20)
+    pool[1] = np.nextafter(pool[0], 0.0)
+    centers = np.repeat(pool, 2 * half)
     dev = np.round(centers)[:, None] + np.arange(-half, half + 1) - centers[:, None]
     weights = np.exp(-(dev * dev) / (2.0 * alpha * alpha))
     assert (weights[:, 0] > 1e-15 * weights.sum(axis=1)).all()
     cum = np.cumsum(weights, axis=1)
     us = cum[np.arange(centers.size), np.arange(centers.size) % (2 * half)] / cum[:, -1]
-    got = dg.sample_rows(alpha, centers, FixedUniform(us))
-    assert np.array_equal(got, full_table_sample_rows(alpha, centers, FixedUniform(us)))
+    us[::7] = 0.0
+    took = grouped_log(monkeypatch)
+    for rows in (slice(None), slice(dg.GROUP_MIN_ROWS - 1)):
+        got = dg.sample_rows(alpha, centers[rows], FixedUniform(us[rows]))
+        want = full_table_sample_rows(alpha, centers[rows], FixedUniform(us[rows]))
+        assert np.array_equal(got, want), rows
+    assert took == [True]
+
+
+@pytest.mark.parametrize("alpha, n, distinct, runs, grouped", [
+    # the row threshold, one center
+    (1.0, dg.GROUP_MIN_ROWS - 1, 1, False, False),
+    (1.0, dg.GROUP_MIN_ROWS, 1, False, True),
+    # the cap on distinct centers: 2,048 rows of 19-point windows take 38.
+    # Cycled, the first 2 cap + 1 rows hold them all; in runs, only one
+    (1.0, 2048, 38, False, True),
+    (1.0, 2048, 39, False, False),
+    (1.0, 2048, 38, True, True),
+    (1.0, 2048, 39, True, False),
+    # the table bound: 141-point windows, 58 of them in BLOCK_ENTRIES
+    (9.0, 8000, 58, True, True),
+    (9.0, 8000, 59, True, False),
+])
+def test_sample_rows_grouped_selection_edges(alpha, n, distinct, runs, grouped, monkeypatch):
+    size = 2 * int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS))) + 1
+    by_rows, by_table = n * size // dg.GROUP_ENTRIES_PER_CENTER, dg.BLOCK_ENTRIES // size
+    assert (by_table < by_rows) == (alpha == 9.0)
+    if distinct > 1:
+        assert min(by_rows, by_table) == distinct - (not grouped)
+    pool = np.random.default_rng(distinct).uniform(-20.0, 20.0, distinct)
+    centers = np.repeat(pool, -(-n // distinct))[:n] if runs else np.resize(pool, n)
+    took = grouped_log(monkeypatch)
+    got = dg.sample_rows(alpha, centers, np.random.default_rng(n))
+    assert np.array_equal(got, full_table_sample_rows(alpha, centers, np.random.default_rng(n)))
+    assert took == ([grouped] if n >= dg.GROUP_MIN_ROWS else [])
 
 
 @pytest.mark.parametrize("alpha", [0.4, 9.0])
-def test_row_helpers_memory_is_bounded_by_the_row_count(alpha):
-    # 330,000 rows: the (rows, window) tables would take 45-390 MB
+def test_row_helpers_memory_is_bounded_by_the_row_count(alpha, monkeypatch):
+    # 330,000 rows: the (rows, window) tables would take 45-390 MB. Over 8
+    # centers `sample_rows` groups the rows, with O(rows) index arrays
     rng = np.random.default_rng(4)
-    centers = rng.uniform(-100.0, 100.0, 330_000)
-    values = np.round(centers)
-    for call in (lambda: dg.sample_rows(alpha, centers, rng),
-                 lambda: dg.pmf_table_rows(alpha, centers, values)):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24e6, (alpha, peak)
+    took = grouped_log(monkeypatch)
+    for distinct in (330_000, 8):
+        centers = np.resize(rng.uniform(-100.0, 100.0, distinct), 330_000)
+        values = np.round(centers)
+        for call in (lambda: dg.sample_rows(alpha, centers, rng),
+                     lambda: dg.pmf_table_rows(alpha, centers, values)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24e6, (alpha, distinct, peak)
+    assert took == [False, True]
 
 
 # alpha log-uniform from just above the underflow floor to 1e3; centers up to
