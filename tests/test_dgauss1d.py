@@ -569,28 +569,35 @@ def test_sample_rows_on_the_full_table_cumulative_boundaries(monkeypatch):
     # At alpha 3.9 the window has 63 points, so 130-row blocks take the
     # column sums, and with c just below round(c) the first weight is above
     # 1e-15 of the total. Each uniform is a cumulative boundary of the full
-    # table, where a running sum that lost a tail weight counts differently;
-    # every 7th is 0. All 1,240 rows, over 20 centers (two of them one ulp
-    # apart), are grouped; their first GROUP_MIN_ROWS - 1 are not.
+    # table, where a running sum that lost a tail weight counts differently.
+    # All 1,240 rows, over 20 centers, are drawn both grouped and in blocks.
+    # A second input puts two of the centers one ulp apart (two windows) and
+    # makes every 7th uniform 0.
     alpha = 3.9
     half = int(math.ceil(dg.truncation_halfwidth(alpha, dg.TAIL_EPS)))
     assert rows_per_block(alpha) >= dg.COLUMN_MIN_ROWS
     rng = np.random.default_rng(5)
     pool = rng.integers(-4, 5, 20) - rng.uniform(0.0, 0.5, 20)
-    pool[1] = np.nextafter(pool[0], 0.0)
-    centers = np.repeat(pool, 2 * half)
-    dev = np.round(centers)[:, None] + np.arange(-half, half + 1) - centers[:, None]
-    weights = np.exp(-(dev * dev) / (2.0 * alpha * alpha))
-    assert (weights[:, 0] > 1e-15 * weights.sum(axis=1)).all()
-    cum = np.cumsum(weights, axis=1)
-    us = cum[np.arange(centers.size), np.arange(centers.size) % (2 * half)] / cum[:, -1]
-    us[::7] = 0.0
+    near = pool.copy()
+    near[1] = np.nextafter(pool[0], 0.0)
+    inputs = []
+    for p in (pool, near):
+        centers = np.repeat(p, 2 * half)
+        dev = np.round(centers)[:, None] + np.arange(-half, half + 1) - centers[:, None]
+        weights = np.exp(-(dev * dev) / (2.0 * alpha * alpha))
+        assert (weights[:, 0] > 1e-15 * weights.sum(axis=1)).all()
+        cum = np.cumsum(weights, axis=1)
+        us = cum[np.arange(centers.size), np.arange(centers.size) % (2 * half)] / cum[:, -1]
+        inputs.append((centers, us))
+    inputs[1][1][::7] = 0.0
+    wants = [full_table_sample_rows(alpha, c, FixedUniform(us)) for c, us in inputs]
     took = grouped_log(monkeypatch)
-    for rows in (slice(None), slice(dg.GROUP_MIN_ROWS - 1)):
-        got = dg.sample_rows(alpha, centers[rows], FixedUniform(us[rows]))
-        want = full_table_sample_rows(alpha, centers[rows], FixedUniform(us[rows]))
-        assert np.array_equal(got, want), rows
-    assert took == [True]
+    for (centers, us), want in zip(inputs, wants):
+        assert np.array_equal(dg.sample_rows(alpha, centers, FixedUniform(us)), want)
+    assert took == [True, True]
+    monkeypatch.setattr(dg, "_grouped", lambda *args: None)
+    for i, ((centers, us), want) in enumerate(zip(inputs, wants)):
+        assert np.array_equal(dg.sample_rows(alpha, centers, FixedUniform(us)), want), i
 
 
 @pytest.mark.parametrize("alpha, n, distinct, runs, grouped", [
