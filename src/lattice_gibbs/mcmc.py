@@ -4,23 +4,16 @@ the blocked Gibbs-Klein kernel, plus chain execution helpers.
 Both kernels are one block step: resample a block S of coordinates, given the
 rest, by one backward Klein pass on the block's Gram-Cholesky conditional
 (`klein.block_conditional`). Gibbs takes S = {i} for a uniform i, the exact
-1-D conditional; Gibbs-Klein takes the first m entries of a uniform
-permutation, i.e. Klein's pass on the permuted basis's leading block.
+1-D conditional; Gibbs-Klein takes the first m entries of a uniform order,
+i.e. Klein's pass on the permuted basis's leading block. A step takes only
+uniforms from its stream, as many whatever the state (`_step_draws`).
 
-`_block_step_rows` is the same step over rows, each row on its own stream,
-bit for bit: the Gibbs-Klein ensemble's rows are chains. `run_chain` runs one
-chain in blocks of consecutive steps (`_chain_block`), bit for bit with the
-scalar steps. A block takes its steps' randomness from the stream and forms
-in numpy all that reads no state: the ordered blocks, their factors, alphas
-and window halves. Per step only the centers and the 1-D draws stay in
-Python, and at m = n, where no step reads the state, the steps are rows of
-the ensemble's pass. Below smoothing a chain sits on a few lattice points and
-meets the same 1-D windows again and again, so each run keeps the windows it
-has walked (`dgauss1d.running_weights`) in a bounded memo and draws a repeat
-by one bisection, and a Gibbs block decodes its coordinates and uniforms
-from one `random_raw` call (`_gibbs_draws`). On the 8-D benchmark chain
-Gibbs runs 309k steps/s, where the memo alone made 166-168k, the step
-blocks without it 113k and the scalar step 69k.
+`run_chain` runs one chain in blocks of consecutive steps (`_chain_block`),
+bit for bit with the scalar steps: a block takes its steps' uniforms in one
+call, forms in numpy all that reads no state, and leaves only the centers and
+the 1-D draws, from a memo of walked windows, to Python. At m = n the steps
+are rows of `_block_step_rows`, the step over rows that the Gibbs-Klein
+ensemble's chains take together.
 """
 
 from __future__ import annotations
@@ -99,7 +92,7 @@ def _block_step(
 
 def gibbs_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
     """Resample one uniformly chosen coordinate of x in place from its conditional."""
-    i = int(rng.integers(cfg.basis.n))
+    i = int(rng.random() * cfg.basis.n)
     rest = [j for j in range(cfg.basis.n) if j != i]
     _block_step(cfg, x, [i], rest, rng)
 
@@ -118,70 +111,36 @@ def gibbs_kernel_prob(cfg: GibbsKleinConfig, s_i, s_j) -> float:
 
 def gibbs_klein_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
     """One blocked update in place: permute, Klein-sample the first block_size coordinates."""
-    order = rng.permutation(cfg.basis.n).tolist()
+    order = np.argsort(rng.random(cfg.basis.n), kind="stable").tolist()
     m = cfg.block_size
     _block_step(cfg, x, order[:m], order[m:], rng)
 
 
-def _gibbs_draws(rng: np.random.Generator, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """What k `gibbs_step` calls take from rng, `integers(n)` then `random()`
-    each, as (k,) int64 coordinates and (k,) uniforms; rng's state ends as
-    theirs leaves it.
-
-    On PCG64 with n < 2**32 the block is one `random_raw` call, decoded as
-    numpy decodes it: `integers(n)` is Lemire's multiply-shift on a 32-bit
-    half (low half of a fresh word first, the high half held for the next
-    one; `integers(1)` takes nothing) and `random()` a whole word's top 53
-    bits. Any other generator, or a Lemire rejection in the block, restores
-    the state and makes the calls one by one.
+def _step_draws(rngs, k: int, n: int, m: int, gibbs: bool = False):
+    """The one stream layout of every chain step, for k steps on rngs: one
+    stream they share, or a list of streams that each take k steps (axis 1
+    of the results). A step takes only uniforms, as many whatever the state.
+    Gibbs takes 2: coordinate int(w0 * n), then its 1-D draw's w1, as (k,)
+    int64 and (k, 1). Gibbs-Klein takes n + m: the order argsort(w[:n])
+    (stable), whose first m entries are the block, then its m 1-D draws'
+    uniforms in draw order, as (k, n) and (k, m). On every bit generator
+    one `random((k, width))` call takes what k * width `random()` calls do.
     """
-    bg = rng.bit_generator
-    if type(bg) is np.random.PCG64 and 0 < n < 2**32:
-        if n == 1:
-            return np.zeros(k, np.int64), (bg.random_raw(k) >> 11) * 2.0**-53
-        saved = bg.state
-        held = min(saved["has_uint32"], k)  # step 0 takes the held half
-        raw = bg.random_raw(k + (k - held + 1) // 2)
-        fresh = raw[held::3]  # the words whose halves integers(n) takes
-        halves = np.empty(k, np.uint64)
-        halves[:held] = saved["uinteger"]
-        halves[held::2] = fresh & 0xFFFFFFFF
-        halves[held + 1 :: 2] = fresh[: (k - held) // 2] >> 32
-        scaled = halves * np.uint64(n)
-        if not ((scaled & 0xFFFFFFFF) < (2**32 - n) % n).any():  # no rejection
-            state = bg.state  # random_raw moved the core; set the held half
-            state["has_uint32"] = (saved["has_uint32"] + k) & 1
-            if fresh.size:  # numpy keeps a used half's value
-                state["uinteger"] = int(fresh[-1] >> 32)
-            bg.state = state
-            words = np.delete(raw, np.s_[held::3])  # random()'s
-            return (scaled >> 32).astype(np.int64), (words >> 11) * 2.0**-53
-        bg.state = saved
-    integers, random = rng.integers, rng.random
-    draws = [(integers(n), random()) for _ in range(k)]
-    return np.array([i for i, _ in draws], np.int64), np.array([v for _, v in draws])
-
-
-def _permutation_draws(n: int, m: int, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """What k `gibbs_klein_step` calls take from their streams, step r from
-    rngs[r]: a permutation of n and then m uniforms, as (k, n) and (k, m)
-    arrays. Rows may share one stream (`itertools.repeat(rng)`): they then
-    draw in row order. A Python list shuffles as `rng.permutation(n)`
-    shuffles arange(n), one `random_interval` per swap, at half the cost."""
-    base, flat, us = list(range(n)), [], np.empty((k, m))
-    for row_us, rng in zip(us, rngs):
-        row = base[:]
-        rng.shuffle(row)
-        rng.random(out=row_us)
-        flat += row
-    return np.array(flat, dtype=np.int64).reshape(k, n), us
+    width = 2 if gibbs else n + m
+    if isinstance(rngs, np.random.Generator):
+        w = rngs.random((k, width))
+    else:
+        w = np.stack([rng.random((k, width)) for rng in rngs], axis=1)
+    if gibbs:
+        return (w[..., 0] * n).astype(np.int64), w[..., 1:]
+    return np.argsort(w[..., :n], axis=-1, kind="stable"), w[..., n:]
 
 
 def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, perm: np.ndarray,
                      us: np.ndarray) -> None:
     """One Gibbs-Klein step on every row of the (k, n) int64 state array x in
     place: row r resamples x[r, perm[r, :m]] given x[r, perm[r, m:]], its 1-D
-    draws inverting us[r] in draw order, as `_permutation_draws` gives them.
+    draws inverting us[r] in draw order, as `_step_draws` gives them.
 
     `block_conditional_rows`, `backward_rows` and `dg.sample_from_uniforms`
     each equal the scalar step bit for bit. At m = n no entry of x is read.
@@ -200,34 +159,30 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng,
                  memo: dict) -> None:
     """Fill states[1:] with the steps of one chain that follow states[0],
     equal to the scalar steps (`gibbs_step` if gibbs, else `gibbs_klein_step`)
-    bit for bit, taking from rng what they take, in their order. memo maps
-    (alpha, center) to `dg.running_weights`' walk of that window, and is
-    filled as windows are met.
+    bit for bit, taking from rng what they take. memo maps (alpha, center)
+    to `dg.running_weights`' walk of that window, filled as windows are met.
 
-    1. The stream, in the steps' order: Gibbs's coordinates and uniforms,
-       decoded all at once (`_gibbs_draws`), or step by step Gibbs-Klein's
-       permutation and block_size uniforms (`_permutation_draws`).
+    1. The stream: every step's uniforms, in one call (`_step_draws`).
     2. What reads no state, over all steps (Gibbs: all coordinates) at once:
        the ordered blocks and rests, their factors (`block_factor_rows`),
-       alphas and window halves, checked as `dg.sample` checks them.
+       alphas and window halves, checked as `dg.sample` checks them. At
+       m = n that is all, and the steps are rows of `_block_step_rows`.
     3. Per step, in Python: the centers, subtracting one term at a time in
        `block_conditional`'s and `backward_sample_into`'s order, and the
        draws on the step's uniforms: `dg.invert`'s rule on the memo's walk
        of the window, walked and kept on a miss. A window of LOOP_MAX_POINTS
        or more points is not kept; `dg.invert` draws it through its one-row
        kernel, whose weights a Python walk might round apart from.
-    At m = n no step reads the state, so the steps are rows of
-    `_block_step_rows`.
     Any input a scalar step refuses raises a ValueError here too, though not
     necessarily that step's.
     """
     n, m, k = cfg.basis.n, cfg.block_size, len(states) - 1
     if gibbs:  # one row per coordinate i: block [i], rest ascending
-        coords, us = _gibbs_draws(rng, n, k)
-        coords, us = coords.tolist(), us[:, None]
+        coords, us = _step_draws(rng, k, n, 1, gibbs)
+        coords = coords.tolist()
         perm = np.array([[i] + [j for j in range(n) if j != i] for i in range(n)])
     else:  # one row per step
-        perm, us = _permutation_draws(n, m, k, itertools.repeat(rng))
+        perm, us = _step_draws(rng, k, n, m)
         if m == n:
             _block_step_rows(cfg, states[1:], perm, us)
             return
@@ -476,9 +431,10 @@ def gibbs_klein_ensemble(
     """Independent Gibbs-Klein chains from x0 in lockstep, chain i on its own
     stream rngs[i]: the (chains, n) int64 states at each checkpoint t >= 0.
 
-    Each step is one `_block_step_rows` call over the chains, equal to the
-    scalar step bit for bit, so chain i's states are `run_chain`'s on
-    rngs[i], whatever the number of chains.
+    Each chain takes a block of steps' uniforms (`_step_draws`, about
+    ROW_BLOCK_ENTRIES entries over all chains) in one call, and each step is
+    one `_block_step_rows` call over the chains, bit for bit the scalar step:
+    chain i's states are `run_chain`'s on rngs[i], whatever the chain count.
     """
     cfg = GibbsKleinConfig(basis, target, block_size)
     if not rngs:
@@ -488,8 +444,11 @@ def gibbs_klein_ensemble(
         raise ValueError(f"need at least one checkpoint, each t >= 0, got {checkpoints}")
     x = np.tile(start_state(x0, basis.n), (len(rngs), 1))
     snaps = {0: x.copy()} if 0 in marks else {}
-    for t in range(1, max(marks) + 1):
-        _block_step_rows(cfg, x, *_permutation_draws(basis.n, block_size, len(x), rngs))
-        if t in marks:
-            snaps[t] = x.copy()
+    per = max(1, ROW_BLOCK_ENTRIES // (len(rngs) * basis.n**2))  # steps drawn at once
+    for start in range(0, max(marks), per):
+        orders, us = _step_draws(rngs, min(per, max(marks) - start), basis.n, block_size)
+        for t, order, u in zip(itertools.count(start + 1), orders, us):
+            _block_step_rows(cfg, x, order, u)
+            if t in marks:
+                snaps[t] = x.copy()
     return snaps

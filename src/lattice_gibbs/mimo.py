@@ -30,16 +30,17 @@ How the decoders are computed:
   them), then Klein's backward pass on them with every 1-D draw restricted
   to {0..3} (`_draw_restricted4`). Klein's pass takes the full block
   S = {0..n-1}; a Gibbs-Klein step takes the first m coordinates of a fresh
-  permutation. This equals the QR of g[:, order] up to rounding, at
+  uniform order. This equals the QR of g[:, order] up to rounding, at
   O(m^3 + nm) scalar work per step. Gibbs draws from the exact 1-D
   conditional, its center read off the residual g k - t.
 * A decoder runs in blocks of whole iterations, as `mcmc.run_chain` runs
-  chains: a block takes its steps' randomness from the stream in the order
-  the steps would, and forms in numpy what reads no state (the factors
-  `klein.block_factor_rows`, the alphas, and at m = n the centers). Per
-  step, only the centers that read the state, the 1-D draws and the move
-  run in Python floats, so the decisions and the stream's position are those
-  of the per-step textbook formulation, whatever the block size.
+  chains: a block takes its steps' uniforms from the stream in one call, on
+  the chains' layout (`mcmc._step_draws`; Klein takes n a step), and forms
+  in numpy what reads no state (the factors `klein.block_factor_rows`, the
+  alphas, and at m = n the centers). Per step, only the centers that read
+  the state, the 1-D draws and the move run in Python floats, so the
+  decisions and the stream's position are those of the per-step textbook
+  formulation, whatever the block size.
 * Per trial, the ZF start point, Klein's factor and centers, sigma and the
   Gram quantities are computed once and shared by every sampler decoder.
 """
@@ -400,12 +401,12 @@ def _decode_checkpoints(
     for start in range(0, last, per_block):
         iters = min(per_block, last - start)
         if strategy == "gibbs":
-            coords, us = mcmc._gibbs_draws(rng, n, iters * n)
-            steps = zip(coords.tolist(), us.tolist())
+            coords, us = mcmc._step_draws(rng, iters * n, n, 1, gibbs=True)
+            steps = zip(coords.tolist(), us[:, 0].tolist())
         elif strategy == "klein":  # the block 0..n-1, whose centers are lat.c0
             steps = [(*klein, v) for v in rng.random((iters, n)).tolist()]
         else:
-            perm, us = mcmc._permutation_draws(n, m, iters * per_iter, itertools.repeat(rng))
+            perm, us = mcmc._step_draws(rng, iters * per_iter, n, m)
             blocks, rests = perm[:, :m], perm[:, m:]
             if m == n:  # the centers read no state either (perm stands in for it)
                 u, c = block_conditional_rows(gram, gt, perm, blocks, rests)

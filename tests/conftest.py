@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,25 @@ def per_pair(kernel):
     return kernel_probs
 
 
-# bit generators other than the default PCG64, whose stream calls the
-# samplers make one by one
+def ess(series) -> float:
+    """Effective sample size of a chain's scalar series, by Geyer's initial
+    monotone sequence estimator of the autocorrelation time."""
+    x = np.asarray(series, dtype=float)
+    n = x.size
+    x = x - x.mean()
+    spec = np.fft.rfft(x, 2 * n)
+    acov = np.fft.irfft(spec * np.conj(spec))[:n] / n
+    total, prev = 0.0, math.inf
+    for k in range(n // 2):
+        pair = acov[2 * k] + acov[2 * k + 1]
+        if pair <= 0.0:
+            break
+        prev = min(prev, pair)
+        total += prev
+    return n / max(2.0 * total / acov[0] - 1.0, 1.0 / n)
+
+
+# bit generators other than the default PCG64
 OTHER_BIT_GENERATORS = [np.random.Philox, np.random.MT19937, np.random.SFC64]
 
 

@@ -3,8 +3,10 @@
 decisions and on the stream position it leaves.
 
 Each step here calls `klein.block_conditional` and
-`klein.backward_sample_into`, and every 1-D draw takes its uniform from the
-stream by `rng.random()`.
+`klein.backward_sample_into`, and takes its uniforms from the stream one
+`rng.random()` call at a time, on the chains' layout: a Gibbs step's
+coordinate is int(u * n), a Gibbs-Klein step's order the stable argsort of
+n uniforms, and every 1-D draw takes one uniform.
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ def _decode_checkpoints(
             move(all_coords, z)
         elif strategy == "gibbs":
             for _ in range(n):
-                i = int(rng.integers(n))
+                i = int(rng.random() * n)
                 center = k[i] - _dot(resid, cols[i]) / gram[i][i]
                 move((i,), (_draw_restricted4(col_alpha[i], center, rng),))
         else:
             for _ in range(-(-n // block_size)):
-                order = rng.permutation(n).tolist()
+                order = sorted(range(n), key=[rng.random() for _ in range(n)].__getitem__)
                 block, rest = order[:block_size], order[block_size:]
                 u, c = block_conditional(gram, lat.gt, k, block, rest)
                 z = [0] * block_size

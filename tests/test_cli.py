@@ -163,15 +163,18 @@ class TestVectorFlags:
 
 
 class TestGoldenChains:
-    # sha256 of the CSV bytes, recorded before the chain kernels moved onto
-    # the Gram-Cholesky block step; pins their random streams draw for draw.
+    # sha256 of the CSV bytes; pins the random streams draw for draw. The
+    # chains' digests were recorded when every chain step moved onto the
+    # uniforms-only stream layout (`mcmc._step_draws`), and the scalar step
+    # loop alone (every step block redone by the scalar steps) wrote the same
+    # bytes.
     GOLDEN = {
-        ("gibbs", None, 3): "bcab96fdf6af61772b0886490c359b6bb12daf6880b7b802fbb6850dc6acb715",
-        ("gibbs", None, 11): "287f1ba4b09896e20b635bb95e0cc34ca84b59d713de8c2c709b61193ffc86e6",
-        ("gibbs-klein", 1, 3): "7ee26e9acfe450fd4eb0c0a8729527dc3b87d853c9c4f86e175d143137f4e1ce",
-        ("gibbs-klein", 1, 11): "9ad18a077bb43578498efe604b5596f78ed08d3890910472cb953e47a8f6f8bb",
-        ("gibbs-klein", 2, 3): "edde572606df3ce3f897b8801c8bff7dbaa2f00802dcef07b5b9e079ffcd0a5c",
-        ("gibbs-klein", 2, 11): "b299d26bfb0328e22e874e1fe3550c15fc3c7eecde3407aab9db7c6c7f185192",
+        ("gibbs", None, 3): "89b0d43bc1badd943e6c54ef16c30f1eea0fc0a4de5579bb001fa80ed1c30c10",
+        ("gibbs", None, 11): "a1f7208c49379084b9610c661125b0121698eed1f7fcb60f15f48f548739c5cf",
+        ("gibbs-klein", 1, 3): "732868e90a504bc0f4d96fe7c162c96287def977220ddc8275d10a61c33b3902",
+        ("gibbs-klein", 1, 11): "7dc45a09eba35c0e320c1f4064243f80642ca391cd1d0edec471dc9cc3eba6ee",
+        ("gibbs-klein", 2, 3): "15d01b309a4f0e415c319fce4335e133cb6a697b050468ebd741a16ea509e4f8",
+        ("gibbs-klein", 2, 11): "fa58f3a7e3d6a7b512955e006f6ed1a34d418d8080b4f7de41d301da0d8f52d5",
         # recorded before the row sampler worked in cache-sized blocks and the
         # CSV rows were formatted with one template per chain
         ("klein", None, 3): "4209a2c31a1fd29e239ec25775bc486bfcfdc47f47d77a92a71e663df0db46fc",
@@ -180,7 +183,7 @@ class TestGoldenChains:
     # `--burn-in 7` with seed 3: Klein skips draws t = 1..6, a chain t = 0..6
     GOLDEN_BURN_IN = {
         "klein": "0a07d56a4636e7e0cfef7ed32bba576e69d8e438a74dd5fa6284d8be48bfb284",
-        "gibbs": "b46c9db70f1bc49df5bdf64cc317ed90688a829afc7e9b241bf936acbc5eb3fe",
+        "gibbs": "7dd544f860d04327865672837bc6e7d8395d8f856fc661dc7496c41da88a4f1b",
     }
 
     @staticmethod
@@ -204,7 +207,7 @@ class TestGoldenChains:
         assert digest == self.GOLDEN_BURN_IN[algo]
 
     def test_full_block_8d_csv_bytes(self, tmp_path):
-        # recorded while every m = n step was a scalar `gibbs_klein_step`. 3,000
+        # recorded as the scalar `gibbs_klein_step` loop writes it. 3,000
         # steps span three 1,024-step row blocks, burn-in 1,500 falls inside
         # one, and the 0.1 pivot sends one draw in about a third of the steps
         # to the 1-D table path
@@ -220,15 +223,15 @@ class TestGoldenChains:
                 "--burn-in", "1500", "--seed", "5", "-o", out]
         assert run_cli(argv) == 0
         digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
-        assert digest == "debe76849f41b6331098e5c99224340fe1eb56c6934077e2499241b43c56939e"
+        assert digest == "e87bed61ac98df686cc60fc9e239987d89a2ac7aa17b69c2629c393d1f8fc2f8"
 
     @pytest.mark.parametrize("algo, extra, golden", [
-        ("gibbs", [], "b015b70d4e8349c01fc3fb12055f065c2bff4c11b23331d0bf2eb4c2aa9d7be9"),
+        ("gibbs", [], "fa9fce672d0aa50071d273cf0008873693c533e21a2f78a775cfebfdb175ebee"),
         ("gibbs-klein", ["--block-size", "3"],
-         "97e87406b8e03bda2f1aa8335d56d8f0f7f46c8da52aee18f177673230f5eeb9"),
+         "1f170b1bf7fa8e9ced4e49b804662c5bb18d1ec1f3134b807689077a5f12d3bf"),
     ])
     def test_step_blocks_8d_csv_bytes(self, tmp_path, algo, extra, golden):
-        # recorded while every Gibbs and m < n step was a scalar step. 3,000
+        # recorded as the scalar step loop writes it. 3,000
         # steps a chain span three 1,024-step blocks. Column 5 has norm
         # 0.093, so each of its draws has alpha >= 8.6 and a window of at
         # least 135 points, past LOOP_MAX_POINTS: 731 of the 6,000 Gibbs
@@ -269,8 +272,9 @@ class TestGoldenChains:
 
 class TestGoldenDiagnose:
     # sha256 of the TV CSV and the exact stderr balance line, recorded before
-    # the 1-D tail cut became a module constant; pins the oracle, the ensemble
-    # streams and the kernel-probability sums.
+    # the 1-D tail cut became a module constant (the Gibbs-Klein digests when
+    # the chain steps moved onto the uniforms-only stream layout); pins the
+    # oracle, the ensemble streams and the kernel-probability sums.
     GOLDEN = {
         ("klein", None): (
             "9a98bcdeccdd0b7ff657b4ca7163f0b21584fe71fff997d6b24f3148391837d2", ""),
@@ -278,15 +282,15 @@ class TestGoldenDiagnose:
             "4d2473e9d214caaa9ba5bde7a8e8bebee917c470d59a3799aaa1d1fff8b91a48",
             "detailed_balance max_abs=2.081668e-17 max_rel=5.914349e-15 pairs=200\n"),
         ("gibbs-klein", 1): (
-            "b2ffc1c076874e1473bcbfa86d77c5012b1428b2d131345f7bac6a7a0b913b59",
+            "ce6c78c6a4ced006dbdeddb9fbf6b785ae9c73a4b556b094b7b015e07709aa4e",
             "detailed_balance max_abs=2.081668e-17 max_rel=5.914349e-15 pairs=200\n"),
         ("gibbs-klein", 2): (
-            "9b8b660f630ce54d04b8338a54974c2a49f7fb51bcdb2965a6bf6ef078879342",
+            "8a7b30b4465f578af1fb595969bceaa2469169c2174d5346727e16da89bcef9d",
             "detailed_balance max_abs=7.101820e-04 max_rel=6.395919e-02 pairs=200\n"),
         # recorded before the balance report was batched over pair rows; the
         # only entry whose block pass has a length-2 dot (m = n = 3)
         ("gibbs-klein", 3): (
-            "ee7e525d3080b238c2863f2e2cb956abd171785b67305f297e2f1b24a256c013",
+            "0ad8cf77a7a2aef2b2d0c9752745cd2291883d9944367d9e725dcab77aa2f620",
             "detailed_balance max_abs=8.797576e-04 max_rel=6.175817e-02 pairs=200\n"),
     }
 
@@ -658,12 +662,12 @@ class TestMimoCommand:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     def test_default_table_csv_bytes(self, tmp_path):
-        # sha256 of `mimo --trials 5` at the default seed 0, recorded from the
-        # deleted scripts/run_mimo_benchmark.py, which wrote the same bytes
+        # sha256 of `mimo --trials 5` at the default seed 0, recorded when the
+        # sampler decoders' steps moved onto the uniforms-only stream layout
         out = tmp_path / "mimo_ber.csv"
         assert run_cli(["mimo", "--trials", "5", "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f2ba172776967c581b8d174995e013b532ff098d05cdb70cfde5342c7409aadb"
+            "5be63b35ed3a087255ee914109b52cd2a13ef2121fb07ba2372833403cccc856"
         )
 
     @pytest.mark.parametrize("ebn0", ["nan", "inf", "-inf"])

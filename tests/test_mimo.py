@@ -418,13 +418,14 @@ class TestBlockDecoder:
     def test_equals_per_step_reference(self, monkeypatch, n_tx, cap):
         n = 2 * n_tx
         drawn = []  # the iterations of each Gibbs-Klein block
-        real_draws = mcmc._permutation_draws
+        real_draws = mcmc._step_draws
 
-        def permutation_draws(n, m, k, rngs):
-            drawn.append(k // -(-n // m))
-            return real_draws(n, m, k, rngs)
+        def step_draws(rngs, k, n, m, gibbs=False):
+            if not gibbs:
+                drawn.append(k // -(-n // m))
+            return real_draws(rngs, k, n, m, gibbs)
 
-        monkeypatch.setattr(mcmc, "_permutation_draws", permutation_draws)
+        monkeypatch.setattr(mcmc, "_step_draws", step_draws)
         for ebn0_db in (0.0, 15.0, 40.0):
             cfg = mimo.MimoConfig(n_tx=n_tx, n_rx=n_tx, trials=1, ebn0_db=ebn0_db, block_sizes=(1,))
             for seed in range(3):
@@ -503,28 +504,31 @@ class TestBerExperiment:
         assert table.to_csv() == "decoder,block_size,iterations,trials,bit_errors,bits,ber\n"
 
     def test_per_trial_bit_errors_pinned(self):
-        # Recorded with the QR-per-step decoders and brute-force ML that the
-        # Gram-Cholesky and meet-in-the-middle code replaced: same random
-        # streams, same decisions. One hex digit per trial.
+        # The zf, ml and klein columns were recorded with the QR-per-step
+        # decoders and brute-force ML that the Gram-Cholesky and
+        # meet-in-the-middle code replaced: same random streams, same
+        # decisions. The gibbs and gibbs-klein columns were recorded when their
+        # steps moved onto the uniforms-only stream layout. One hex digit per
+        # trial.
         golden = {
             ("zf", None, None): "4000200100000002000000000200000000000000",
             ("ml", None, None): "0000000000000000000000000000000000000000",
             ("klein", None, 1): "6000400100000000000000000000000000000000",
             ("klein", None, 5): "0000000000000000000000000000000000000000",
             ("klein", None, 20): "0000000000000000000000000000000000000000",
-            ("gibbs", None, 1): "5000300200000002000000000200000000000000",
+            ("gibbs", None, 1): "5000200200000000000000000200000000000000",
             ("gibbs", None, 5): "5000200200000000000000000200000000000000",
             ("gibbs", None, 20): "5000200200000000000000000200000000000000",
-            ("gibbs-klein", 1, 1): "5000000000000004000000000200000000000000",
-            ("gibbs-klein", 1, 5): "5000000000000005000000000200000000000000",
-            ("gibbs-klein", 1, 20): "5000000000000005000000000200000000000000",
-            ("gibbs-klein", 2, 1): "5000400200000003000000000200000000000000",
-            ("gibbs-klein", 2, 5): "4000300000000005000000000000000000000000",
-            ("gibbs-klein", 2, 20): "6000300000000005000000000000000000000000",
-            ("gibbs-klein", 4, 1): "2000200200000005000000000200000000000000",
-            ("gibbs-klein", 4, 5): "0000000200000005000000000000000000000000",
-            ("gibbs-klein", 4, 20): "0000000000000006000000000000000000000000",
-            ("gibbs-klein", 8, 1): "4000000800000000000000000000000000000000",
+            ("gibbs-klein", 1, 1): "5000100200000000000000000200000000000000",
+            ("gibbs-klein", 1, 5): "5000300200000000000000000200000000000000",
+            ("gibbs-klein", 1, 20): "5000300200000000000000000200000000000000",
+            ("gibbs-klein", 2, 1): "4000100000000005000000000200000000000000",
+            ("gibbs-klein", 2, 5): "6000000000000005000000000200000000000000",
+            ("gibbs-klein", 2, 20): "6000000000000005000000000000000000000000",
+            ("gibbs-klein", 4, 1): "5000000200000005000000000200000000000000",
+            ("gibbs-klein", 4, 5): "4000000000000006000000000000000000000000",
+            ("gibbs-klein", 4, 20): "6000000000000006000000000000000000000000",
+            ("gibbs-klein", 8, 1): "6000500000000000000000000200000000000000",
             ("gibbs-klein", 8, 5): "0000000000000000000000000000000000000000",
             ("gibbs-klein", 8, 20): "0000000000000000000000000000000000000000",
         }

@@ -1,7 +1,8 @@
 """Golden output of the script under scripts/, run as a subprocess.
 
-The digests were recorded before chains became int64 arrays, so they pin the
-scripts' random streams and CSV bytes draw for draw.
+The digest was recorded when the chain steps moved onto the uniforms-only
+stream layout (`mcmc._step_draws`); it pins the script's random streams and
+CSV bytes draw for draw.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = {
     "run_convergence.py": (
         ["--chains", "50", "--steps", "8"],
-        "70108de25c7280df60a6429fa963c2dd03f9316eac6a0b29f25fabed8a63a513",
+        "7b71227d376d9ffa72587b16152d31dcbee9a246b34fa89ba713cf8a9e8e0f1c",
     ),
 }
 
