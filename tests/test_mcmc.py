@@ -455,6 +455,62 @@ class TestStepDraws:
         assert chi2 <= CHI2_999[5], counts
 
 
+class TestGibbsDraws:
+    """`_step_draws` for k steps is k steps' per-step calls: the same values,
+    and the whole stream state they leave, held half included."""
+
+    @staticmethod
+    def _per_step(rng, n, k):
+        # what gibbs_step takes: its coordinate's uniform, then its 1-D draw's
+        draws = [(int(rng.random() * n), rng.random()) for _ in range(k)]
+        return [i for i, _ in draws], [v for _, v in draws]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 13, 64, 1000, 2**31 + 1, 2**32 - 1])
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    def test_equals_per_step_calls(self, n, k, held):
+        for seed in range(3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            if held:  # integers(5) leaves the high half of a word held
+                got_rng.integers(5), want_rng.integers(5)
+            coords, us = mcmc._step_draws(got_rng, k, n, 1, gibbs=True)
+            want_coords, want_us = self._per_step(want_rng, n, k)
+            assert coords.dtype == np.int64 and us.dtype == np.float64
+            assert coords.shape == (k,) and us.shape == (k, 1)
+            assert coords.tolist() == want_coords, (n, k, seed)
+            assert us[:, 0].tolist() == want_us, (n, k, seed)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (n, k, seed)
+
+    @pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_other_bit_generators_make_the_per_step_calls(self, bit_generator, n):
+        for held in (False, True):
+            got_rng, want_rng = (np.random.Generator(bit_generator(7)) for _ in "ab")
+            if held:
+                got_rng.integers(5), want_rng.integers(5)
+            coords, us = mcmc._step_draws(got_rng, 50, n, 1, gibbs=True)
+            assert (coords.tolist(), us[:, 0].tolist()) == self._per_step(want_rng, n, 50)
+            assert stream_state(got_rng) == stream_state(want_rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_permutation_draws_equal_permutation_calls(self, n):
+        # per row, what gibbs_klein_step takes: a permutation (the stable
+        # argsort of n uniforms), then m uniforms; on one shared stream, and
+        # on a stream per row
+        m = max(1, n // 2)
+        for shared in (True, False):
+            rngs, refs = ([np.random.default_rng(n)] * 5 if shared else
+                          [np.random.default_rng([n, r]) for r in range(5)] for _ in "ab")
+            perm, us = mcmc._step_draws(rngs, 1, n, m)
+            assert perm.dtype == np.int64 and perm.shape == (1, 5, n) and us.shape == (1, 5, m)
+            for r, ref in enumerate(refs):
+                want = np.argsort(ref.random(n), kind="stable")
+                assert sorted(want.tolist()) == list(range(n))
+                assert perm[0, r].tolist() == want.tolist(), (n, shared, r)
+                assert us[0, r].tolist() == ref.random(m).tolist(), (n, shared, r)
+            assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in refs]
+
+
 class TestRunChain:
     def test_zero_steps(self, basis_2d, target_2d, rng):
         states = mcmc.run_chain("gibbs", basis_2d, target_2d, (1, 2), 0, rng)
