@@ -8,12 +8,14 @@ rest, by one backward Klein pass on the block's Gram-Cholesky conditional
 i.e. Klein's pass on the permuted basis's leading block. A step takes only
 uniforms from its stream, as many whatever the state (`_step_draws`).
 
-`run_chain` runs one chain in blocks of consecutive steps (`_chain_block`),
-bit for bit with the scalar steps: a block takes its steps' uniforms in one
-call, forms in numpy all that reads no state, and leaves only the centers and
-the 1-D draws, from a memo of walked windows, to Python. At m = n the steps
-are rows of `_block_step_rows`, the step over rows that the Gibbs-Klein
-ensemble's chains take together.
+`_chain_block` runs consecutive steps of one chain, bit for bit with the
+scalar steps: it takes its steps' uniforms in one call, forms in numpy all
+that reads no state, and leaves only the centers and the 1-D draws to
+Python. The 1-D draw is its argument: `run_chain` passes a draw over Z that
+keeps a memo of walked windows, and the MIMO sampler decoders (`mimo`) a
+draw over {0..3}. At m = n `run_chain`'s steps are instead rows of
+`_block_step_rows`, the step over rows that the Gibbs-Klein ensemble's
+chains take together.
 """
 
 from __future__ import annotations
@@ -155,57 +157,47 @@ def _block_step_rows(cfg: GibbsKleinConfig, x: np.ndarray, perm: np.ndarray,
     x[np.arange(k)[:, None], perm[:, :m]] = z
 
 
-def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng,
-                 memo: dict) -> None:
-    """Fill states[1:] with the steps of one chain that follow states[0],
-    equal to the scalar steps (`gibbs_step` if gibbs, else `gibbs_klein_step`)
-    bit for bit, taking from rng what they take. memo maps (alpha, center)
-    to `dg.running_weights`' walk of that window, filled as windows are met.
+def _chain_block(gram: "list[list[float]]", bc: "list[float]", sigma: float, m: int,
+                 gibbs: bool, states: np.ndarray, rng, draw) -> None:
+    """Fill states[1:] with the steps of one chain on G = gram and B^T c = bc
+    that follow states[0], taking from rng what the scalar steps take
+    (`gibbs_step` if gibbs, else `gibbs_klein_step` with block size m).
+    draw(alpha, half, center, u) is the 1-D draw on the uniform u, with
+    half = window_half(alpha). With `run_chain`'s draw over Z the states are
+    the scalar steps' bit for bit, and any input a scalar step refuses
+    raises a ValueError here too, though not necessarily that step's.
 
     1. The stream: every step's uniforms, in one call (`_step_draws`).
     2. What reads no state, over all steps (Gibbs: all coordinates) at once:
        the ordered blocks and rests, their factors (`block_factor_rows`),
        alphas and window halves, checked as `dg.sample` checks them. At
-       m = n that is all, and the steps are rows of `_block_step_rows`.
+       m = n the centers read no state either (`block_conditional_rows`).
     3. Per step, in Python: the centers, subtracting one term at a time in
        `block_conditional`'s and `backward_sample_into`'s order, and the
-       draws on the step's uniforms: `dg.invert`'s rule on the memo's walk
-       of the window, walked and kept on a miss. A window of LOOP_MAX_POINTS
-       or more points is not kept; `dg.invert` draws it through its one-row
-       kernel, whose weights a Python walk might round apart from.
-    Any input a scalar step refuses raises a ValueError here too, though not
-    necessarily that step's.
+       draws on the step's uniforms.
     """
-    n, m, k = cfg.basis.n, cfg.block_size, len(states) - 1
+    n, k = len(gram), len(states) - 1
     if gibbs:  # one row per coordinate i: block [i], rest ascending
         coords, us = _step_draws(rng, k, n, 1, gibbs)
         coords = coords.tolist()
         perm = np.array([[i] + [j for j in range(n) if j != i] for i in range(n)])
     else:  # one row per step
         perm, us = _step_draws(rng, k, n, m)
-        if m == n:
-            _block_step_rows(cfg, states[1:], perm, us)
-            return
-    with np.errstate(over="ignore"):
-        u = block_factor_rows(cfg.gram, perm[:, :m])
-        alphas = cfg.target.sigma / np.diagonal(u, axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m == n:  # perm stands in for the state, which no center reads
+            u, c = block_conditional_rows(gram, bc, perm, perm[:, :m], perm[:, m:])
+        else:
+            u, c = block_factor_rows(gram, perm[:, :m]), np.full(len(perm), None)
+        alphas = sigma / np.diagonal(u, axis1=1, axis2=2)
     halves = dg.checked_halves(alphas).astype(np.int64)
-    rows = (perm[:, :m], perm[:, m:], u, alphas, halves)
     if m == 1:  # scalars for the unrolled loop
         rows, us = (perm[:, 0], perm[:, 1:], u[:, 0, 0], alphas[:, 0], halves[:, 0]), us[:, 0]
+    else:
+        rows = (perm[:, :m], perm[:, m:], u, alphas, halves, c)
     rows = [col.tolist() for col in rows]
     if gibbs:  # step t reads row i_t
         rows = [map(col.__getitem__, coords) for col in rows]
     steps = zip(*rows, us.tolist())
-    gram, bc, big, invert, loop = cfg.gram, cfg.bc, dg.MAX_CENTER, dg.invert, dg.LOOP_MAX_POINTS
-    cap = WINDOW_MEMO_ENTRIES
-
-    def walk(a, h, center):  # a memo miss: walk the window and keep it
-        if len(memo) >= cap:
-            memo.clear()
-        memo[a, center] = pair = dg.running_weights(a, h, center)
-        return pair
-
     x = states[0].tolist()
     out = []  # the states after each step, flat
     if m == 1:  # the loops below, unrolled
@@ -214,41 +206,27 @@ def _chain_block(cfg: GibbsKleinConfig, gibbs: bool, states: np.ndarray, rng,
             acc = bc[b]
             for j in rest:
                 acc -= gb[j] * x[j]
-            center = acc / r / r
-            if not -big < center < big:  # also NaN
-                dg._check(a, center)  # raises `dg.sample`'s error
-            if 2 * h < loop:
-                first, cum = memo.get((a, center)) or walk(a, h, center)
-                x[b] = first + bisect_left(cum, v * cum[-1])
-            else:
-                x[b] = invert(a, h, center, v)
+            x[b] = draw(a, h, acc / r / r, v)
             out.extend(x)
     else:
         z = [0] * m
-        for block, rest, f, a, h, v in steps:
-            c = []
-            for i, b in enumerate(block):
-                gb = gram[b]
-                acc = bc[b]
-                for j in rest:
-                    acc -= gb[j] * x[j]
-                for p in range(i):
-                    acc -= f[p][i] * c[p]
-                c.append(acc / f[i][i])
+        for block, rest, f, a, h, c, v in steps:
+            if c is None:  # block_conditional's centers, given x[rest]
+                c = []
+                for i, b in enumerate(block):
+                    gb = gram[b]
+                    acc = bc[b]
+                    for j in rest:
+                        acc -= gb[j] * x[j]
+                    for p in range(i):
+                        acc -= f[p][i] * c[p]
+                    c.append(acc / f[i][i])
             for i in range(m - 1, -1, -1):  # v holds the uniforms in draw order
                 row = f[i]
                 acc = c[i]
                 for j in range(i + 1, m):
                     acc -= row[j] * z[j]
-                center = acc / row[i]
-                ai, hi, vi = a[i], h[i], v[m - 1 - i]
-                if not -big < center < big:
-                    dg._check(ai, center)
-                if 2 * hi < loop:
-                    first, cum = memo.get((ai, center)) or walk(ai, hi, center)
-                    z[i] = first + bisect_left(cum, vi * cum[-1])
-                else:
-                    z[i] = invert(ai, hi, center, vi)
+                z[i] = draw(a[i], h[i], acc / row[i], v[m - 1 - i])
             for b, zb in zip(block, z):
                 x[b] = zb
             out.extend(x)
@@ -326,17 +304,19 @@ def run_chain(
     Returns the (steps + 1, n) int64 array of states; row t is the state
     after t steps, row 0 is x0.
 
-    The steps run in blocks of consecutive steps (`_chain_block`), about
-    ROW_BLOCK_ENTRIES entries each, that take from rng in step order: the
-    states and the stream are the scalar step loop's, whatever the block
-    size. A block that raises is redone by the scalar steps, which raise the
-    first bad step's own error.
+    The steps run in blocks of consecutive steps, about ROW_BLOCK_ENTRIES
+    entries each, that take from rng in step order: the states and the
+    stream are the scalar step loop's, whatever the block size. A block is
+    `_chain_block` with this call's 1-D draw over Z, or at m = n rows of
+    `_block_step_rows`. A block that raises is redone by the scalar steps,
+    which raise the first bad step's own error.
 
-    The blocks share one memo of the 1-D windows walked in this call, so a
-    window the chain meets again is drawn without its exp calls. It holds
-    at most WINDOW_MEMO_ENTRIES windows of under LOOP_MAX_POINTS points, is
-    cleared when full, and is dropped on return: memory stays flat in the
-    steps and in sigma, and no call sees another's windows.
+    The draw keeps a memo of the windows walked in this call, so a window
+    the chain meets again is drawn without its exp calls. It holds at most
+    WINDOW_MEMO_ENTRIES windows of under LOOP_MAX_POINTS points (a wider one
+    goes to `dg.invert`'s one-row kernel, whose weights a walk might round
+    apart from), is cleared when full, and is dropped on return: memory
+    stays flat in the steps and in sigma, and no call sees another's windows.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -352,11 +332,33 @@ def run_chain(
     states = np.empty((steps + 1, n), dtype=np.int64)
     states[0] = start_state(x0, n)
     per = max(1, ROW_BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
-    done, memo = 0, {}  # steps drawn in blocks; windows walked
+    gibbs, m = kernel == "gibbs", cfg.block_size
+    big, loop, cap, walk, invert = (dg.MAX_CENTER, dg.LOOP_MAX_POINTS, WINDOW_MEMO_ENTRIES,
+                                    dg.running_weights, dg.invert)
+    memo = {}  # (alpha, center) -> `dg.running_weights`' walk of that window
+
+    def draw(a, h, center, v):  # `dg.invert`'s draw; a kept window passed the check
+        pair = memo.get((a, center))
+        if pair is None:
+            if not -big < center < big:  # also NaN
+                dg._check(a, center)  # raises `dg.sample`'s error
+            if 2 * h >= loop:
+                return invert(a, h, center, v)
+            if len(memo) >= cap:  # walk the window and keep it
+                memo.clear()
+            memo[a, center] = pair = walk(a, h, center)
+        return pair[0] + bisect_left(pair[1], v * pair[1][-1])
+
+    done = 0  # steps drawn in blocks
     try:
         for done in range(0, steps, per):
             saved = rng.bit_generator.state
-            _chain_block(cfg, kernel == "gibbs", states[done : done + 1 + per], rng, memo)
+            block = states[done : done + 1 + per]
+            if not gibbs and m == n:
+                perm, us = _step_draws(rng, len(block) - 1, n, m)
+                _block_step_rows(cfg, block[1:], perm, us)
+            else:
+                _chain_block(cfg.gram, cfg.bc, target.sigma, m, gibbs, block, rng, draw)
         done = steps
     except ValueError:  # the scalar steps below redo the block and raise
         rng.bit_generator.state = saved

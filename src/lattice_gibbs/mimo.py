@@ -23,26 +23,27 @@ How the decoders are computed:
   matrix from a single real GEMM (256 x 256 at n_tx = 4). Its row-major
   argmin is the first candidate in lexicographic order, as in a brute-force
   scan.
-* Every sampler decoder is a configuration of the package's block step:
-  the triangular factor and centers of a block S given the rest R, from the
-  Gram matrix G = g^T g and g^T t formed once per trial (U = chol(G[S,S]),
-  c = U^-T (g^T t[S] - G[S,R] k[R]), as `klein.block_conditional` gives
-  them), then Klein's backward pass on them with every 1-D draw restricted
-  to {0..3} (`_draw_restricted4`). Klein's pass takes the full block
-  S = {0..n-1}; a Gibbs-Klein step takes the first m coordinates of a fresh
-  uniform order. This equals the QR of g[:, order] up to rounding, at
-  O(m^3 + nm) scalar work per step. Gibbs draws from the exact 1-D
-  conditional, its center read off the residual g k - t.
-* A decoder runs in blocks of whole iterations, as `mcmc.run_chain` runs
-  chains: a block takes its steps' uniforms from the stream in one call, on
-  the chains' layout (`mcmc._step_draws`; Klein takes n a step), and forms
-  in numpy what reads no state (the factors `klein.block_factor_rows`, the
-  alphas, and at m = n the centers). Per step, only the centers that read
-  the state, the 1-D draws and the move run in Python floats, so the
+* Every sampler decoder is a configuration of the package's block step, on
+  G = g^T g and g^T t formed once per trial, with every 1-D draw restricted
+  to {0..3} (`_draw_restricted4`): the triangular factor and centers of a
+  block S given the rest R (U = chol(G[S,S]), c = U^-T (g^T t[S] - G[S,R]
+  k[R]), as `klein.block_conditional` gives them), then Klein's backward
+  pass on them. Klein's pass takes S = {0..n-1}, whose factor and centers
+  are formed once a trial: one `klein.backward_sample_into` call an
+  iteration. Gibbs takes S = {i} for a uniform i, and a Gibbs-Klein step
+  the first m coordinates of a fresh uniform order, both run as a chain's
+  steps are (`mcmc._chain_block`, on the chains' stream layout). This
+  equals the QR of g[:, order] up to rounding, at O(m^3 + nm) scalar work
+  per step.
+* A decoder runs in blocks of whole iterations, about
+  mcmc.ROW_BLOCK_ENTRIES entries each, and picks its best point once a
+  block: every visited state is costed by one rule (`_costs`), and at each
+  budget the first minimum strictly below the running best wins. The
   decisions and the stream's position are those of the per-step textbook
   formulation, whatever the block size.
-* Per trial, the ZF start point, Klein's factor and centers, sigma and the
-  Gram quantities are computed once and shared by every sampler decoder.
+* Per trial, the ZF start point and its cost, Klein's factor and centers,
+  sigma and the Gram quantities are computed once and shared by every
+  sampler decoder.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from math import exp
-from operator import add, mul
 
 import numpy as np
 
 from . import mcmc
-from .klein import block_conditional, block_conditional_rows, block_factor_rows
+from .klein import backward_sample_into, block_conditional
 
 QAM16_LEVELS = (-3.0, -1.0, 1.0, 3.0)
 BITS_PER_SYMBOL = 4
@@ -276,11 +276,12 @@ def _integer_lattice_problem(h: np.ndarray, y: np.ndarray):
     return g, t
 
 
-def _draw_restricted4(alpha: float, center: float, u: float) -> int:
+def _draw_restricted4(alpha: float, half: int, center: float, u: float) -> int:
     """One draw of D_{Z,alpha,center} restricted to {0, 1, 2, 3}, by inversion.
 
     Weights are taken relative to the largest one; the uniform u in [0, 1)
     picks the first point whose cumulative weight reaches u times the total.
+    half, the width of a window over Z, is not read: the window is {0..3}.
     """
     den = 2.0 * alpha * alpha
     d1, d2, d3 = 1.0 - center, 2.0 - center, 3.0 - center
@@ -298,19 +299,21 @@ def _draw_restricted4(alpha: float, center: float, u: float) -> int:
     return 0 if v <= c0 else 1 if v <= c1 else 2 if v <= c2 else 3
 
 
-def _dot(a, b) -> float:
-    """sum(a_i b_i) over two float lists, added left to right. The builtin
-    `sum` adds floats with compensation from Python 3.12 on, which would
-    make the decisions depend on the Python version."""
-    return functools.reduce(add, map(mul, a, b), 0.0)
+def _costs(g: np.ndarray, t: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """||g k - t||^2 for each row k of the int array ks, by one rule: -t plus
+    g's columns times k, then the squares, each added left to right in
+    elementwise float64, with no BLAS call and no pairwise sum, so the
+    decisions do not depend on the BLAS or the numpy version."""
+    resid = functools.reduce(np.add, ks.T[:, :, None] * g.T[:, None, :], -t)
+    return functools.reduce(np.add, (resid * resid).T)
 
 
 @dataclass(frozen=True)
 class _TrialLattice:
     """One trial's CVP(g, t), in the forms the sampler decoders read.
 
-    Built once per trial and shared by every decoder; all vectors and
-    matrices are plain lists (matrices row by row) for the scalar loops.
+    Built once per trial and shared by every decoder; the lists (matrices
+    row by row) are what the scalar loops read.
     """
 
     sigma: float  # min_i r_ii / sqrt(log n)
@@ -318,10 +321,10 @@ class _TrialLattice:
     c0: list  # R^-T g^T t = Q^T t
     gram: list  # G = g^T g
     gt: list  # g^T t
-    cols: list  # columns of g
-    k_zf: list  # rounded ZF start point in {0..3}^n
-    resid_zf: list  # g k_zf - t
-    cost_zf: float  # ||g k_zf - t||^2
+    g: np.ndarray  # the basis 2 B_real, whose columns `_costs` adds
+    t: np.ndarray  # the target y_real + 3 B_real 1
+    k_zf: np.ndarray  # rounded ZF start point in {0..3}^n, int64
+    cost_zf: float  # ||g k_zf - t||^2, by `_costs`
 
 
 def _trial_lattice(h: np.ndarray, y: np.ndarray, zf: "np.ndarray | None" = None) -> _TrialLattice:
@@ -333,17 +336,16 @@ def _trial_lattice(h: np.ndarray, y: np.ndarray, zf: "np.ndarray | None" = None)
     gram, gt = (g.T @ g).tolist(), (g.T @ t).tolist()
     r0, c0 = block_conditional(gram, gt, [], list(range(n)), [])
     k_zf = np.clip(np.round((complex_to_real_vector(zf) + 3.0) / 2.0), 0, 3).astype(np.int64)
-    resid = g @ k_zf - t
     return _TrialLattice(
         sigma=min(r0[i][i] for i in range(n)) / math.sqrt(math.log(n)),
         r0=r0,
         c0=c0,
         gram=gram,
         gt=gt,
-        cols=g.T.tolist(),
-        k_zf=k_zf.tolist(),
-        resid_zf=resid.tolist(),
-        cost_zf=float(resid @ resid),
+        g=g,
+        t=t,
+        k_zf=k_zf,
+        cost_zf=float(_costs(g, t, k_zf[None])[0]),
     )
 
 
@@ -361,88 +363,53 @@ def _decode_checkpoints(
     """Run one sampler chain, returning the best-visited point at each budget.
 
     One iteration samples n = 2 n_tx components: n coordinate steps for gibbs,
-    ceil(n/m) block steps for gibbs-klein, and for klein one block step over
-    all n coordinates (lat.r0, lat.c0). The residual g k - t is updated only
-    along the coordinates that move. The iterations run in blocks of about
-    mcmc.ROW_BLOCK_ENTRIES entries, as the module docstring says, and the
-    decisions and the stream's position do not depend on the block size.
+    ceil(n/m) block steps for gibbs-klein, and for klein one backward pass
+    over all n coordinates (lat.r0, lat.c0). The iterations run in blocks of
+    about mcmc.ROW_BLOCK_ENTRIES entries, as the module docstring says, and
+    the decisions and the stream's position do not depend on the block size.
     """
     if strategy not in SAMPLER_DECODERS:
         raise ValueError(f"unknown sampler strategy {strategy!r}")
     n = len(lat.gt)
     if strategy == "gibbs-klein" and not (block_size is not None and 1 <= block_size <= n):
         raise ValueError(f"gibbs-klein decoding needs a block size in [1, {n}], got {block_size}")
-    sigma, cols, gram, gt = lat.sigma, lat.cols, lat.gram, lat.gt
-    k, resid = lat.k_zf[:], lat.resid_zf
-    best_k, best_cost = lat.k_zf, lat.cost_zf
-
-    def move(coords, new_vals) -> None:
-        nonlocal resid, best_cost, best_k
-        moved = False
-        for i, new in zip(coords, new_vals):
-            d = new - k[i]
-            if d:
-                resid = [r + d * c for r, c in zip(resid, cols[i])]
-                k[i] = new
-                moved = True
-        if moved:
-            cost = _dot(resid, resid)
-            if cost < best_cost:
-                best_cost, best_k = cost, k[:]
-
     m = {"klein": n, "gibbs": 1, "gibbs-klein": block_size}[strategy]
-    per_iter = 1 if strategy == "klein" else -(-n // m)  # steps per iteration
+    per_iter = 1 if strategy == "klein" else -(-n // m)  # states visited per iteration
     # iterations per block: each step counts as an (n, n) factor's entries
     per_block = max(1, mcmc.ROW_BLOCK_ENTRIES // (per_iter * n * n))
-    col_alpha = [sigma / math.sqrt(gram[i][i]) for i in range(n)]
-    klein = (range(n), (), lat.r0, [sigma / lat.r0[i][i] for i in range(n)], lat.c0)
+    x, best, best_cost = lat.k_zf, lat.k_zf, lat.cost_zf
+    z = [0] * n
+
+    def klein_draw(alpha, center, rng):
+        return _draw_restricted4(alpha, 0, center, rng.random())
+
     last = max(budgets)
     results: dict[int, np.ndarray] = {}
     for start in range(0, last, per_block):
         iters = min(per_block, last - start)
-        if strategy == "gibbs":
-            coords, us = mcmc._step_draws(rng, iters * n, n, 1, gibbs=True)
-            steps = zip(coords.tolist(), us[:, 0].tolist())
-        elif strategy == "klein":  # the block 0..n-1, whose centers are lat.c0
-            steps = [(*klein, v) for v in rng.random((iters, n)).tolist()]
+        states = np.empty((iters * per_iter + 1, n), dtype=np.int64)
+        states[0] = x
+        if strategy == "klein":
+            out = []
+            for _ in range(iters):
+                backward_sample_into(lat.r0, lat.c0, lat.sigma, z, rng, klein_draw)
+                out.extend(z)
+            states[1:] = np.reshape(out, (iters, n))
         else:
-            perm, us = mcmc._step_draws(rng, iters * per_iter, n, m)
-            blocks, rests = perm[:, :m], perm[:, m:]
-            if m == n:  # the centers read no state either (perm stands in for it)
-                u, c = block_conditional_rows(gram, gt, perm, blocks, rests)
-                centers = c.tolist()
-            else:
-                u, centers = block_factor_rows(gram, blocks), itertools.repeat(None)
-            alphas = sigma / np.diagonal(u, axis1=1, axis2=2)
-            steps = zip(blocks.tolist(), rests.tolist(), u.tolist(), alphas.tolist(),
-                        centers, us.tolist())
-        z = [0] * m
-        for iteration, its_steps in enumerate(zip(*[iter(steps)] * per_iter), start + 1):
-            if strategy == "gibbs":
-                for i, v in its_steps:
-                    center = k[i] - _dot(resid, cols[i]) / gram[i][i]
-                    move((i,), (_draw_restricted4(col_alpha[i], center, v),))
-            else:
-                for block, rest, f, a, c, v in its_steps:
-                    if c is None:  # block_conditional's centers, given k[rest]
-                        c = []
-                        for i, b in enumerate(block):
-                            gb = gram[b]
-                            acc = gt[b]
-                            for j in rest:
-                                acc -= gb[j] * k[j]
-                            for p in range(i):
-                                acc -= f[p][i] * c[p]
-                            c.append(acc / f[i][i])
-                    for i in range(m - 1, -1, -1):  # v holds the uniforms in draw order
-                        row = f[i]
-                        acc = c[i]
-                        for j in range(i + 1, m):
-                            acc -= row[j] * z[j]
-                        z[i] = _draw_restricted4(a[i], acc / row[i], v[m - 1 - i])
-                    move(block, z)
-            if iteration in budgets:
-                results[iteration] = _coeffs_to_symbols(best_k)
+            mcmc._chain_block(lat.gram, lat.gt, lat.sigma, m, strategy == "gibbs", states, rng,
+                              _draw_restricted4)
+        costs = _costs(lat.g, lat.t, states[1:])
+        seen = 0  # states of the block already compared with the running best
+        # at each budget in the block, then at its end: the first minimum
+        # since the last, kept only if strictly below the running best
+        for end in sorted({b - start for b in budgets if start < b <= start + iters} | {iters}):
+            i = seen + int(np.argmin(costs[seen : end * per_iter]))
+            if costs[i] < best_cost:
+                best, best_cost = states[1 + i].copy(), costs[i]
+            seen = end * per_iter
+            if start + end in budgets:
+                results[start + end] = _coeffs_to_symbols(best)
+        x = states[-1].copy()
     return results
 
 

@@ -5,8 +5,10 @@ decisions and on the stream position it leaves.
 Each step here calls `klein.block_conditional` and
 `klein.backward_sample_into`, and takes its uniforms from the stream one
 `rng.random()` call at a time, on the chains' layout: a Gibbs step's
-coordinate is int(u * n), a Gibbs-Klein step's order the stable argsort of
-n uniforms, and every 1-D draw takes one uniform.
+coordinate is int(u * n) and its block [i], a Gibbs-Klein step's order the
+stable argsort of n uniforms, and every 1-D draw takes one uniform. Every
+visited state is costed by `mimo._costs` and compared with the best so far
+as it is visited.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from lattice_gibbs.klein import backward_sample_into, block_conditional
-from lattice_gibbs.mimo import SAMPLER_DECODERS, _coeffs_to_symbols, _dot, _TrialLattice
+from lattice_gibbs.mimo import SAMPLER_DECODERS, _coeffs_to_symbols, _costs, _TrialLattice
 
 
 def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> int:
@@ -49,53 +51,40 @@ def _decode_checkpoints(
     """Run one sampler chain, returning the best-visited point at each budget.
 
     One iteration samples n = 2 n_tx components: n coordinate steps for gibbs,
-    n/m block steps for gibbs-klein, one full backward pass for klein. The
-    residual g k - t is updated only along the coordinates that move.
+    n/m block steps for gibbs-klein, one full backward pass for klein.
     """
     if strategy not in SAMPLER_DECODERS:
         raise ValueError(f"unknown sampler strategy {strategy!r}")
     n = len(lat.gt)
     if strategy == "gibbs-klein" and not (block_size is not None and 1 <= block_size <= n):
         raise ValueError(f"gibbs-klein decoding needs a block size in [1, {n}], got {block_size}")
-    sigma, cols, gram = lat.sigma, lat.cols, lat.gram
-    k, resid = lat.k_zf[:], lat.resid_zf
-    best_k, best_cost = lat.k_zf, lat.cost_zf
+    sigma, gram, gt = lat.sigma, lat.gram, lat.gt
+    k = lat.k_zf.tolist()
+    best_k, best_cost = k[:], lat.cost_zf
 
-    def move(coords, new_vals) -> None:
-        nonlocal resid, best_cost, best_k
-        moved = False
-        for i, new in zip(coords, new_vals):
-            d = new - k[i]
-            if d:
-                resid = [r + d * c for r, c in zip(resid, cols[i])]
-                k[i] = new
-                moved = True
-        if moved:
-            cost = _dot(resid, resid)
-            if cost < best_cost:
-                best_cost, best_k = cost, k[:]
+    def step(block, rest) -> None:  # one block step on k, then its cost
+        nonlocal best_k, best_cost
+        u, c = block_conditional(gram, gt, k, block, rest)
+        z = [0] * len(block)
+        backward_sample_into(u, c, sigma, z, rng, _draw_restricted4)
+        for i, v in zip(block, z):
+            k[i] = v
+        cost = _costs(lat.g, lat.t, np.array([k]))[0]
+        if cost < best_cost:
+            best_cost, best_k = cost, k[:]
 
-    col_alpha = [sigma / math.sqrt(gram[i][i]) for i in range(n)]
-    all_coords = list(range(n))
     results: dict[int, np.ndarray] = {}
     for iteration in range(1, max(budgets) + 1):
-        if strategy == "klein":
-            z = [0] * n
-            backward_sample_into(lat.r0, lat.c0, sigma, z, rng, _draw_restricted4)
-            move(all_coords, z)
+        if strategy == "klein":  # the block 0..n-1, whose centers read no state
+            step(list(range(n)), [])
         elif strategy == "gibbs":
             for _ in range(n):
                 i = int(rng.random() * n)
-                center = k[i] - _dot(resid, cols[i]) / gram[i][i]
-                move((i,), (_draw_restricted4(col_alpha[i], center, rng),))
+                step([i], [j for j in range(n) if j != i])
         else:
             for _ in range(-(-n // block_size)):
                 order = sorted(range(n), key=[rng.random() for _ in range(n)].__getitem__)
-                block, rest = order[:block_size], order[block_size:]
-                u, c = block_conditional(gram, lat.gt, k, block, rest)
-                z = [0] * block_size
-                backward_sample_into(u, c, sigma, z, rng, _draw_restricted4)
-                move(block, z)
+                step(order[:block_size], order[block_size:])
         if iteration in budgets:
             results[iteration] = _coeffs_to_symbols(best_k)
     return results

@@ -6,6 +6,7 @@ import pytest
 
 import mimo_reference
 from conftest import OTHER_BIT_GENERATORS, stream_state
+from lattice_gibbs import dgauss1d as dg
 from lattice_gibbs import mcmc, mimo, oracle
 from lattice_gibbs.klein import GaussianParams, block_conditional
 from lattice_gibbs.linalg import LatticeBasis, qr_decompose
@@ -255,25 +256,14 @@ class TestInnerLoop:
         for alpha in (0.05, 0.3, 0.7, 1.0, 2.5, 40.0):
             for center in np.linspace(-2.0, 5.0, 57):
                 for u in (0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999999, 1.0 - 2.0**-53):
-                    got = mimo._draw_restricted4(alpha, float(center), u)
+                    got = mimo._draw_restricted4(alpha, 0, float(center), u)
                     assert got == numpy_draw_restricted4(alpha, center, u)
 
     def test_scalar_draw_boundary_goes_left(self):
         # center 1.5: weights of 1 and 2 tie; u = 1/2 lands exactly on the
         # cumulative weight of {0, 1}, which side="left" assigns to 1
-        assert mimo._draw_restricted4(1.0, 1.5, 0.5) == 1
+        assert mimo._draw_restricted4(1.0, 0, 1.5, 0.5) == 1
         assert numpy_draw_restricted4(1.0, 1.5, 0.5) == 1
-
-    def test_dot_adds_left_to_right(self, rng):
-        # ten terms of 0.1 add up to 0.9999999999999999 one at a time; a
-        # compensated sum (the builtin `sum` from Python 3.12 on) gives 1.0
-        assert mimo._dot([0.1] * 10, [1.0] * 10) == 0.9999999999999999
-        for _ in range(100):
-            a, b = rng.normal(size=(2, 8)).tolist()
-            acc = 0.0
-            for x, y in zip(a, b):
-                acc += x * y
-            assert mimo._dot(a, b) == acc
 
     def test_gram_cholesky_block_matches_permuted_qr(self, rng):
         worst_r = worst_c = 0.0
@@ -466,6 +456,31 @@ class TestBlockDecoder:
             for t in want:
                 assert np.array_equal(got[t], want[t]), (strategy, m, t)
             assert stream_state(got_rng) == stream_state(want_rng), (strategy, m)
+
+    def test_restricted_draw_owns_the_whole_1d_rule(self, monkeypatch):
+        # every window over Z counts as wide (2 half >= LOOP_MAX_POINTS), as
+        # `run_chain`'s draw sends to `dg.invert`: the decoders' steps must
+        # still draw over {0..3} alone, through the draw they are given
+        monkeypatch.setattr(dg, "LOOP_MAX_POINTS", 1)
+        for ebn0_db in (0.0, 15.0):
+            cfg = mimo.MimoConfig(n_tx=2, n_rx=2, trials=1, ebn0_db=ebn0_db, block_sizes=(1,))
+            for seed in range(3):
+                h, _, y = mimo.generate_instance(cfg, np.random.default_rng(seed))
+                lat = mimo._trial_lattice(h, y)
+                for strategy, m in sampler_jobs(2):
+                    want_rng, got_rng = (np.random.default_rng([seed, 7]) for _ in "ab")
+                    want = mimo_reference._decode_checkpoints(lat, strategy, (1, 5, 20),
+                                                              want_rng, m)
+                    got = mimo._decode_checkpoints(lat, strategy, (1, 5, 20), got_rng, m)
+                    case = (ebn0_db, seed, strategy, m)
+                    for t in want:
+                        assert np.array_equal(got[t], want[t]), case + (t,)
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+                    states = np.zeros((201, 4), dtype=np.int64)
+                    block = {"klein": 4, "gibbs": 1}.get(strategy, m)
+                    mcmc._chain_block(lat.gram, lat.gt, lat.sigma, block, strategy == "gibbs",
+                                      states, np.random.default_rng(seed), mimo._draw_restricted4)
+                    assert ((states >= 0) & (states <= 3)).all(), case
 
     def test_per_trial_bit_errors_equal_reference(self, monkeypatch):
         # the whole experiment, every decoder, at the default step blocks
