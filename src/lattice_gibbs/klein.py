@@ -9,9 +9,11 @@ center equal to the nearest-plane residual
 
     x~_i = (c_i - sum_{j>i} u_ij x_j) / u_ii.
 
-`block_conditional` gives U and c for a block of coordinates given the rest:
-Gibbs is a 1-coordinate block, Gibbs-Klein an m-coordinate one, Klein all n.
-The same recursion evaluated instead of sampled gives the exact probability
+`block_conditional` gives U and c for a block of coordinates given the rest
+(c alone, given U, is `block_centers`): Gibbs is a 1-coordinate block,
+Gibbs-Klein an m-coordinate one, Klein all n. `backward_sample_into` is the
+one Python pass, each 1-D draw taking a uniform it is handed. The same
+recursion evaluated instead of sampled gives the exact probability
 that the pass outputs a given x, which is what the enumeration oracle
 compares against. Every pass subtracts the terms u_ij x_j one at a time, so a
 draw's centers and those its evaluation recomputes agree bit for bit.
@@ -85,27 +87,38 @@ def block_conditional(
     """
     m = len(block)
     u: list[list[float]] = []
-    c: list[float] = []
     for i, b in enumerate(block):
         gb = gram[b]
-        acc = bc[b]
-        for j in rest:
-            acc -= gb[j] * x[j]
         row = [gb[j] for j in block]
         for p in range(i):
             up = u[p]
             f = up[i]
             for j in range(i, m):
                 row[j] -= f * up[j]
-            acc -= f * c[p]
         if not row[i] > 0.0:
             raise SingularBasisError(
                 f"block {block} is singular in floating point: Cholesky pivot {row[i]:.3e}"
             )
         rii = math.sqrt(row[i])
         u.append([0.0] * i + [rii] + [v / rii for v in row[i + 1 :]])
-        c.append(acc / rii)
-    return u, c
+    return u, block_centers(gram, bc, x, block, rest, u)
+
+
+def block_centers(gram: "list[list[float]]", bc: "list[float]", x, block: "list[int]",
+                  rest: "list[int]", u: "list[list[float]]") -> list[float]:
+    """`block_conditional`'s centers given its factor u, bit for bit: each
+    subtracts its terms one at a time, G[b,j] x[j] in rest's order, then
+    u_pi c_p for p < i. Its factor's row form is `block_factor_rows`."""
+    c: list[float] = []
+    for i, b in enumerate(block):
+        gb = gram[b]
+        acc = bc[b]
+        for j in rest:
+            acc -= gb[j] * x[j]
+        for p in range(i):
+            acc -= u[p][i] * c[p]
+        c.append(acc / u[i][i])
+    return c
 
 
 def block_factor_rows(gram: "list[list[float]]", blocks: np.ndarray) -> np.ndarray:
@@ -168,27 +181,23 @@ def block_conditional_rows(
     return u, c
 
 
-def backward_sample_into(
-    u: "list[list[float]]",
-    c: "list[float]",
-    sigma: float,
-    z: list,
-    rng: np.random.Generator,
-    draw,
-) -> None:
+def backward_sample_into(u: "list[list[float]]", c: "list[float]", sigma: float, z: list,
+                         us: "list[float]", draw) -> None:
     """Fill z[m-1], ..., z[0] by backward nearest-plane sampling in place.
 
     `u` is upper triangular with positive diagonal and `c` holds its m
-    centers, both as from `block_conditional`. `draw(alpha, center, rng)`
-    is the 1-D draw: `dgauss1d.sample` over Z, or a restricted alphabet.
+    centers, both as from `block_conditional`. `draw(alpha, center, u)` is
+    the 1-D draw on the uniform u, over Z or a restricted alphabet; us holds
+    the m uniforms in draw order, so z[i] takes us[m - 1 - i].
     """
-    for i in range(len(c) - 1, -1, -1):
+    m = len(c)
+    for i in range(m - 1, -1, -1):
         row = u[i]
         acc = c[i]
-        for j in range(i + 1, len(c)):
+        for j in range(i + 1, m):
             acc -= row[j] * z[j]
         rii = row[i]
-        z[i] = draw(sigma / rii, acc / rii, rng)
+        z[i] = draw(sigma / rii, acc / rii, us[m - 1 - i])
 
 
 def backward_rows(u, c, z: np.ndarray):

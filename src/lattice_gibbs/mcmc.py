@@ -6,14 +6,16 @@ rest, by one backward Klein pass on the block's Gram-Cholesky conditional
 (`klein.block_conditional`). Gibbs takes S = {i} for a uniform i, the exact
 1-D conditional; Gibbs-Klein takes the first m entries of a uniform order,
 i.e. Klein's pass on the permuted basis's leading block. A step takes only
-uniforms from its stream, as many whatever the state (`_step_draws`).
+uniforms from its stream, as many whatever the state (`_step_draws`), and
+hands each 1-D draw its uniform (`klein.backward_sample_into`).
 
 `_chain_block` runs consecutive steps of one chain, bit for bit with the
 scalar steps: it takes its steps' uniforms in one call, forms in numpy all
-that reads no state, and leaves only the centers and the 1-D draws to
-Python. The 1-D draw is its argument: `run_chain` passes a draw over Z that
-keeps a memo of walked windows, and the MIMO sampler decoders (`mimo`) a
-draw over {0..3}. At m = n `run_chain`'s steps are instead rows of
+that reads no state, and runs per step the scalar step's centers and pass
+(`klein.block_centers`, `klein.backward_sample_into`). The 1-D draw
+draw(alpha, center, u) is its argument: `run_chain` passes a draw over Z
+that keeps a memo of walked windows, and the MIMO sampler decoders (`mimo`)
+a draw over {0..3}. At m = n `run_chain`'s steps are instead rows of
 `_block_step_rows`, the step over rows that the Gibbs-Klein ensemble's
 chains take together.
 """
@@ -35,6 +37,7 @@ from .klein import (
     backward_pmf_many,
     backward_rows,
     backward_sample_into,
+    block_centers,
     block_conditional,
     block_conditional_rows,
     block_factor_rows,
@@ -84,12 +87,19 @@ def _block_step(
     rest: "list[int]",
     rng: np.random.Generator,
 ) -> None:
-    """Resample x[block] in place by one backward Klein pass given x[rest]."""
+    """Resample x[block] in place by one backward Klein pass given x[rest],
+    on the block's uniforms from one rng.random(m) call."""
     u, c = block_conditional(cfg.gram, cfg.bc, x, block, rest)
     z = [0] * len(block)
-    backward_sample_into(u, c, cfg.target.sigma, z, rng, dg.sample)
+    backward_sample_into(u, c, cfg.target.sigma, z, rng.random(len(block)).tolist(), _draw_z)
     for j, v in zip(block, z):
         x[j] = v
+
+
+def _draw_z(alpha: float, center: float, u: float) -> int:
+    """`dg.sample`'s draw on the uniform u: its checks, then `dg.invert`."""
+    dg._check(alpha, center)
+    return dg.invert(alpha, dg._checked_half(alpha), center, u)
 
 
 def gibbs_step(cfg: GibbsKleinConfig, x: "list[int]", rng: np.random.Generator) -> None:
@@ -162,19 +172,18 @@ def _chain_block(gram: "list[list[float]]", bc: "list[float]", sigma: float, m: 
     """Fill states[1:] with the steps of one chain on G = gram and B^T c = bc
     that follow states[0], taking from rng what the scalar steps take
     (`gibbs_step` if gibbs, else `gibbs_klein_step` with block size m).
-    draw(alpha, half, center, u) is the 1-D draw on the uniform u, with
-    half = window_half(alpha). With `run_chain`'s draw over Z the states are
-    the scalar steps' bit for bit, and any input a scalar step refuses
-    raises a ValueError here too, though not necessarily that step's.
+    draw(alpha, center, u) is the 1-D draw on the uniform u. With
+    `run_chain`'s draw over Z the states are the scalar steps' bit for bit,
+    and any input a scalar step refuses raises a ValueError here too, though
+    not necessarily that step's.
 
     1. The stream: every step's uniforms, in one call (`_step_draws`).
     2. What reads no state, over all steps (Gibbs: all coordinates) at once:
-       the ordered blocks and rests, their factors (`block_factor_rows`),
-       alphas and window halves, checked as `dg.sample` checks them. At
-       m = n the centers read no state either (`block_conditional_rows`).
-    3. Per step, in Python: the centers, subtracting one term at a time in
-       `block_conditional`'s and `backward_sample_into`'s order, and the
-       draws on the step's uniforms.
+       the ordered blocks and rests, their factors (`block_factor_rows`) and
+       alphas, checked as `dg.sample` checks them.
+    3. Per step, in Python: the scalar step's centers and pass on the step's
+       uniforms, `block_centers` and `backward_sample_into` (at m = 1
+       unrolled).
     """
     n, k = len(gram), len(states) - 1
     if gibbs:  # one row per coordinate i: block [i], rest ascending
@@ -184,49 +193,31 @@ def _chain_block(gram: "list[list[float]]", bc: "list[float]", sigma: float, m: 
     else:  # one row per step
         perm, us = _step_draws(rng, k, n, m)
     with np.errstate(over="ignore", invalid="ignore"):
-        if m == n:  # perm stands in for the state, which no center reads
-            u, c = block_conditional_rows(gram, bc, perm, perm[:, :m], perm[:, m:])
-        else:
-            u, c = block_factor_rows(gram, perm[:, :m]), np.full(len(perm), None)
+        u = block_factor_rows(gram, perm[:, :m])
         alphas = sigma / np.diagonal(u, axis1=1, axis2=2)
-    halves = dg.checked_halves(alphas).astype(np.int64)
+    dg.checked_halves(alphas)  # every draw's alpha check, the {0..3} draw's too
     if m == 1:  # scalars for the unrolled loop
-        rows, us = (perm[:, 0], perm[:, 1:], u[:, 0, 0], alphas[:, 0], halves[:, 0]), us[:, 0]
+        rows, us = (perm[:, 0], perm[:, 1:], u[:, 0, 0], alphas[:, 0]), us[:, 0]
     else:
-        rows = (perm[:, :m], perm[:, m:], u, alphas, halves, c)
+        rows = (perm[:, :m], perm[:, m:], u)
     rows = [col.tolist() for col in rows]
     if gibbs:  # step t reads row i_t
         rows = [map(col.__getitem__, coords) for col in rows]
     steps = zip(*rows, us.tolist())
     x = states[0].tolist()
     out = []  # the states after each step, flat
-    if m == 1:  # the loops below, unrolled
-        for b, rest, r, a, h, v in steps:
+    if m == 1:  # block_centers and backward_sample_into, unrolled
+        for b, rest, r, a, v in steps:
             gb = gram[b]
             acc = bc[b]
             for j in rest:
                 acc -= gb[j] * x[j]
-            x[b] = draw(a, h, acc / r / r, v)
+            x[b] = draw(a, acc / r / r, v)
             out.extend(x)
     else:
         z = [0] * m
-        for block, rest, f, a, h, c, v in steps:
-            if c is None:  # block_conditional's centers, given x[rest]
-                c = []
-                for i, b in enumerate(block):
-                    gb = gram[b]
-                    acc = bc[b]
-                    for j in rest:
-                        acc -= gb[j] * x[j]
-                    for p in range(i):
-                        acc -= f[p][i] * c[p]
-                    c.append(acc / f[i][i])
-            for i in range(m - 1, -1, -1):  # v holds the uniforms in draw order
-                row = f[i]
-                acc = c[i]
-                for j in range(i + 1, m):
-                    acc -= row[j] * z[j]
-                z[i] = draw(a[i], h[i], acc / row[i], v[m - 1 - i])
+        for block, rest, f, v in steps:
+            backward_sample_into(f, block_centers(gram, bc, x, block, rest, f), sigma, z, v, draw)
             for b, zb in zip(block, z):
                 x[b] = zb
             out.extend(x)
@@ -333,15 +324,16 @@ def run_chain(
     states[0] = start_state(x0, n)
     per = max(1, ROW_BLOCK_ENTRIES // max(n * n, dg.LOOP_MAX_POINTS))
     gibbs, m = kernel == "gibbs", cfg.block_size
-    big, loop, cap, walk, invert = (dg.MAX_CENTER, dg.LOOP_MAX_POINTS, WINDOW_MEMO_ENTRIES,
-                                    dg.running_weights, dg.invert)
+    big, loop, cap, walk, invert, half = (dg.MAX_CENTER, dg.LOOP_MAX_POINTS, WINDOW_MEMO_ENTRIES,
+                                          dg.running_weights, dg.invert, dg._checked_half)
     memo = {}  # (alpha, center) -> `dg.running_weights`' walk of that window
 
-    def draw(a, h, center, v):  # `dg.invert`'s draw; a kept window passed the check
+    def draw(a, center, v):  # `dg.invert`'s draw; a kept window passed the check
         pair = memo.get((a, center))
         if pair is None:
             if not -big < center < big:  # also NaN
                 dg._check(a, center)  # raises `dg.sample`'s error
+            h = half(a)
             if 2 * h >= loop:
                 return invert(a, h, center, v)
             if len(memo) >= cap:  # walk the window and keep it

@@ -30,9 +30,10 @@ How the decoders are computed:
   k[R]), as `klein.block_conditional` gives them), then Klein's backward
   pass on them. Klein's pass takes S = {0..n-1}, whose factor and centers
   are formed once a trial: one `klein.backward_sample_into` call an
-  iteration. Gibbs takes S = {i} for a uniform i, and a Gibbs-Klein step
-  the first m coordinates of a fresh uniform order, both run as a chain's
-  steps are (`mcmc._chain_block`, on the chains' stream layout). This
+  iteration, on its row of one `random((iters, n))` call. Gibbs takes
+  S = {i} for a uniform i, and a Gibbs-Klein step the first m coordinates
+  of a fresh uniform order, both run as a chain's steps are
+  (`mcmc._chain_block`, on the chains' stream layout). This
   equals the QR of g[:, order] up to rounding, at O(m^3 + nm) scalar work
   per step.
 * A decoder runs in blocks of whole iterations, about
@@ -276,12 +277,11 @@ def _integer_lattice_problem(h: np.ndarray, y: np.ndarray):
     return g, t
 
 
-def _draw_restricted4(alpha: float, half: int, center: float, u: float) -> int:
+def _draw_restricted4(alpha: float, center: float, u: float) -> int:
     """One draw of D_{Z,alpha,center} restricted to {0, 1, 2, 3}, by inversion.
 
     Weights are taken relative to the largest one; the uniform u in [0, 1)
     picks the first point whose cumulative weight reaches u times the total.
-    half, the width of a window over Z, is not read: the window is {0..3}.
     """
     den = 2.0 * alpha * alpha
     d1, d2, d3 = 1.0 - center, 2.0 - center, 3.0 - center
@@ -379,10 +379,6 @@ def _decode_checkpoints(
     per_block = max(1, mcmc.ROW_BLOCK_ENTRIES // (per_iter * n * n))
     x, best, best_cost = lat.k_zf, lat.k_zf, lat.cost_zf
     z = [0] * n
-
-    def klein_draw(alpha, center, rng):
-        return _draw_restricted4(alpha, 0, center, rng.random())
-
     last = max(budgets)
     results: dict[int, np.ndarray] = {}
     for start in range(0, last, per_block):
@@ -391,8 +387,8 @@ def _decode_checkpoints(
         states[0] = x
         if strategy == "klein":
             out = []
-            for _ in range(iters):
-                backward_sample_into(lat.r0, lat.c0, lat.sigma, z, rng, klein_draw)
+            for w in rng.random((iters, n)).tolist():  # one pass's uniforms a row
+                backward_sample_into(lat.r0, lat.c0, lat.sigma, z, w, _draw_restricted4)
                 out.extend(z)
             states[1:] = np.reshape(out, (iters, n))
         else:

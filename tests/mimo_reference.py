@@ -21,11 +21,11 @@ from lattice_gibbs.klein import backward_sample_into, block_conditional
 from lattice_gibbs.mimo import SAMPLER_DECODERS, _coeffs_to_symbols, _costs, _TrialLattice
 
 
-def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> int:
+def _draw_restricted4(alpha: float, center: float, u: float) -> int:
     """One draw of D_{Z,alpha,center} restricted to {0, 1, 2, 3}, by inversion.
 
-    Weights are taken relative to the largest one; the single uniform picks
-    the first point whose cumulative weight reaches it.
+    Weights are taken relative to the largest one; the uniform u picks the
+    first point whose cumulative weight reaches u times the total.
     """
     den = 2.0 * alpha * alpha
     d1, d2, d3 = 1.0 - center, 2.0 - center, 3.0 - center
@@ -37,7 +37,7 @@ def _draw_restricted4(alpha: float, center: float, rng: np.random.Generator) -> 
     c0 = math.exp(l0 - top)
     c1 = c0 + math.exp(l1 - top)
     c2 = c1 + math.exp(l2 - top)
-    v = rng.random() * (c2 + math.exp(l3 - top))
+    v = u * (c2 + math.exp(l3 - top))
     return 0 if v <= c0 else 1 if v <= c1 else 2 if v <= c2 else 3
 
 
@@ -66,7 +66,8 @@ def _decode_checkpoints(
         nonlocal best_k, best_cost
         u, c = block_conditional(gram, gt, k, block, rest)
         z = [0] * len(block)
-        backward_sample_into(u, c, sigma, z, rng, _draw_restricted4)
+        us = [rng.random() for _ in block]  # in draw order
+        backward_sample_into(u, c, sigma, z, us, _draw_restricted4)
         for i, v in zip(block, z):
             k[i] = v
         cost = _costs(lat.g, lat.t, np.array([k]))[0]

@@ -21,6 +21,7 @@ from lattice_gibbs.klein import (
     smoothing_threshold,
 )
 from lattice_gibbs.linalg import LatticeBasis, gram_schmidt_norms, qr_decompose
+from lattice_gibbs.mcmc import _draw_z
 
 from conftest import make_random_basis
 
@@ -30,10 +31,10 @@ def klein_cfg(basis, target):
 
 
 def scalar_klein_pass(cfg, rng):
-    """One Klein pass through the scalar block step and `dg.sample`."""
+    """One Klein pass through the scalar block step and its 1-D draw over Z."""
     u, c = block_conditional(cfg.gram, cfg.bc, [], range(cfg.basis.n), [])
     z = [0] * cfg.basis.n
-    backward_sample_into(u, c, cfg.target.sigma, z, rng, dg.sample)
+    backward_sample_into(u, c, cfg.target.sigma, z, rng.random(cfg.basis.n).tolist(), _draw_z)
     return z
 
 
@@ -170,25 +171,46 @@ class TestKleinPmf:
                     u[r].tolist(), c[r].tolist())
 
 
-def recorded_pass(u, c, sigma, z):
-    """The (alpha, center) of each 1-D draw, in draw order (i = m-1, ..., 0),
-    of a `backward_sample_into` pass made to output the block state z."""
+def recorded_pass(u, c, sigma, z, us=None):
+    """The (alpha, center, uniform) of each 1-D draw, in draw order (i = m-1,
+    ..., 0), of a `backward_sample_into` pass on the uniforms us (default
+    None each) made to output the block state z."""
     calls, out = [], iter(reversed(z))
 
-    def draw(alpha, center, rng):
-        calls.append((alpha, center))
+    def draw(alpha, center, u):
+        calls.append((alpha, center, u))
         return next(out)
 
-    backward_sample_into(u, c, sigma, [0] * len(z), None, draw)
+    backward_sample_into(u, c, sigma, [0] * len(z), [None] * len(z) if us is None else us, draw)
     return calls
 
 
 def pmf_at(calls, z):
     """The product of the 1-D pmfs at the recorded centers, in the passes' order."""
     prob = 1.0
-    for (alpha, center), k in zip(calls, reversed(z)):
+    for (alpha, center, _), k in zip(calls, reversed(z)):
         prob *= dg.pmf(alpha, center, k)
     return prob
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pass_hands_draw_k_the_uniform_us_k(m):
+    # distinct diagonals, so each draw's alpha names its coordinate: draw k
+    # is coordinate i = m-1-k, on us[k], at c_i less the pull of the
+    # coordinates drawn before it
+    rng = np.random.default_rng(m)
+    u = np.triu(rng.uniform(0.5, 1.5, (m, m)))
+    u[np.diag_indices(m)] = np.arange(1.0, m + 1.0)
+    c, us, z = rng.normal(size=m).tolist(), rng.random(m).tolist(), rng.integers(-3, 4, m).tolist()
+    calls = recorded_pass(u.tolist(), c, 0.7, z, us)
+    assert [rec[2] for rec in calls] == us
+    assert [rec[0] for rec in calls] == [0.7 / (m - k) for k in range(m)]
+    for k, (_, center, _) in enumerate(calls):
+        i = m - 1 - k
+        acc = c[i]
+        for j in range(i + 1, m):
+            acc -= u[i, j] * z[j]
+        assert center == acc / u[i, i]
 
 
 class TestSamplingAndEvaluationShareCenters:
@@ -238,7 +260,7 @@ class TestSamplingAndEvaluationShareCenters:
         monkeypatch.setattr(dg, "sample_rows", sample_rows)
         assert klein_sample_many(cfg, len(xs), rng).tolist() == xs.tolist()
         for t, (alpha, centers) in enumerate(seen):
-            assert [(alpha, v) for v in centers] == [rec[t] for rec in calls]
+            assert [(alpha, v) for v in centers] == [rec[t][:2] for rec in calls]
 
 
 class TestSigmaChoices:

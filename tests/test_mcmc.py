@@ -706,6 +706,26 @@ class TestRunChain:
                              block_size=m)
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("kernel, m", [("gibbs", None), ("gibbs-klein", 1),
+                                           ("gibbs-klein", 2)])
+    def test_memo_keeps_windows_below_the_loop_width_only(self, monkeypatch, kernel, m):
+        # alphas 3.9, 4.0 and 1.0 give windows of 63, 65 and 19 points, on
+        # either side of LOOP_MAX_POINTS. On a diagonal basis every
+        # coordinate's center is one fixed number, so the memo walks the 63-
+        # and the 19-point window once each, and the 65-point one, whose half
+        # the draw forms on a miss, goes to `dg.invert`'s row kernel every time
+        alphas = [3.9, 4.0, 1.0]
+        assert [2 * dg._checked_half(a) + 1 for a in alphas] == [63, 65, 19]
+        basis = LatticeBasis.from_matrix(np.diag([1.0 / a for a in alphas]))
+        target = GaussianParams(1.0, np.array([0.3, -0.2, 0.45]))
+        walks = self._counting_walks(monkeypatch)
+        ref = self._scalar_chain(kernel, basis, target, [0] * 3, 400, np.random.default_rng(4), m)
+        walks.append(0)
+        got_rng = np.random.default_rng(4)
+        got = mcmc.run_chain(kernel, basis, target, [0] * 3, 400, got_rng, block_size=m)
+        assert np.array_equal(got, ref)
+        assert walks[-1] == 2, walks
+
     @pytest.mark.parametrize("kernel, m, n, scale", [("gibbs", None, 8, 1.0),
                                                      ("gibbs-klein", 2, 4, 0.5)])
     def test_memory_flat_in_steps(self, monkeypatch, kernel, m, n, scale):
@@ -783,7 +803,16 @@ class TestRunChain:
 
 class TestGibbsEnsemble:
     def test_matches_scalar_kernel_distribution(self, basis_2d, target_2d):
-        # same kernel, different vectorization: distributions must agree
+        # same kernel, different vectorization: distributions must agree. The
+        # 20,000 and 5,000 chains are independent, so each sample is that
+        # many i.i.d. draws of the state at t = 30, whose law is taken as the
+        # target p. With e = 1/n_a + 1/n_b the two samples' mean TV is at
+        # most sum_s sqrt(p_s (1 - p_s) e) / 2, and by McDiarmid's inequality
+        # (one draw moves the TV by at most one over its sample's size) the
+        # TV passes its mean by sqrt(ln(1/delta) e / 2) with chance under
+        # delta = 1e-3. Over 400 seed pairs (ensemble seed 1000 + 2s, scalar
+        # 1000 + 2s + 1) the TV read at most 0.0462 against this bound of
+        # about 0.068; an ensemble drawing at 1.5x alpha reads 0.29 here
         snaps, _ = mcmc.gibbs_ensemble(
             basis_2d, target_2d, (0, 0), 20_000, 30, np.random.default_rng(2), record_at=(30,)
         )
@@ -799,8 +828,10 @@ class TestGibbsEnsemble:
             oracle.empirical_from_states(snaps[30]),
             oracle.empirical_from_states(np.array(finals)),
         )
-        # two-sample floor at 5e3 vs 2e4 samples is ~0.032
-        assert tv <= 0.045
+        p = oracle.enumerate_support(basis_2d, target_2d, 1e-9).probs
+        e = 1.0 / 20_000 + 1.0 / 5_000
+        bound = 0.5 * np.sqrt(p * (1.0 - p) * e).sum() + math.sqrt(math.log(1e3) * e / 2)
+        assert tv <= bound, (tv, bound)
 
     def test_pooled_counts_total(self, basis_2d, target_2d):
         n_chains, steps, pool_from = 500, 40, 20

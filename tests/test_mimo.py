@@ -256,13 +256,13 @@ class TestInnerLoop:
         for alpha in (0.05, 0.3, 0.7, 1.0, 2.5, 40.0):
             for center in np.linspace(-2.0, 5.0, 57):
                 for u in (0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999999, 1.0 - 2.0**-53):
-                    got = mimo._draw_restricted4(alpha, 0, float(center), u)
+                    got = mimo._draw_restricted4(alpha, float(center), u)
                     assert got == numpy_draw_restricted4(alpha, center, u)
 
     def test_scalar_draw_boundary_goes_left(self):
         # center 1.5: weights of 1 and 2 tie; u = 1/2 lands exactly on the
         # cumulative weight of {0, 1}, which side="left" assigns to 1
-        assert mimo._draw_restricted4(1.0, 0, 1.5, 0.5) == 1
+        assert mimo._draw_restricted4(1.0, 1.5, 0.5) == 1
         assert numpy_draw_restricted4(1.0, 1.5, 0.5) == 1
 
     def test_gram_cholesky_block_matches_permuted_qr(self, rng):
