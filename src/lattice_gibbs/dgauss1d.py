@@ -243,10 +243,24 @@ COLUMN_MIN_ROWS = 128
 # a coordinate in 8,000 rows. A distinct center costs about 4.6 us, what the
 # blocks spend on about 500 window entries, so a call may have one per
 # GROUP_ENTRIES_PER_CENTER entries of its rows' windows, and at most
-# BLOCK_ENTRIES // window. The Gibbs ensemble's calls, at most about 333 rows
-# at 1,000 chains, stay below GROUP_MIN_ROWS: grouping gained nothing there.
+# BLOCK_ENTRIES // window.
 GROUP_MIN_ROWS = 512
 GROUP_ENTRIES_PER_CENTER = 1024
+# An `invert_rows` call, one 1-D draw per chain of a Gibbs ensemble step, may
+# have one distinct window per GROUP_ROWS_PER_WINDOW rows: grouped, its
+# n per-coordinate blocks become one call. On the diagnose-n3-n4 Gibbs runs
+# (1,000 chains) a step meets a median of 17 (n = 3) and 22 (n = 4) distinct
+# windows, and at most 70 and 161.
+GROUP_ROWS_PER_WINDOW = 4
+# A group's rows are counted below u times the total by one searchsorted on
+# its sums, about 6 us a group, or all at once on the sums repeated once per
+# row, about 1.5 ns an entry: the latter when the rows' windows hold at most
+# GATHER_ENTRIES_PER_GROUP entries a group and GATHER_ENTRIES in all (256 KiB
+# of float64). On 1,000-row calls of 9-11 point windows the two meet near
+# 250 rows (2,500 entries) a group. Klein's calls, 1-5 groups in 1,000 rows
+# or 8,000 rows, stay on the searchsorted.
+GATHER_ENTRIES_PER_GROUP = 2048
+GATHER_ENTRIES = 4 * BLOCK_ENTRIES
 
 
 def _checked_rows(alpha: float, centers) -> tuple[np.ndarray, int]:
@@ -297,11 +311,12 @@ def _invert_rows(alpha: float, half: int, centers: np.ndarray, u_all: np.ndarray
     offs = np.arange(-half, half + 1, dtype=float)[:, None]
     den = -(2.0 * alpha * alpha)
     n = centers.shape[0]
+    size = offs.shape[0]
     if n >= GROUP_MIN_ROWS:
-        out = _grouped(offs, den, half, centers, u_all)
+        cap = min(n * size // GROUP_ENTRIES_PER_CENTER, BLOCK_ENTRIES // size)
+        out = _grouped(alpha, centers, u_all, cap)
         if out is not None:
             return out
-    size = offs.shape[0]
     per = max(1, BLOCK_ENTRIES // size)
     out = np.empty(n, dtype=np.int64)
     buf = np.empty(size * min(per, n))
@@ -311,6 +326,31 @@ def _invert_rows(alpha: float, half: int, centers: np.ndarray, u_all: np.ndarray
         cum = _running_sums(buf, offs, centers[rows] - base, den)
         idx = np.less(cum, u_all[rows] * cum[-1]).sum(axis=0)
         out[rows] = base.astype(np.int64) + (idx - half)
+    return out
+
+
+def invert_rows(alphas: np.ndarray, centers: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """`sample_rows`' draws with an alpha per row, on given uniforms: entry r
+    is the draw that sample_rows(alphas[r], centers[r:r + 1], rng) makes when
+    its rng.random(1) returns us[r:r + 1], bit for bit, for alphas and
+    centers that `sample_rows` accepts.
+
+    A call of at least GROUP_MIN_ROWS rows with at most one distinct (alpha,
+    center) window per GROUP_ROWS_PER_WINDOW rows forms each window once
+    (`_grouped`). Otherwise each run of rows with equal alphas goes through
+    `_invert_rows` on its own, so a caller should order its rows by alpha.
+    """
+    n = centers.shape[0]
+    if n >= GROUP_MIN_ROWS:
+        size = int(2.0 * window_half(alphas.max()) + 1.0)
+        out = _grouped(alphas, centers, us, min(n // GROUP_ROWS_PER_WINDOW, BLOCK_ENTRIES // size))
+        if out is not None:
+            return out
+    out = np.empty(n, dtype=np.int64)
+    cuts = [0, *(np.flatnonzero(alphas[1:] != alphas[:-1]) + 1).tolist(), n] if n else []
+    for lo, hi in zip(cuts, cuts[1:]):
+        alpha = float(alphas[lo])
+        out[lo:hi] = _invert_rows(alpha, int(window_half(alpha)), centers[lo:hi], us[lo:hi])
     return out
 
 
@@ -345,44 +385,74 @@ def _running_sums(buf: np.ndarray, offs: np.ndarray, frac: np.ndarray, den: floa
     return cum
 
 
-def _grouped(offs: np.ndarray, den: float, half: int, centers: np.ndarray, u_all: np.ndarray):
-    """`_invert_rows`' draws with each distinct center's window formed once,
-    or None when the centers are too many for it.
+def _grouped(alphas, centers: np.ndarray, u_all: np.ndarray, cap: int):
+    """`_invert_rows`' draws, row r's on the window of its alpha (alphas is
+    one float for all rows, or one a row, in runs of equal alphas) and of
+    centers[r], with each distinct window formed once; or None when more
+    than cap differ.
 
-    The first 2 cap + 1 rows are checked first, so a call whose centers
-    seldom repeat pays for one small sort. The rows are then ordered by a
-    16-bit fold of their centers' bits (numpy's radix sort). Equal centers,
-    0.0 and -0.0 among them, fold alike and have the same window bit for bit,
-    so each run of equal centers in that order is one group; a fold collision
-    can only split a center's rows into more runs. A run's rows are inverted
-    by one searchsorted on its running sums: side 'left' counts the sums
-    below u times the total, as the blocks do.
+    The first 2 cap + 1 rows' centers are checked first, so a call whose
+    centers seldom repeat pays for one small sort. The rows are then ordered
+    by a 16-bit fold of their centers' bits (numpy's radix sort, which keeps
+    runs of equal alphas in order). Equal centers, 0.0 and
+    -0.0 among them, fold alike and have the same window bit for bit, so
+    each run of equal (alpha, center) pairs in that order is one group; a
+    fold collision can only split a group's rows into more runs.
+
+    The groups' running sums are formed together, with the blocks' float
+    operations, one column a group: its own window from the column's top,
+    then weights of 0 (offsets of +inf) down to the widest window's length.
+    A row's draw counts its group's sums below u times the total, as the
+    blocks do: all rows at once on their groups' columns repeated once per
+    row, when those hold at most GATHER_ENTRIES_PER_GROUP entries a group
+    and GATHER_ENTRIES in all, else one searchsorted a group (side 'left'
+    counts the sums below).
     """
-    size = offs.shape[0]
     n = centers.shape[0]
-    cap = min(n * size // GROUP_ENTRIES_PER_CENTER, BLOCK_ENTRIES // size)
     first = np.sort(centers[: 2 * cap + 1])
     if np.count_nonzero(first[1:] != first[:-1]) >= cap:
         return None
+    each = isinstance(alphas, np.ndarray)
     bits = (centers + 0.0).view(np.uint64)  # -0.0 + 0.0 is 0.0
     bits ^= bits >> 32
     bits ^= bits >> 16
     order = np.argsort(bits.astype(np.uint16), kind="stable")
     ordered = centers[order]
-    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    new = ordered[1:] != ordered[:-1]  # where a run starts, past the first
+    if each:
+        alphas = alphas[order]
+        new |= alphas[1:] != alphas[:-1]
+    starts = np.flatnonzero(new) + 1
     if starts.size >= cap:
         return None
     firsts = np.concatenate(([0], starts))
     reps = ordered[firsts]
+    if each:
+        alphas = alphas[firsts]
+        half = window_half(alphas)
+        offs = np.arange(2.0 * half.max() + 1.0)[:, None] - half
+        offs[offs > half] = np.inf  # exp(-inf) = 0
+    else:
+        half = window_half(alphas)
+        offs = np.arange(-half, half + 1.0)[:, None]
     base = window_mid(reps)
-    cum = _running_sums(np.empty(size * reps.size), offs, reps - base, den)
+    cum = _running_sums(np.empty(offs.shape[0] * reps.size), offs, reps - base,
+                        -(2.0 * alphas * alphas))
+    low = (base - half).astype(np.int64)  # each group's first window point
     us = u_all[order]
-    draws = np.empty(n, dtype=np.int64)
-    bounds = firsts.tolist() + [n]
-    for g, low in enumerate((base.astype(np.int64) - half).tolist()):
-        rows = slice(bounds[g], bounds[g + 1])
-        sums = cum[:, g]
-        draws[rows] = np.searchsorted(sums, us[rows] * sums[-1]) + low
+    if n * cum.shape[0] <= min(GATHER_ENTRIES, GATHER_ENTRIES_PER_GROUP * reps.size):
+        counts = np.diff(firsts, append=n)
+        sums = np.repeat(cum, counts, axis=1)
+        below = np.less(sums, us * sums[-1]).view(np.uint8)
+        # a count is below the window's length, at most GATHER_ENTRIES // GROUP_MIN_ROWS = 64
+        draws = np.repeat(low, counts) + np.add.reduce(below, axis=0, dtype=np.uint8)
+    else:
+        draws = np.empty(n, dtype=np.int64)
+        bounds = firsts.tolist() + [n]
+        for g, lo in enumerate(low.tolist()):
+            rows = slice(bounds[g], bounds[g + 1])
+            sums = cum[:, g]
+            draws[rows] = np.searchsorted(sums, us[rows] * sums[-1]) + lo
     out = np.empty_like(draws)
     out[order] = draws
     return out

@@ -18,13 +18,17 @@ that keeps a memo of walked windows, and the MIMO sampler decoders (`mimo`)
 a draw over {0..3}. At m = n `run_chain`'s steps are instead rows of
 `_block_step_rows`, the step over rows that the Gibbs-Klein ensemble's
 chains take together.
+
+`gibbs_ensemble` keeps its own stream, one rng.integers and one rng.random
+call a step for all chains, and draws a step's 1-D draws with one
+`dg.invert_rows` call, which forms each distinct (coordinate, center) window
+of the step once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from bisect import bisect_left
 
 import numpy as np
@@ -43,7 +47,7 @@ from .klein import (
     block_factor_rows,
 )
 from .linalg import LatticeBasis
-from .oracle import DiscreteDistribution
+from .oracle import DiscreteDistribution, count_rows
 
 MAX_KERNEL_ENUM_DIM = 7
 # Steps per `run_chain` block: about this many entries in each step's (n, n)
@@ -374,43 +378,67 @@ def gibbs_ensemble(
 ) -> tuple[dict[int, np.ndarray], "DiscreteDistribution | None"]:
     """Run many independent Gibbs chains in lockstep, vectorized across chains.
 
-    Same kernel as `gibbs_step`, grouped by chosen coordinate per step so the
-    1-D draws batch, and the same centers bit for bit: `block_conditional`'s
-    for the block [i]. Returns snapshots of the (n_chains, n) state array at the
+    Same kernel as `gibbs_step`, and the same centers bit for bit:
+    `block_conditional`'s for the block [i], subtracted one term at a time.
+    A step draws every chain's coordinate with one rng.integers(0, n) call,
+    orders the chains by coordinate (stably), and draws all 1-D draws with
+    one `dg.invert_rows` call on one rng.random(n_chains) call, the uniforms
+    in that order: the stream, and so every state, is that of one
+    `dg.sample_rows` call per coordinate in turn. A bad input raises that
+    call's error. Returns snapshots of the (n_chains, n) state array at the
     requested times and, if `pool_from` is set, the law of the states pooled
     over all chains and all steps t > pool_from.
     """
     n = basis.n
     if pool_from is not None and pool_from >= steps:
         raise ValueError(f"pool_from must be below steps = {steps}, got {pool_from}")
-    x = np.tile(start_state(x0, n), (n_chains, 1))
+    xt = np.tile(start_state(x0, n)[:, None], (1, n_chains))  # column c is chain c's state
     cfg = GibbsKleinConfig(basis, target, 1)
-    roots = [math.sqrt(g[i]) for i, g in enumerate(cfg.gram)]
-    rests = [[j for j in range(n) if j != i] for i in range(n)]
+    gram = np.array(cfg.gram)
+    roots = np.sqrt(np.diagonal(gram))
+    alphas = target.sigma / roots
+    try:
+        dg.checked_halves(alphas)
+        checked = True
+    except ValueError:  # raised below, once a step draws that coordinate
+        checked = False
+    # term k of coordinate i's center is G[i][j] x[j] for j = k (k < i) or k + 1
+    coefs = np.array([gram[np.arange(n), k + (np.arange(n) <= k)] for k in range(n - 1)])
+    coefs = coefs.reshape(n - 1, n)
+    terms = np.arange(n - 1)[:, None]
+    bc = np.array(cfg.bc)
+    key = np.min_scalar_type(n - 1)  # coordinates as small ints sort by radix
     snapshots: dict[int, np.ndarray] = {}
     pool = []  # (distinct states, counts) of each pooled step
     if 0 in record_at:
-        snapshots[0] = x.copy()
+        snapshots[0] = xt.T.copy()
     for t in range(1, steps + 1):
         coords = rng.integers(0, n, size=n_chains)
-        for i in range(n):
-            rows = np.nonzero(coords == i)[0]
-            if rows.size == 0:
-                continue
-            acc = np.full(rows.size, cfg.bc[i])  # block_conditional's center for [i]
-            with np.errstate(over="ignore", invalid="ignore"):  # sample_rows rejects inf
-                for j in rests[i]:
-                    acc -= cfg.gram[i][j] * x[rows, j]
-                centers = acc / roots[i] / roots[i]
-            x[rows, i] = dg.sample_rows(target.sigma / roots[i], centers, rng)
+        centers = bc[coords]
+        root = roots[coords]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects inf
+            for term in coefs.take(coords, axis=1) * np.where(terms < coords, xt[:-1], xt[1:]):
+                centers -= term
+            centers /= root
+            centers /= root
+        order = np.argsort(coords.astype(key), kind="stable")
+        i = coords[order]
+        centers = centers[order]
+        if not (checked and -dg.MAX_CENTER < centers.min(initial=0.0)
+                and centers.max(initial=0.0) < dg.MAX_CENTER):
+            bounds = np.searchsorted(i, np.arange(n + 1))
+            for k in range(n):  # sample_rows' checks, coordinate by coordinate
+                if bounds[k] < bounds[k + 1]:
+                    dg._checked_rows(alphas[k], centers[bounds[k] : bounds[k + 1]])
+        xt[i, order] = dg.invert_rows(alphas[i], centers, rng.random(n_chains))
         if t in record_at:
-            snapshots[t] = x.copy()
+            snapshots[t] = xt.T.copy()
         if pool_from is not None and t > pool_from:
-            pool.append(np.unique(x, axis=0, return_counts=True))
+            pool.append(count_rows(xt.T))
     if pool_from is None:
         return snapshots, None
-    rows, inverse = np.unique(np.concatenate([u for u, _ in pool]), axis=0, return_inverse=True)
-    counts = np.bincount(inverse.ravel(), weights=np.concatenate([c for _, c in pool]))
+    rows, counts = count_rows(np.concatenate([r for r, _ in pool]),
+                              np.concatenate([c for _, c in pool]))
     return snapshots, DiscreteDistribution(rows, counts / counts.sum())
 
 

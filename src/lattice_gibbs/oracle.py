@@ -137,19 +137,30 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return 0.5 * float(np.abs(p.probs - q_at_p).sum() + q.probs[q_outside_p].sum())
 
 
-def empirical_from_states(states: np.ndarray) -> DiscreteDistribution:
-    """Frequency distribution of an (N, n) array of integer state rows.
-
-    The distinct rows come in lexicographic order with their counts, as from
-    np.unique(axis=0, return_counts=True), which sorts a structured view
-    several times slower than one lexsort of the columns.
+def count_rows(states: np.ndarray, weights=None) -> "tuple[np.ndarray, np.ndarray]":
+    """The distinct rows of an (N, n) integer array in lexicographic order,
+    and how often each occurs (or, given weights, the sum of its rows'
+    weights), as from np.unique(axis=0, return_counts=True), which sorts a
+    structured view several times slower than one lexsort of the columns.
     """
     states = np.asarray(states, dtype=np.int64)
-    rows = states[np.lexsort(states.T[::-1])]  # the last key sorts first
+    order = np.lexsort(states.T[::-1])  # the last key sorts first
+    rows = states[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    counts = np.diff(np.append(np.nonzero(first)[0], len(rows)))
-    return DiscreteDistribution(rows[first], counts / counts.sum())
+    starts = np.flatnonzero(first)
+    if weights is None:
+        counts = np.diff(np.append(starts, len(rows)))
+    else:
+        counts = np.add.reduceat(np.asarray(weights)[order], starts)
+    return rows[first], counts
+
+
+def empirical_from_states(states: np.ndarray) -> DiscreteDistribution:
+    """Frequency distribution of an (N, n) array of integer state rows: the
+    distinct rows in lexicographic order (`count_rows`) and their shares."""
+    rows, counts = count_rows(states)
+    return DiscreteDistribution(rows, counts / counts.sum())
 
 
 def detailed_balance_residual(

@@ -506,8 +506,8 @@ def rows_per_block(alpha):
 
 
 def grouped_log(monkeypatch):
-    """A list that gets, for each `sample_rows` call that tries the grouped
-    path, whether the call took it."""
+    """A list that gets, for each `sample_rows` or `invert_rows` call that
+    tries the grouped path, whether the call took it."""
     took = []
     grouped = dg._grouped
 
@@ -647,6 +647,59 @@ def test_row_helpers_memory_is_bounded_by_the_row_count(alpha, monkeypatch):
                 tracemalloc.stop()
             assert peak < 24e6, (alpha, distinct, peak)
     assert took == [False, True]
+
+
+def rows_by_alpha(alphas, distinct, n, seed):
+    """n rows in runs of equal alphas, each run cycling through its own
+    `distinct` centers: half-integer ties, 0.0 and -0.0 among them. Every
+    7th uniform is 0, and every 5th a cumulative boundary of its window."""
+    rng = np.random.default_rng(seed)
+    per = -(-n // len(alphas))
+    row_alphas = np.repeat(np.array(alphas, dtype=float), per)[:n]
+    pool = np.round(rng.uniform(-9.0, 9.0, (len(alphas), distinct)), 1)
+    pool[:, 0], pool[:, 1 % distinct] = 0.0, -0.0
+    pool[:, 2 % distinct] = 2.5
+    centers = np.concatenate([np.resize(p, per) for p in pool])[:n]
+    us = rng.random(n)
+    us[::7] = 0.0
+    for r in range(0, n, 5):
+        ks, probs = dg.pmf_table(row_alphas[r], centers[r])
+        us[r] = np.cumsum(probs)[r % ks.size]
+    return row_alphas, centers, np.minimum(us, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("alphas, distinct, n, grouped, gathered", [
+    # 3 alphas of 9-11 point windows, 30 windows in 1,000 rows: grouped,
+    # counted on the repeated sums
+    ((0.5, 0.37, 0.29), 10, 1000, True, True),
+    # 6 windows in 4,000 rows: over GATHER_ENTRIES_PER_GROUP entries a
+    # window, one searchsorted a window
+    ((0.5, 0.37, 0.29), 2, 4000, True, False),
+    # 141-point windows: 1,000 rows of them are past GATHER_ENTRIES
+    ((9.0, 7.0, 5.0), 10, 1000, True, False),
+    # more windows than one per GROUP_ROWS_PER_WINDOW rows, or fewer rows
+    # than GROUP_MIN_ROWS: each alpha's run through `_invert_rows`
+    ((0.5, 0.37, 0.29), 200, 1000, False, False),
+    ((0.5, 0.37, 0.29), 10, 511, False, False),
+])
+def test_invert_rows_equals_sample_rows_row_by_row(alphas, distinct, n, grouped, gathered,
+                                                   monkeypatch):
+    row_alphas, centers, us = rows_by_alpha(alphas, distinct, n, n + distinct)
+    want = [dg.sample_rows(a, [c], FixedUniform(np.array([u])))[0]
+            for a, c, u in zip(row_alphas.tolist(), centers.tolist(), us.tolist())]
+    windows = len(set(zip(row_alphas.tolist(), (centers + 0.0).tolist())))
+    size = 2 * dg.window_half(max(alphas)) + 1
+    assert gathered == (grouped and n * size <= min(dg.GATHER_ENTRIES,
+                                                    dg.GATHER_ENTRIES_PER_GROUP * windows))
+    took = grouped_log(monkeypatch)
+    got = dg.invert_rows(row_alphas, centers, us)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert took == ([grouped] if n >= dg.GROUP_MIN_ROWS else [])
+    # the rows in any order draw the same, if not as fast
+    shuffle = np.random.default_rng(n).permutation(n)
+    assert dg.invert_rows(row_alphas[shuffle], centers[shuffle], us[shuffle]).tolist() == [
+        want[r] for r in shuffle.tolist()]
 
 
 # alpha log-uniform from just above the underflow floor to 1e3; centers up to

@@ -19,6 +19,7 @@ from lattice_gibbs.klein import (
 )
 from lattice_gibbs.linalg import LatticeBasis, SingularBasisError, permute_basis, qr_decompose
 
+import gibbs_reference
 from conftest import OTHER_BIT_GENERATORS, ess, make_random_basis, stream_state
 
 
@@ -862,18 +863,19 @@ class TestGibbsEnsemble:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_draws_from_the_block_step_centers(self, monkeypatch, n):
-        # every 1-D draw's (alpha, centers) equals block_conditional's for the
-        # block [i], bit for bit, on the state its chain had before the step
+        # every 1-D draw's (alpha, center) equals block_conditional's for the
+        # block [i], bit for bit, on the state its chain had before the step;
+        # a step's one draw call takes the chains ordered by coordinate
         rng = np.random.default_rng(40 + n)
         basis = make_random_basis(rng, n)
         target = GaussianParams(0.4, rng.normal(size=n) * 3)
         cfg = mcmc.GibbsKleinConfig(basis, target, 1)
         calls, coords = [], []
-        sample_rows = dg.sample_rows
+        invert_rows = dg.invert_rows
 
-        def capture(alpha, centers, rng):
-            calls.append((alpha, np.array(centers)))
-            return sample_rows(alpha, centers, rng)
+        def capture(alphas, centers, us):
+            calls.append((np.array(alphas), np.array(centers)))
+            return invert_rows(alphas, centers, us)
 
         class RecordingRng:  # the ensemble's stream, with its coordinates kept
             def __init__(self, rng):
@@ -886,26 +888,24 @@ class TestGibbsEnsemble:
             def random(self, *args, **kwargs):
                 return self.rng.random(*args, **kwargs)
 
-        monkeypatch.setattr(dg, "sample_rows", capture)
+        monkeypatch.setattr(dg, "invert_rows", capture)
         steps = 6
         snaps, _ = mcmc.gibbs_ensemble(basis, target, rng.integers(-3, 4, n), 300, steps,
                                        RecordingRng(np.random.default_rng(5)),
                                        record_at=tuple(range(steps + 1)))
-        calls = iter(calls)
-        for t, chosen in enumerate(coords, start=1):
-            for i in range(n):
-                rows = np.nonzero(chosen == i)[0]
-                if rows.size == 0:
-                    continue
-                alpha, centers = next(calls)
+        assert len(calls) == len(coords) == steps
+        for t, chosen, (alphas, centers) in zip(itertools.count(1), coords, calls):
+            chains = np.argsort(chosen, kind="stable")
+            want_alphas, want = [], []
+            for chain in chains.tolist():
+                i = int(chosen[chain])
                 rest = [j for j in range(n) if j != i]
-                want = []
-                for x in snaps[t - 1][rows].tolist():
-                    (u,), (c,) = block_conditional(cfg.gram, cfg.bc, x, [i], rest)
-                    assert alpha == target.sigma / u[0]
-                    want.append(c / u[0])
-                assert centers.tolist() == want
-        assert next(calls, None) is None
+                (u,), (c,) = block_conditional(cfg.gram, cfg.bc, snaps[t - 1][chain].tolist(),
+                                               [i], rest)
+                want_alphas.append(target.sigma / u[0])
+                want.append(c / u[0])
+            assert alphas.tolist() == want_alphas
+            assert centers.tolist() == want
 
     def test_overflowing_center_fails_as_the_scalar_chain_does(self):
         # G[0][1] x[1] = 1e300 * 4e18 overflows to inf: a ValueError naming
@@ -923,6 +923,145 @@ class TestGibbsEnsemble:
     def test_pool_from_must_leave_a_step(self, basis_2d, target_2d, rng):
         with pytest.raises(ValueError, match="pool_from"):
             mcmc.gibbs_ensemble(basis_2d, target_2d, (0, 0), 10, 5, rng, pool_from=5)
+
+
+def ensemble_case(n, case):
+    """A basis, target and start state for the ensemble equality tests.
+    "random" bases have columns of norms about 1, 1.5, 2, ..., so their
+    coordinates' 1-D windows have different half-widths; "wide" sigma gives
+    every coordinate a window of more than LOOP_MAX_POINTS points.
+    "identity" bases at sigma 6 give each coordinate one center, so the wide
+    windows repeat."""
+    rng = np.random.default_rng(70 + n)
+    center = rng.normal(size=n) * 2
+    x0 = rng.integers(-3, 4, n)
+    if case == "identity":
+        return LatticeBasis.identity(n), GaussianParams(6.0, center), x0
+    matrix = make_random_basis(rng, n).matrix * (1.0 + 0.5 * np.arange(n))
+    norms = np.linalg.norm(matrix, axis=0)
+    sigma = {"tiny": 0.05, "narrow": 0.4, "medium": 1.5, "wide": 4.2 * norms.max()}[case]
+    return LatticeBasis.from_matrix(matrix), GaussianParams(sigma, center), x0
+
+
+def grouped_calls(monkeypatch):
+    """A list that gets, for each `dg._grouped` call on an alpha per row,
+    whether it grouped the rows."""
+    took = []
+    grouped = dg._grouped
+
+    def spy(alphas, *args):
+        out = grouped(alphas, *args)
+        if np.ndim(alphas):
+            took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(dg, "_grouped", spy)
+    return took
+
+
+class TestGibbsEnsembleEqualsPerCoordinate:
+    """`gibbs_ensemble`, one grouped draw over all chains a step, against the
+    per-coordinate ensemble it replaced (`gibbs_reference`): the same
+    snapshots at every step and the same stream position after, bit for
+    bit. One chain leaves all but one coordinate without rows each step,
+    and 7 chains often leave some."""
+
+    STEPS = 10
+
+    def run_both(self, basis, target, x0, chains, seed, bit_generator=np.random.PCG64):
+        marks = tuple(range(self.STEPS + 1))
+        got_rng, want_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        got, _ = mcmc.gibbs_ensemble(basis, target, x0, chains, self.STEPS, got_rng,
+                                     record_at=marks)
+        want, _ = gibbs_reference.gibbs_ensemble(basis, target, x0, chains, self.STEPS,
+                                                 want_rng, record_at=marks)
+        for t in marks:
+            assert got[t].dtype == np.int64
+            assert np.array_equal(got[t], want[t]), t
+        assert stream_state(got_rng) == stream_state(want_rng)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("chains", [1, 7, 1000, 2001])
+    @pytest.mark.parametrize("case", ["tiny", "narrow", "medium", "wide", "identity"])
+    def test_equals_per_coordinate_ensemble(self, n, chains, case, monkeypatch):
+        basis, target, x0 = ensemble_case(n, case)
+        took = grouped_calls(monkeypatch)
+        self.run_both(basis, target, x0, chains, 1000 * n + chains)
+        halves = dg.window_half(target.sigma / np.linalg.norm(basis.matrix, axis=0))
+        if case == "wide":
+            assert (2 * halves + 1 > dg.LOOP_MAX_POINTS).all()
+        if case == "narrow" and n > 1:
+            assert np.unique(halves).size > 1
+        if chains >= 1000 and case in ("tiny", "narrow", "identity"):
+            assert any(took)  # steps drawn as one grouped draw
+        if chains >= 1000 and case == "wide" and n > 2:
+            assert not all(took)  # steps whose wide windows seldom repeat stay on the blocks
+
+    @pytest.mark.parametrize("bit_generator", OTHER_BIT_GENERATORS)
+    def test_equals_per_coordinate_ensemble_on_other_bit_generators(self, bit_generator):
+        basis, target, x0 = ensemble_case(3, "narrow")
+        self.run_both(basis, target, x0, 1000, 9, bit_generator)
+
+    def test_pooled_law_equals_per_coordinate_ensemble(self, basis_2d):
+        target = GaussianParams(0.5, np.array([0.3, 0.7]))
+        laws = [run(basis_2d, target, (2, -1), 1000, 30, np.random.default_rng(6), pool_from=10)[1]
+                for run in (mcmc.gibbs_ensemble, gibbs_reference.gibbs_ensemble)]
+        assert np.array_equal(laws[0].support, laws[1].support)
+        assert np.array_equal(laws[0].probs, laws[1].probs)
+
+    @pytest.mark.parametrize("case, chains, message", [
+        # sigma / ||b_i|| = 1e-160: 2 alpha^2 underflows
+        ("underflowing-alpha", 5, "is too small: 2 alpha^2 underflows"),
+        # only coordinate 1's alpha underflows: the steps that draw only
+        # coordinate 0 pass, as in the per-coordinate ensemble
+        ("one-underflowing-alpha", 1, "is too small: 2 alpha^2 underflows"),
+        ("one-underflowing-alpha", 1000, "is too small: 2 alpha^2 underflows"),
+        ("huge-center", 1000, "is too large: |center| must be below 2**53"),
+        ("nan-center", 7, "center must be finite, got nan"),
+        ("wide-window", 5, "needs a window of"),
+    ])
+    def test_fails_as_per_coordinate_ensemble_does(self, case, chains, message):
+        x0 = (0, 0)
+        if case == "underflowing-alpha":
+            basis = LatticeBasis.from_matrix([[1e10, 5e9], [0.0, 1e10]])
+            target = GaussianParams(1e-150, np.zeros(2))
+        elif case == "one-underflowing-alpha":
+            basis = LatticeBasis.from_matrix([[1.0, 0.0], [0.0, 1e5]])
+            target = GaussianParams(1e-150, np.zeros(2))
+        elif case == "huge-center":
+            basis = LatticeBasis.from_matrix([[1.0, 0.5], [0.0, 1.0]])
+            target = GaussianParams(1.0, np.array([1e19, 0.0]))
+        elif case == "nan-center":  # inf - inf in the center sums
+            basis = LatticeBasis.from_matrix([[1e150, 1e150, -1e150], [0.0, 1e150, 0.0],
+                                              [0.0, 0.0, 1e150]])
+            target, x0 = GaussianParams(1.0, np.zeros(3)), (0, 4 * 10**18, 4 * 10**18)
+        else:
+            basis = LatticeBasis.from_matrix([[1.0, 0.5], [0.0, 1.0]])
+            target = GaussianParams(1e300, np.zeros(2))
+        errors = []
+        for run in (mcmc.gibbs_ensemble, gibbs_reference.gibbs_ensemble):
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                run(basis, target, x0, chains, 20, np.random.default_rng(3))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("sigma", [0.4, 9.0, 1e3])
+    def test_memory_is_bounded_by_the_chain_count(self, sigma):
+        # alphas of 0.24-0.4, 5.3-9 and 590-1,000 on the golden basis:
+        # windows of 9, 83-141 and 9,000-15,000 points. The peak grows with
+        # the chains, about 150 bytes a chain, and not with sigma
+        basis = LatticeBasis.from_matrix(GOLDEN_DIAGNOSE_BASIS)
+        target = GaussianParams(sigma, np.array([0.3, -0.2, 0.45]))
+        mcmc.gibbs_ensemble(basis, target, (2, -1, 1), 600, 1, np.random.default_rng(0))
+        for chains in (600, 4000):
+            tracemalloc.start()
+            try:
+                mcmc.gibbs_ensemble(basis, target, (2, -1, 1), chains, 1, np.random.default_rng(0),
+                                    record_at=(1,))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.3e6 + 250 * chains, (sigma, chains, peak)
 
 
 def chain_streams(seed, chains):
