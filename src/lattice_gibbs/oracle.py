@@ -243,23 +243,22 @@ def _keep_top(dist: DiscreteDistribution, pairs: np.ndarray, max_pairs: int) -> 
     return kept if len(kept) <= 2 * max_pairs else _best_pairs(dist, kept, max_pairs)
 
 
-def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None) -> np.ndarray:
-    """(P, 2, n) int64 pairs (p, q), p < q, of support rows differing in one coordinate.
+def _flip_pairs(dist: DiscreteDistribution, rows: np.ndarray, max_pairs) -> np.ndarray:
+    """(P, 2) support-index pairs (p, q), p < q, of the support rows `rows`
+    that differ in one coordinate; with a cap, only a running `_keep_top`.
 
-    Sorted by joint probability (descending), then p and q, so a capped prefix
-    covers the most relevant transitions first. For each coordinate i the
-    support is sorted by (the other coordinates, x_i), so each row's partners
-    are the rows 1, 2, ... places after it with the same other coordinates. A
-    cap keeps a running `_keep_top` of at most 2 max_pairs pairs, so memory is
-    O(S + max_pairs), and sorts once at the end.
+    For each coordinate i the rows are sorted by (the other coordinates, x_i),
+    so each row's partners are the rows 1, 2, ... places after it with the
+    same other coordinates.
     """
-    pts = dist.support
-    found = [np.empty((0, 2), dtype=np.intp)]  # support indices of (p, q)
+    pts = dist.support[rows]
+    found = [np.empty((0, 2), dtype=np.intp)]
     for i in range(pts.shape[1]):
         others = np.delete(pts, i, axis=1)
         order = np.lexsort([pts[:, i], *others[:, ::-1].T])
         others = others[order]
         group = np.concatenate([[0], np.any(others[1:] != others[:-1], axis=1).cumsum()])
+        order = rows[order]
         for s in range(1, len(order)):
             hit = np.nonzero(group[s:] == group[:-s])[0]
             if hit.size == 0:  # every group is shorter than s + 1 rows
@@ -267,7 +266,39 @@ def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None
             found.append(np.stack([order[hit], order[hit + s]], axis=1))
             if max_pairs is not None:
                 found = [_keep_top(dist, np.concatenate(found), max_pairs)]
-    return pts[_best_pairs(dist, np.concatenate(found), max_pairs)]
+    return np.concatenate(found)
+
+
+def single_flip_pairs(dist: DiscreteDistribution, max_pairs: "int | None" = None) -> np.ndarray:
+    """(P, 2, n) int64 pairs (p, q), p < q, of support rows differing in one coordinate.
+
+    Sorted by joint probability (descending), then p and q, so a capped prefix
+    covers the most relevant transitions first. A cap first searches the
+    max_pairs most probable rows; the max_pairs-th joint found there, `cut`,
+    bounds the true cut from below. Both rows of a pair at or above the true
+    cut have P(p) P_max >= P(p) P(q) >= cut (rounding is monotone), so only
+    those rows are searched again, and not at all when they number at most
+    max_pairs: they are then among the first rows. The order is by values, so
+    the result does not depend on the rows searched. Each search keeps a
+    running `_keep_top` of at most 2 max_pairs pairs, so memory is
+    O(S + max_pairs), and sorts once at the end.
+    """
+    if max_pairs is not None and (
+        isinstance(max_pairs, bool) or not isinstance(max_pairs, (int, np.integer)) or max_pairs < 0
+    ):
+        raise ValueError(f"max_pairs must be None or an int >= 0, got {max_pairs!r}")
+    probs = dist.probs
+    rows = np.arange(len(probs))
+    if max_pairs:  # 0 keeps no pair, and has no max_pairs-th joint
+        top = np.argpartition(-probs, min(max_pairs, len(probs)) - 1)[:max_pairs]
+        pairs = _flip_pairs(dist, top, max_pairs)
+        if len(pairs) >= max_pairs:
+            joint = probs[pairs[:, 0]] * probs[pairs[:, 1]]
+            cut = np.partition(joint, -max_pairs)[-max_pairs]
+            rows = np.flatnonzero(probs * probs.max() >= cut)
+            if len(rows) <= max_pairs:
+                return dist.support[_best_pairs(dist, pairs, max_pairs)]
+    return dist.support[_best_pairs(dist, _flip_pairs(dist, rows, max_pairs), max_pairs)]
 
 
 def _log_theta(r: float, sigma: float, shift: float) -> float:

@@ -417,3 +417,107 @@ def test_single_flip_pairs_capped_memory_is_bounded():
         tracemalloc.stop()
     assert pairs.shape == (200, 2, 2)
     assert peak < 2_000_000
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """How many rows each `_flip_pairs` search of a call is given."""
+    sizes = []
+    flip_pairs = oracle._flip_pairs
+
+    def recording(dist, rows, max_pairs):
+        sizes.append(len(rows))
+        return flip_pairs(dist, rows, max_pairs)
+
+    monkeypatch.setattr(oracle, "_flip_pairs", recording)
+    return sizes
+
+
+def box_law(weights_of, lo, hi, n=2):
+    """The law on the box [lo, hi]^n with weights_of(rows) normalized."""
+    box = np.array(list(itertools.product(range(lo, hi + 1), repeat=n)))
+    weights = weights_of(box)
+    return DiscreteDistribution(box, weights / weights.sum())
+
+
+def capped_searches(dist, cap, searched):
+    """Check single_flip_pairs(dist, cap) against the brute-force prefix and
+    return the row counts its searches were given."""
+    searched.clear()
+    assert oracle.single_flip_pairs(dist, max_pairs=cap).tolist() == brute_force_flip_pairs(dist)[:cap]
+    return list(searched)
+
+
+def test_single_flip_pairs_first_pass_is_final_on_a_peaked_law(searched):
+    # the rows that can reach the cut are among the cap most probable ones
+    dist = box_law(lambda x: np.exp(-((x - [0.3, -0.2]) ** 2).sum(axis=1) / 0.32), -3, 3)
+    for cap in (7, 10, 20):
+        assert capped_searches(dist, cap, searched) == [cap]
+
+
+def test_single_flip_pairs_searches_again_past_a_sharp_mode(searched):
+    # a sharp mode on a broad shoulder: the mode's partners deep in the
+    # shoulder reach the cut, so a second search takes more rows than the
+    # first but not the whole support
+    dist = box_law(lambda x: np.exp(-8 * (x * x).sum(axis=1)) + 0.01 * np.exp(-(x * x).sum(axis=1) / 8), -6, 6)
+    for cap in (5, 10, 20):
+        first, second = capped_searches(dist, cap, searched)
+        assert first == cap < second < len(dist.probs)
+
+
+def test_single_flip_pairs_falls_back_when_the_top_rows_hold_few_pairs(searched):
+    # the most probable rows lie on the diagonal, so no two of them differ in
+    # one coordinate: the first search finds no pair and the whole support
+    # is searched
+    dist = box_law(lambda x: np.where(x[:, 0] == x[:, 1], 1.0, 0.01), -3, 3)
+    for cap in (3, 7):
+        assert capped_searches(dist, cap, searched) == [cap, 49]
+
+
+@pytest.mark.parametrize(
+    "dist, caps",
+    [
+        # weights 2^-|x|^2: every probability is a power of two times one
+        # float, so the cap-th probability ties exactly with rows left out of
+        # the first search, and P(p) P_max with the cut
+        (box_law(lambda x: 2.0 ** -(x * x).sum(axis=1), -3, 3), range(1, 12)),
+        # cap 3: the first search takes rows 0, 1, 2 and cuts at 1/4, which
+        # P(3) P(0) and P(4) P(0) equal exactly; the third pair is (0, 3)
+        (DiscreteDistribution(np.arange(6)[:, None], np.array([16, 8, 8, 4, 4, 1]) / 41), range(1, 6)),
+    ],
+)
+def test_single_flip_pairs_with_ties_at_the_cut(searched, dist, caps):
+    kinds = set()
+    for cap in caps:
+        sizes = capped_searches(dist, cap, searched)
+        kinds.add("final" if len(sizes) == 1 else "all" if sizes[1] == len(dist.probs) else "some")
+    assert kinds == {"final", "all", "some"}
+
+
+def test_single_flip_pairs_capped_search_stays_near_the_mode(searched):
+    # about 130 of the 7,840 rows can hold one of the top 200 pairs, so the
+    # capped call searches no more than 2 x 200 rows in all
+    basis = LatticeBasis.from_matrix(
+        np.array([[1.0, 0.4, 0.4, 0.4], [0, 1.6, 0.4, 0.4], [0, 0, 2.2, 0.4], [0, 0, 0, 2.8]])
+    )
+    exact = oracle.enumerate_support(basis, GaussianParams(0.5, np.array([0.71, -0.93, 0.46, -0.65])))
+    assert len(exact.probs) == 7840
+    pairs = oracle.single_flip_pairs(exact, max_pairs=200)
+    assert sum(searched) <= 2 * 200
+    assert np.array_equal(pairs, oracle.single_flip_pairs(exact)[:200])
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 1.5, "3", True, np.float64(2.0)])
+def test_single_flip_pairs_rejects_a_bad_cap(bad):
+    dist = oracle.enumerate_support(LatticeBasis.identity(2), GaussianParams(0.6, np.zeros(2)))
+    with pytest.raises(ValueError, match="max_pairs"):
+        oracle.single_flip_pairs(dist, max_pairs=bad)
+
+
+def test_single_flip_pairs_zero_and_numpy_caps():
+    dist = oracle.enumerate_support(LatticeBasis.identity(2), GaussianParams(0.6, np.zeros(2)))
+    assert len(oracle.single_flip_pairs(dist)) == 3150
+    empty = oracle.single_flip_pairs(dist, max_pairs=0)
+    assert empty.dtype == np.int64 and empty.shape == (0, 2, 2)
+    assert np.array_equal(oracle.single_flip_pairs(dist, max_pairs=np.int64(7)),
+                          oracle.single_flip_pairs(dist, max_pairs=7))
